@@ -238,7 +238,7 @@ pub fn object(members: Vec<(&str, Value)>) -> Value {
 /// Returns [`AcsError::Json`] with a byte offset on malformed input or
 /// trailing garbage.
 pub fn parse(input: &str) -> Result<Value, AcsError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -256,6 +256,7 @@ pub fn parse(input: &str) -> Result<Value, AcsError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -375,13 +376,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped bytes up to the next quote
+                    // or backslash in one go. Both are ASCII, so the run
+                    // ends on a character boundary of the input `&str`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let unescaped =
+                        self.text.get(self.pos..run).ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(unescaped);
+                    self.pos = run;
                 }
             }
         }

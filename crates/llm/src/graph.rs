@@ -165,20 +165,12 @@ impl LayerGraph {
         Self::plan_key_parallel(model, workload, phase, tensor_parallel, 1, dtype_bytes)
     }
 
-    /// [`LayerGraph::plan_key`] with an expert-parallel degree. The `|ep=`
-    /// member is appended only when `expert_parallel > 1`, so every key
-    /// the pre-scenario stack ever produced stays byte-identical — the
-    /// digests in blessed golden corpora and long-lived caches are
-    /// unaffected by the parallelism extension.
+    /// The model-identity section every [`LayerGraph::plan_key`] of
+    /// `model` starts with: the version tag and the model's full
+    /// hyperparameters. Callers that key many plans of one model can
+    /// build it once and append their own shape members.
     #[must_use]
-    pub fn plan_key_parallel(
-        model: &ModelConfig,
-        workload: &WorkloadConfig,
-        phase: InferencePhase,
-        tensor_parallel: u32,
-        expert_parallel: u32,
-        dtype_bytes: u64,
-    ) -> String {
+    pub fn model_key(model: &ModelConfig) -> String {
         let mut key = String::with_capacity(192);
         // `write!` into a String cannot fail; the results are discarded.
         let _ = write!(
@@ -198,6 +190,25 @@ impl LayerGraph {
             }
             None => key.push_str(";moe=none"),
         }
+        key
+    }
+
+    /// [`LayerGraph::plan_key`] with an expert-parallel degree. The `|ep=`
+    /// member is appended only when `expert_parallel > 1`, so every key
+    /// the pre-scenario stack ever produced stays byte-identical — the
+    /// digests in blessed golden corpora and long-lived caches are
+    /// unaffected by the parallelism extension.
+    #[must_use]
+    pub fn plan_key_parallel(
+        model: &ModelConfig,
+        workload: &WorkloadConfig,
+        phase: InferencePhase,
+        tensor_parallel: u32,
+        expert_parallel: u32,
+        dtype_bytes: u64,
+    ) -> String {
+        let mut key = Self::model_key(model);
+        // `write!` into a String cannot fail; the results are discarded.
         let _ = write!(
             key,
             "|work=b{},i{},o{}",

@@ -1,6 +1,7 @@
 //! Harness-level tests: experiment registry integrity and a smoke run of
 //! the cheap experiments into a temporary results directory.
 
+use crate::util::results_dir_lock;
 use crate::{run, EXPERIMENTS, EXTENSIONS};
 
 #[test]
@@ -26,6 +27,7 @@ fn registry_names_are_unique_and_kebab_case() {
 
 #[test]
 fn cheap_experiments_run_to_completion() {
+    let _guard = results_dir_lock();
     let dir = std::env::temp_dir().join("acs-repro-test-results");
     std::env::set_var("ACS_RESULTS_DIR", &dir);
     for exp in
@@ -43,6 +45,7 @@ fn cheap_experiments_run_to_completion() {
 
 #[test]
 fn fig1a_csv_has_one_row_per_named_device() {
+    let _guard = results_dir_lock();
     let dir = std::env::temp_dir().join("acs-repro-test-results-fig1a");
     std::env::set_var("ACS_RESULTS_DIR", &dir);
     run("fig1a").unwrap();

@@ -58,6 +58,16 @@ pub fn pct(fraction: f64) -> String {
     format!("{:+.1}%", fraction * 100.0)
 }
 
+/// Serialises the tests that point the process-global `ACS_RESULTS_DIR`
+/// at their own directory: the test runner is multi-threaded, and one
+/// test's `set_var` would otherwise redirect another's CSVs mid-run.
+#[cfg(test)]
+pub(crate) fn results_dir_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test holding the lock must not fail the others with it.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,6 +81,7 @@ mod tests {
 
     #[test]
     fn write_csv_creates_file() {
+        let _guard = results_dir_lock();
         std::env::set_var("ACS_RESULTS_DIR", std::env::temp_dir().join("acs-test-results"));
         write_csv("t.csv", &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
         let content =

@@ -1087,4 +1087,34 @@ mod tests {
         let err = read_framed_response(&mut reader).unwrap_err();
         assert_eq!(err.kind(), "protocol");
     }
+
+    #[test]
+    fn body_limit_json_of_multibyte_strings_parses_in_linear_time() {
+        // Every POST handler parses its body first. The string scanner
+        // once re-validated the rest of the input per character, so a
+        // 256 KiB body of multibyte text pinned a worker for ~34 s.
+        use acs_errors::json::{parse, Value};
+        let pieces = ["plain ascii run ", "héllo – ✓ 漢字 🚀 ", "quote \" back\\slash\n", "ü"];
+        let mut items = Vec::new();
+        let mut len = 2; // the array's brackets
+        for i in 0.. {
+            let item = Value::String(pieces[i % pieces.len()].repeat(1 + i % 7));
+            len += item.to_json().len() + 1;
+            if len > MAX_BODY_BYTES - 512 {
+                break;
+            }
+            items.push(item);
+        }
+        let short = MAX_BODY_BYTES - Value::Array(items.clone()).to_json().len();
+        // `,"x…x"` fills the body to exactly the limit.
+        items.push(Value::String("x".repeat(short - 3)));
+        let doc = Value::Array(items).to_json();
+        assert_eq!(doc.len(), MAX_BODY_BYTES);
+
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.to_json(), doc, "the body round-trips byte for byte");
+        assert!(elapsed < Duration::from_secs(5), "1 MiB body parsed in {elapsed:?}");
+    }
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Run the dependency-free smoke benchmark (tests/bench_smoke.rs).
 #
-# The criterion benches under crates/bench need a crates-io registry and
-# cannot build offline; this script times the same hot paths with the
-# std-only harness instead. Numbers are indicative, not publishable —
-# the assertions only catch order-of-magnitude regressions (plus the
-# telemetry-overhead budget, which is a real contract).
+# Times the hot paths with the std-only harness. Numbers are indicative,
+# not publishable — the assertions only catch order-of-magnitude
+# regressions (plus the telemetry-overhead budget, which is a real
+# contract). The repository benchmark, with end-to-end and per-layer
+# metrics, is perfbench/ (see perfbench/README.md).
 #
 # Writes BENCH_dse.json, BENCH_lattice.json, BENCH_scenarios.json,
 # BENCH_serve.json, and BENCH_whatif.json (schema acs-bench-v1) to the

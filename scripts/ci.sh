@@ -10,6 +10,9 @@ cargo build --release --locked --offline
 echo "==> cargo test -q --locked"
 cargo test -q --locked --offline
 
+echo "==> every workspace crate's unit and integration tests"
+cargo test -q --workspace --locked --offline
+
 echo "==> fault-injection suite"
 cargo test -q --locked --offline --test fault_injection
 
@@ -72,9 +75,9 @@ exec 3>&-
 wait "$serve_pid" || { echo "server exited uncleanly"; cat "$smokedir/serve.log"; exit 1; }
 echo "ok (served on $addr, graceful shutdown)"
 
-echo "==> loadgen cache-speedup check (repeated vs unique QPS)"
+echo "==> loadgen throughput floor (unique /v1/simulate >= 2000 QPS, no failures)"
 cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
-    --loadgen --mode compare --requests 60 --concurrency 4 --assert-ratio 10
+    --loadgen --mode compare --requests 60 --concurrency 4 --min-unique-qps 2000
 
 echo "==> pool-tier loadgen smoke (legacy transport stays alive behind --pool)"
 cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \

@@ -1,12 +1,10 @@
 //! Dependency-free smoke benchmark.
 //!
-//! The criterion harness in `crates/bench` cannot build in the offline
-//! environment (criterion is not vendored), which left the repo with no
-//! runnable performance check at all. This test is the std-only
-//! replacement: it times the hot paths with `std::time::Instant`, prints
-//! a small report, and enforces only very generous ceilings — it exists
-//! to catch order-of-magnitude regressions and to prove the paths run,
-//! not to produce publishable numbers.
+//! Times the hot paths with `std::time::Instant`, prints a small report,
+//! and enforces only very generous ceilings — it exists to catch
+//! order-of-magnitude regressions and to prove the paths run, not to
+//! produce publishable numbers. The repository benchmark, measuring end
+//! to end and layer by layer, is `perfbench/`.
 //!
 //! Four artefacts are written for the perf trajectory (schema
 //! documented in README "Observability"): `BENCH_dse.json` from
