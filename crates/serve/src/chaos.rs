@@ -8,7 +8,7 @@
 //! pipes, exactly the shapes a hostile or flaky peer produces.
 //!
 //! The shim is threaded through both ends of the wire: the server's
-//! connection loop wraps accepted sockets when
+//! event loop wraps accepted sockets when
 //! [`crate::ServeConfig::chaos_seed`] is set, and the persistent
 //! [`crate::http::HttpClient`] wraps its dialed socket via
 //! [`crate::http::HttpClient::with_fault_injection`]. Every fault
@@ -17,7 +17,6 @@
 
 use acs_llm::rng::SplitMix64;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,41 +78,6 @@ impl FaultPlan {
     }
 }
 
-/// The socket-control surface the connection loop needs from a stream,
-/// abstracted so a [`FaultStream`]-wrapped socket serves it too.
-pub trait SocketControl {
-    /// Forward of [`TcpStream::set_read_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket error.
-    fn control_read_timeout(&self, d: Option<Duration>) -> io::Result<()>;
-    /// Forward of [`TcpStream::set_write_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket error.
-    fn control_write_timeout(&self, d: Option<Duration>) -> io::Result<()>;
-}
-
-impl SocketControl for TcpStream {
-    fn control_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(d)
-    }
-    fn control_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.set_write_timeout(d)
-    }
-}
-
-impl<S: SocketControl> SocketControl for FaultStream<S> {
-    fn control_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.inner.control_read_timeout(d)
-    }
-    fn control_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.inner.control_write_timeout(d)
-    }
-}
-
 /// A byte stream with deterministic fault injection. Implements `Read`
 /// and `Write` by forwarding to the wrapped stream through the fault
 /// schedule.
@@ -142,8 +106,7 @@ impl<S> FaultStream<S> {
     }
 
     /// Mirror the injected-fault count into a shared counter (the server
-    /// reads it after the connection ends, since the stream is consumed
-    /// by the connection loop).
+    /// reads it after the connection ends).
     #[must_use]
     pub fn with_tally(mut self, tally: Arc<AtomicU64>) -> Self {
         self.tally = Some(tally);

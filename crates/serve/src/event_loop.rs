@@ -1,6 +1,6 @@
-//! The non-blocking serve tier: N shard workers, each owning an epoll
-//! event loop, a private slice of the response caches, and a raw
-//! front cache of byte-identical repeats.
+//! The serve tier: N shard workers, each owning a readiness loop, a
+//! private slice of the response caches, and a raw front cache of
+//! byte-identical repeats.
 //!
 //! Connections are hashed to workers by a digest of their peer address,
 //! so a client's keep-alive session stays on one worker and its repeated
@@ -20,8 +20,9 @@
 //! turned away with `503` + `Retry-After` so cached traffic survives
 //! overload.
 //!
-//! The blocking worker pool remains available behind
-//! `ServeConfig { event_loop: false }` as the differential baseline.
+//! Only the readiness source varies by platform ([`crate::reactor`]):
+//! `epoll` where it exists, a scan poller elsewhere. Both drive this
+//! same state machine.
 
 use crate::chaos::{FaultPlan, FaultStream};
 use crate::handlers::{self, AppState};
@@ -29,7 +30,7 @@ use crate::http::{self, HttpRequest, Parsed};
 use crate::reactor::{
     EpollEvent, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::{ServeConfig, Shared};
+use crate::ServeConfig;
 use acs_cache::CacheLane;
 use acs_errors::AcsError;
 use std::collections::HashMap;
@@ -37,7 +38,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -59,8 +60,8 @@ const RAW_CACHE_CAP: usize = 4096;
 const OUT_HIGH_WATER: usize = 4 << 20;
 
 /// Stop reading from a connection whose input buffer is already this
-/// large; level-triggered epoll re-delivers the readiness once the
-/// parser has caught up.
+/// large; the level-triggered readiness source re-delivers the
+/// readiness once the parser has caught up.
 const IN_HIGH_WATER: usize = 8 << 20;
 
 /// FNV-1a over length-prefixed parts (so `("a","bc")` and `("ab","c")`
@@ -91,95 +92,101 @@ struct LoopPolicy {
     expensive_budget: usize,
 }
 
-/// Run the event-loop tier on the calling thread until
-/// [`crate::ServerHandle::shutdown`]. Returns `Err` only on *setup*
-/// failure (no reactor, no wake pipes) before anything is served, so
-/// the caller can fall back to the worker pool.
-pub(crate) fn run(
-    listener: &TcpListener,
-    state: &Arc<AppState>,
-    shared: &Arc<Shared>,
-    config: &ServeConfig,
-) -> io::Result<()> {
-    let workers = config.workers.max(1);
-    let policy = LoopPolicy {
-        io_timeout: config.io_timeout,
-        request_deadline: config.request_deadline,
-        keepalive_idle: config.keepalive_idle,
-        expensive_budget: config.queue_depth.max(1),
-    };
-    let chaos = config.chaos_seed.map(FaultPlan::gentle);
-    let conn_seq = Arc::new(AtomicU64::new(0));
+/// Every shard worker, built but not yet running, plus the acceptor's
+/// route to each: the write end of its wake pipe and its inbox.
+pub(crate) struct EventLoop {
+    workers: Vec<Worker>,
+    routes: Vec<(UnixStream, Arc<Mutex<Vec<TcpStream>>>)>,
+}
 
-    // Build every worker's reactor and wake pipe up front: a failure
-    // here leaves nothing running and the pool can take over.
-    let mut setups = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let poller = Poller::new()?;
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        setups.push((poller, tx, rx));
-    }
-
-    let mut wakers = Vec::with_capacity(workers);
-    let mut inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>> = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for (index, (poller, tx, rx)) in setups.into_iter().enumerate() {
-        let inbox = Arc::new(Mutex::new(Vec::new()));
-        inboxes.push(Arc::clone(&inbox));
-        wakers.push(tx);
-        let mut worker = Worker {
-            poller,
-            wake: rx,
-            inbox,
-            state: Arc::clone(state),
-            shared: Arc::clone(shared),
-            lane: CacheLane::new(index, workers),
-            policy: policy.clone(),
-            chaos: chaos.clone(),
-            conn_seq: Arc::clone(&conn_seq),
-            conns: Vec::new(),
-            free: Vec::new(),
-            raw: HashMap::new(),
-            budget: policy.expensive_budget,
+impl EventLoop {
+    /// Build every worker's poller and wake pipe, so a setup failure
+    /// surfaces before anything is served.
+    pub(crate) fn new(
+        config: &ServeConfig,
+        state: &Arc<AppState>,
+        stop: &Arc<AtomicBool>,
+    ) -> io::Result<Self> {
+        let count = config.workers.max(1);
+        let policy = LoopPolicy {
+            io_timeout: config.io_timeout,
+            request_deadline: config.request_deadline,
+            keepalive_idle: config.keepalive_idle,
+            expensive_budget: config.queue_depth.max(1),
         };
-        handles.push(std::thread::spawn(move || worker.run()));
-    }
-
-    loop {
-        let (stream, peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break; // the wake-up connection, or a straggler: drop it
+        let chaos = config.chaos_seed.map(FaultPlan::gentle);
+        let conn_seq = Arc::new(AtomicU64::new(0));
+        let mut workers = Vec::with_capacity(count);
+        let mut routes = Vec::with_capacity(count);
+        for index in 0..count {
+            let poller = Poller::new()?;
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            poller.add(rx.as_raw_fd(), EPOLLIN, WAKE)?;
+            let inbox = Arc::new(Mutex::new(Vec::new()));
+            routes.push((tx, Arc::clone(&inbox)));
+            workers.push(Worker {
+                poller,
+                wake: rx,
+                inbox,
+                state: Arc::clone(state),
+                stop: Arc::clone(stop),
+                lane: CacheLane::new(index, count),
+                policy: policy.clone(),
+                chaos: chaos.clone(),
+                conn_seq: Arc::clone(&conn_seq),
+                conns: Vec::new(),
+                free: Vec::new(),
+                raw: HashMap::new(),
+                budget: policy.expensive_budget,
+            });
         }
-        let _ = stream.set_nodelay(true);
-        // Shard by peer-address digest: one client session, one worker,
-        // one cache lane.
-        let worker = (fnv1a(&[peer.to_string().as_bytes()]) as usize) % workers;
-        inboxes[worker]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(stream);
-        // A full pipe already means a pending wake; losing this byte is
-        // harmless (workers also drain their inbox every poll round).
-        let _ = (&wakers[worker]).write(&[1]);
+        Ok(EventLoop { workers, routes })
     }
 
-    for waker in &wakers {
-        let _ = (&*waker).write(&[1]);
+    /// Accept on the calling thread and serve on the workers until
+    /// `stop` is set; every worker is joined before returning.
+    pub(crate) fn run(self, listener: &TcpListener, stop: &AtomicBool) {
+        let handles: Vec<_> = self
+            .workers
+            .into_iter()
+            .map(|mut worker| std::thread::spawn(move || worker.run()))
+            .collect();
+        loop {
+            let (stream, peer) = match listener.accept() {
+                Ok(pair) => pair,
+                Err(_) => {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    continue;
+                }
+            };
+            if stop.load(Ordering::SeqCst) {
+                break; // the wake-up connection, or a straggler: drop it
+            }
+            // Keep-alive makes Nagle hostile: a small response followed
+            // by the client's next small request deadlocks against
+            // delayed ACKs for ~40 ms per round trip.
+            let _ = stream.set_nodelay(true);
+            // Shard by peer-address digest: one client session, one
+            // worker, one cache lane.
+            let shard = (fnv1a(&[peer.to_string().as_bytes()]) as usize) % self.routes.len();
+            let (waker, inbox) = &self.routes[shard];
+            inbox.lock().unwrap_or_else(PoisonError::into_inner).push(stream);
+            // A full pipe already means a pending wake; losing this byte
+            // is harmless (workers also drain their inbox every round).
+            let _ = (&*waker).write(&[1]);
+        }
+
+        for (waker, _) in &self.routes {
+            let _ = (&*waker).write(&[1]);
+        }
+        for handle in handles {
+            let _ = handle.join();
+        }
     }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    Ok(())
 }
 
 /// A connection's transport: bare socket, or the chaos shim around one.
@@ -226,7 +233,8 @@ struct Conn {
     /// Peer sent EOF; drain what's buffered, then close.
     eof: bool,
     /// Wall-clock bound on the partial request in `inbuf` (the
-    /// slow-loris defence); armed while `inbuf` is non-empty.
+    /// slow-loris defence): armed when its first bytes are buffered,
+    /// cleared when it is consumed.
     deadline: Option<Instant>,
     idle_since: Instant,
     /// Set while `outbuf` has undrained bytes; refreshed on every write
@@ -260,7 +268,7 @@ struct Worker {
     wake: UnixStream,
     inbox: Arc<Mutex<Vec<TcpStream>>>,
     state: Arc<AppState>,
-    shared: Arc<Shared>,
+    stop: Arc<AtomicBool>,
     lane: CacheLane,
     policy: LoopPolicy,
     chaos: Option<FaultPlan>,
@@ -273,12 +281,9 @@ struct Worker {
 
 impl Worker {
     fn run(&mut self) {
-        if self.poller.add(self.wake.as_raw_fd(), EPOLLIN, WAKE).is_err() {
-            return;
-        }
         let mut events = [EpollEvent::default(); 128];
         loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
+            if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             let n = self.poller.wait(&mut events, POLL_MS).unwrap_or(0);
@@ -331,8 +336,7 @@ impl Worker {
             None => (Wire::Plain(stream), None),
             Some(plan) => {
                 // Each connection replays its own schedule: seed mixed
-                // with a global ordinal via the SplitMix64 increment
-                // (same derivation as the pool tier).
+                // with a global ordinal via the SplitMix64 increment.
                 let n = self.conn_seq.fetch_add(1, Ordering::Relaxed);
                 let per_conn =
                     plan.reseeded(plan.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -434,6 +438,9 @@ impl Worker {
                 }
                 Parsed::Complete { request, consumed, keep_alive } => {
                     conn.inbuf.drain(..consumed);
+                    // Each request gets its own deadline: bytes of the
+                    // next one that rode in with this one re-arm it below.
+                    conn.deadline = None;
                     if !self.dispatch(&request, keep_alive, &mut conn.outbuf) {
                         conn.keep_open = false;
                         conn.inbuf.clear();
@@ -503,26 +510,25 @@ impl Worker {
             }
             self.budget -= 1;
         }
-        // A panic anywhere in parsing or handling must not kill the
-        // worker: contain the unwind and answer with a taxonomy-tagged
-        // 500, exactly like the pool tier.
+        // A panic anywhere in handling must not kill the worker: contain
+        // the unwind, drop whatever the handler had appended, and answer
+        // with a taxonomy-tagged 500.
         let state = Arc::clone(&self.state);
         let lane = self.lane;
+        let response_start = outbuf.len();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if request.method == "POST" && path == "/v1/whatif" {
                 // Streamed: the handler frames the chunked response
                 // itself, straight into the output buffer; the drain to
                 // the socket is driven by write-readiness.
-                match handlers::handle_whatif_streaming_lane(
+                handlers::handle_whatif_streaming_lane(
                     &state,
                     request,
                     outbuf,
                     keep_alive,
                     Some(lane),
-                ) {
-                    Ok(_wire_ok) => None,
-                    Err((status, body)) => Some((status, body)),
-                }
+                )
+                .err()
             } else {
                 Some(handlers::handle_lane(&state, request, Some(lane)))
             }
@@ -549,6 +555,7 @@ impl Worker {
             }
             Ok(None) => keep_alive,
             Err(payload) => {
+                outbuf.truncate(response_start);
                 let message = payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())

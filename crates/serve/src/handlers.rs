@@ -24,10 +24,9 @@ use acs_policy::{
 };
 use acs_scenarios::{Scenario, ScenarioRegistry};
 use acs_sim::{simulate_serving_cached, PlanStore, ServingConfig, Simulator, StepCostCache};
-use acs_telemetry::{Counter, Gauge, Histogram, Registry};
+use acs_telemetry::{Counter, Histogram, Registry};
 use acs_whatif::{WhatIfEngine, WhatIfRequest, RuleGrid};
 use std::collections::HashMap;
-use std::io::Write;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -36,13 +35,13 @@ use std::time::Instant;
 const ENDPOINTS: [&str; 6] = ["screen", "simulate", "devices", "metrics", "whatif", "other"];
 
 /// [`ENDPOINTS`] index of `/v1/whatif` (used by the streaming entry
-/// point, which bypasses [`handle`]'s routing).
+/// point, which bypasses [`handle_lane`]'s routing).
 const WHATIF_ENDPOINT: usize = 4;
 
 /// Shared service state: the device database, the response caches, and
 /// the service's own always-enabled telemetry [`Registry`] — the single
 /// source of truth behind `GET /v1/metrics` (request counters,
-/// per-endpoint latency histograms, queue depth, shed count).
+/// per-endpoint latency histograms, shed counts).
 #[derive(Debug)]
 pub struct AppState {
     db: GpuDatabase,
@@ -80,7 +79,6 @@ pub struct AppState {
     deadline_closed: Arc<Counter>,
     chaos_faults: Arc<Counter>,
     reactor_events: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
     latency: [Arc<Histogram>; 6],
     started: Instant,
 }
@@ -122,7 +120,6 @@ impl AppState {
             deadline_closed: telemetry.counter("serve.conn.deadline_closed"),
             chaos_faults: telemetry.counter("serve.conn.chaos_faults"),
             reactor_events: telemetry.counter("serve.reactor.events"),
-            queue_depth: telemetry.gauge("serve.queue.depth"),
             latency,
             telemetry,
             started: Instant::now(),
@@ -173,20 +170,10 @@ impl AppState {
         Arc::clone(map.entry(digest).or_insert(built))
     }
 
-    /// Record the accept-queue depth after a push or pop.
-    pub fn record_queue_depth(&self, depth: usize) {
-        self.queue_depth.set(depth as u64);
-    }
-
-    /// Count one load-shedding 503.
-    pub fn record_shed(&self) {
-        self.shed_responses.add(1);
-    }
-
     /// Count one priority shed: an expensive request (unique screen /
     /// simulate / what-if work) turned away with `Retry-After` while
     /// cheap cached traffic kept flowing. Also counted in the plain
-    /// shed total so `queue.shed` stays the overall figure.
+    /// shed total `queue.shed`.
     pub fn record_shed_expensive(&self) {
         self.shed_responses.add(1);
         self.shed_expensive.add(1);
@@ -211,7 +198,7 @@ impl AppState {
         self.raw_hits.add(1);
     }
 
-    /// Total raw front-cache hits across all event-loop workers.
+    /// Total raw front-cache hits across all workers.
     #[must_use]
     pub fn raw_hit_count(&self) -> u64 {
         self.raw_hits.get()
@@ -235,8 +222,7 @@ impl AppState {
         self.chaos_faults.add(n);
     }
 
-    /// Count `n` readiness events delivered by one reactor poll (zero
-    /// on the worker-pool tier).
+    /// Count `n` readiness events delivered by one reactor poll.
     pub fn record_reactor_events(&self, n: u64) {
         self.reactor_events.add(n);
     }
@@ -304,15 +290,11 @@ pub(crate) fn endpoint_index(path: &str) -> usize {
 
 /// Route one request. Always returns a complete `(status, JSON body)`
 /// pair; this function never panics on untrusted input.
-pub fn handle(state: &AppState, request: &HttpRequest) -> (u16, String) {
-    handle_lane(state, request, None)
-}
-
-/// [`handle`] pinned to one worker's cache lane: every response-cache
-/// access stays inside the shards that worker owns, so event-loop
-/// workers never contend on shard mutexes. `lane: None` (the pool path,
-/// and every pre-lane caller) keeps the historical whole-cache
-/// placement.
+///
+/// `lane` pins every response-cache access to the shards one worker
+/// owns, so workers never contend on shard mutexes. `lane: None` (the
+/// in-process callers: tests, the fuzzer, the oracles) uses the
+/// whole-cache placement.
 pub fn handle_lane(
     state: &AppState,
     request: &HttpRequest,
@@ -872,9 +854,9 @@ fn whatif_fingerprint(grid: &RuleGrid) -> Value {
 /// Compute — or replay from the response cache — the `/v1/whatif` line
 /// stream: one canonical-JSON record per rule variant in grid order,
 /// then one summary trailer line. On a cache miss each line reaches
-/// `sink` the moment the engine completes it (the streaming transport's
-/// hook); on a hit the cached lines replay through the same sink. A
-/// sink error aborts the run without caching anything.
+/// `sink` the moment the engine completes it; on a hit the cached lines
+/// replay through the same sink. An engine error may arrive after some
+/// lines have reached the sink.
 fn whatif_lines<F>(
     state: &AppState,
     body: &str,
@@ -882,7 +864,7 @@ fn whatif_lines<F>(
     mut sink: F,
 ) -> Result<(), AcsError>
 where
-    F: FnMut(&str) -> Result<(), AcsError>,
+    F: FnMut(&str),
 {
     // An optional `scenario` member (name or inline spec) swaps the
     // workload the synthetic fleet is priced under — e.g. an MoE model
@@ -929,7 +911,7 @@ where
         let mut lines = Vec::with_capacity(request.grid.cardinality() + 1);
         let summary = state.whatif.run_streaming(&request.grid, &fleet, |_, record| {
             let line = record.to_json();
-            sink(&line)?;
+            sink(&line);
             lines.push(line);
             Ok(())
         })?;
@@ -944,30 +926,25 @@ where
             trailer_members.push(("scenario", Value::String(s.name().to_owned())));
         }
         let trailer = object(trailer_members).to_json();
-        sink(&trailer)?;
+        sink(&trailer);
         lines.push(trailer);
         Ok::<_, AcsError>(lines.join("\n"))
     })?;
     if hit {
-        for line in text.lines() {
-            sink(line)?;
-        }
+        text.lines().for_each(sink);
     }
     Ok(())
 }
 
 /// `POST /v1/whatif` — screen a rule regime (or a whole grid of them)
 /// against the curated device DB and the priced synthetic design fleet.
-/// This is the buffered form [`handle`] routes to: the whole stream
-/// collected into one JSON document (`{"summary":..,"records":[..]}`).
-/// The connection layer streams the same lines incrementally instead
-/// ([`handle_whatif_streaming`]).
+/// This is the buffered form [`handle_lane`] routes to: the whole
+/// stream collected into one JSON document
+/// (`{"summary":..,"records":[..]}`). The connection layer streams the
+/// same lines as chunks instead ([`handle_whatif_streaming_lane`]).
 fn whatif(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<String, AcsError> {
     let mut lines: Vec<String> = Vec::new();
-    whatif_lines(state, body, lane, |line| {
-        lines.push(line.to_owned());
-        Ok(())
-    })?;
+    whatif_lines(state, body, lane, |line| lines.push(line.to_owned()))?;
     let summary = lines.pop().ok_or_else(|| AcsError::Protocol {
         reason: "what-if stream produced no trailer".to_owned(),
     })?;
@@ -989,58 +966,35 @@ fn whatif(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<Strin
 }
 
 /// The streaming form of `POST /v1/whatif`, called by the connection
-/// loop instead of [`handle`]: each record line goes out as one chunk
-/// of a `Transfer-Encoding: chunked` response as the engine completes
-/// it, with the summary trailer line as the final chunk.
+/// layer instead of [`handle_lane`]: appends a `Transfer-Encoding:
+/// chunked` response to `out`, one chunk per record line and the summary
+/// trailer line as the final chunk.
 ///
-/// Returns `Ok(wire_ok)` once a stream has started — `wire_ok` false
-/// means the socket died or the stream had to be truncated, and the
-/// connection must close. A failure *before* the first chunk returns
-/// `Err((status, body))` so the caller can answer with an ordinary
-/// framed error.
-pub fn handle_whatif_streaming<W: Write>(
+/// # Errors
+///
+/// On a failed request `out` is truncated back to where this response
+/// began and the ordinary framed error `(status, body)` is returned for
+/// the caller to answer with.
+pub fn handle_whatif_streaming_lane(
     state: &AppState,
     request: &HttpRequest,
-    stream: &mut W,
-    keep_alive: bool,
-) -> Result<bool, (u16, String)> {
-    handle_whatif_streaming_lane(state, request, stream, keep_alive, None)
-}
-
-/// [`handle_whatif_streaming`] pinned to one worker's cache lane (the
-/// event-loop entry point; the pool calls the unlaned wrapper).
-pub fn handle_whatif_streaming_lane<W: Write>(
-    state: &AppState,
-    request: &HttpRequest,
-    stream: &mut W,
+    out: &mut Vec<u8>,
     keep_alive: bool,
     lane: Option<CacheLane>,
-) -> Result<bool, (u16, String)> {
+) -> Result<(), (u16, String)> {
     let t0 = Instant::now();
     state.whatif_requests.add(1);
-    let mut writer = crate::http::ChunkedWriter::new(stream, keep_alive);
-    let outcome = whatif_lines(state, &request.body, lane, |line| {
-        let mut chunk = String::with_capacity(line.len() + 1);
-        chunk.push_str(line);
-        chunk.push('\n');
-        writer.write_chunk(&chunk)
-    });
-    let result = match outcome {
-        Ok(()) => match writer.finish() {
-            Ok(()) => Ok(true),
-            Err(_) => Ok(false), // client gone mid-terminator
-        },
+    let start = out.len();
+    let mut writer = crate::http::ChunkedWriter::new(out, keep_alive);
+    let result = match whatif_lines(state, &request.body, lane, |line| writer.write_line(line)) {
+        Ok(()) => {
+            writer.finish();
+            Ok(())
+        }
         Err(e) => {
+            out.truncate(start);
             state.error_responses.add(1);
-            if writer.head_sent() {
-                // The head is on the wire: the response cannot be
-                // re-framed as an error, so truncate the chunked stream
-                // (no terminator) — the client sees a torn frame and
-                // the connection closes.
-                Ok(false)
-            } else {
-                Err(err(&e))
-            }
+            Err(err(&e))
         }
     };
     state.latency[WHATIF_ENDPOINT].record(t0.elapsed().as_secs_f64() * 1e6);
@@ -1334,7 +1288,7 @@ fn stats_value(stats: CacheStats, len: usize) -> Value {
 }
 
 /// `GET /v1/metrics` — request counters, per-endpoint latency quantiles,
-/// queue health, and cache statistics, all read from the state's telemetry
+/// shed counts, and cache statistics, all read from the state's telemetry
 /// registry (the single source of truth) and emitted through the
 /// canonical-JSON codec.
 fn metrics(state: &AppState) -> String {
@@ -1374,7 +1328,6 @@ fn metrics(state: &AppState) -> String {
         (
             "queue",
             object(vec![
-                ("depth", Value::Number(state.queue_depth.get() as f64)),
                 ("shed", u(&state.shed_responses)),
                 ("shed_expensive", u(&state.shed_expensive)),
             ]),
@@ -1397,7 +1350,7 @@ fn metrics(state: &AppState) -> String {
                 ),
                 ("sim_steps", stats_value(state.step_cache.stats(), state.step_cache.len())),
                 ("whatif", stats_value(state.whatif_cache.stats(), state.whatif_cache.len())),
-                // The event-loop workers' private raw response buffers:
+                // The workers' private raw response buffers:
                 // byte-identical repeats short-circuit here before the
                 // semantic caches are consulted.
                 ("raw", object(vec![("hits", u(&state.raw_hits))])),
@@ -1412,17 +1365,19 @@ mod tests {
     use super::*;
 
     fn post(state: &AppState, path: &str, body: &str) -> (u16, Value) {
-        let (status, body) = handle(
+        let (status, body) = handle_lane(
             state,
             &HttpRequest { method: "POST".into(), path: path.into(), body: body.into() },
+            None,
         );
         (status, parse(&body).expect("response must be valid JSON"))
     }
 
     fn get(state: &AppState, path: &str) -> (u16, Value) {
-        let (status, body) = handle(
+        let (status, body) = handle_lane(
             state,
             &HttpRequest { method: "GET".into(), path: path.into(), body: String::new() },
+            None,
         );
         (status, parse(&body).expect("response must be valid JSON"))
     }
@@ -1797,9 +1752,10 @@ mod tests {
         let state = AppState::new(64);
         post(&state, "/v1/screen", "{\"device\":\"A100 40GB\"}");
         get(&state, "/v1/devices");
-        let (status, raw) = handle(
+        let (status, raw) = handle_lane(
             &state,
             &HttpRequest { method: "GET".into(), path: "/v1/metrics".into(), body: String::new() },
+            None,
         );
         assert_eq!(status, 200);
         // The body must round-trip through the canonical-JSON codec.
@@ -1952,9 +1908,10 @@ mod tests {
         }
         // Rejected before the fleet was priced or anything was cached.
         assert_eq!(state.cache_stats()[3].misses, 0);
-        let (status, _) = handle(
+        let (status, _) = handle_lane(
             &state,
             &HttpRequest { method: "GET".into(), path: "/v1/whatif".into(), body: String::new() },
+            None,
         );
         assert_eq!(status, 405);
     }
@@ -1968,8 +1925,7 @@ mod tests {
             body: "{\"grid\":{\"tpp_license\":[2400,4800]}}".into(),
         };
         let mut wire = Vec::new();
-        let wire_ok = handle_whatif_streaming(&state, &request, &mut wire, true).unwrap();
-        assert!(wire_ok);
+        handle_whatif_streaming_lane(&state, &request, &mut wire, true, None).unwrap();
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
@@ -1977,17 +1933,19 @@ mod tests {
         let chunk_count = text.split("\r\n").filter(|l| l.starts_with('{')).count();
         assert_eq!(chunk_count, 3, "{text}");
         assert!(text.ends_with("0\r\n\r\n"), "{text}");
-        // Pre-stream failures surface as plain framed errors.
+        // Failures surface as plain framed errors, and the buffer is
+        // left as it was: earlier responses on the connection stay,
+        // nothing of this one precedes the error.
         let bad = HttpRequest {
             method: "POST".into(),
             path: "/v1/whatif".into(),
             body: "not json".into(),
         };
-        let mut wire = Vec::new();
+        let mut wire = b"earlier response".to_vec();
         let (status, body) =
-            handle_whatif_streaming(&state, &bad, &mut wire, true).unwrap_err();
+            handle_whatif_streaming_lane(&state, &bad, &mut wire, true, None).unwrap_err();
         assert_eq!(status, 400);
-        assert!(wire.is_empty(), "no bytes may precede a plain error");
+        assert_eq!(wire, b"earlier response");
         assert!(body.contains("error"));
     }
 

@@ -2,10 +2,12 @@
 //! the load generator, and the examples.
 //!
 //! Scope is deliberately narrow — exactly what the service needs and
-//! nothing more: `Content-Length`-framed bodies, chunked
+//! nothing more: one incremental request parser
+//! ([`parse_request_bytes`]) that the server re-runs over a
+//! connection's buffered bytes, `Content-Length`-framed bodies, chunked
 //! transfer-encoding for the one streaming endpoint (`/v1/whatif`
-//! responses, written incrementally by [`ChunkedWriter`] and decoded
-//! transparently by [`HttpClient`]), no TLS. Connections follow HTTP/1.1
+//! responses, framed by [`ChunkedWriter`] and decoded transparently by
+//! [`HttpClient`]), no TLS. Connections follow HTTP/1.1
 //! persistence semantics: requests default to keep-alive unless the
 //! client sends `Connection: close` (HTTP/1.0 defaults to close unless
 //! it asks for `keep-alive`), so the load generator and the examples
@@ -88,73 +90,6 @@ fn wants_keep_alive(connection: Option<&str>, default: bool) -> bool {
     }
 }
 
-/// Read and frame one request from a buffered connection, returning the
-/// request and whether the client wants the connection kept open
-/// afterwards (HTTP/1.1 defaults to keep-alive unless it sends
-/// `Connection: close`; HTTP/1.0 defaults to close unless it sends
-/// `Connection: keep-alive`).
-///
-/// The reader must persist across requests on the same connection — a
-/// `BufReader` may hold read-ahead bytes of the next pipelined request,
-/// so constructing a fresh one per request would drop them.
-///
-/// # Errors
-///
-/// [`AcsError::Protocol`] on malformed request lines, non-UTF-8 headers
-/// or bodies, oversized lines/bodies/header counts, or a connection that
-/// closes mid-message.
-pub fn read_request(reader: &mut impl BufRead) -> Result<(HttpRequest, bool), AcsError> {
-    let request_line = read_line(reader)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or_else(|| protocol("empty request line"))?.to_owned();
-    let path = parts.next().ok_or_else(|| protocol("request line missing target"))?.to_owned();
-    let version = parts.next().ok_or_else(|| protocol("request line missing version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(protocol(format!("unsupported protocol version {version}")));
-    }
-    let keep_alive_default = version != "HTTP/1.0";
-
-    let mut content_length: Option<usize> = None;
-    let mut connection: Option<String> = None;
-    for i in 0.. {
-        if i >= MAX_HEADERS {
-            return Err(protocol("too many headers"));
-        }
-        let line = read_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(protocol(format!("malformed header line {line:?}")));
-        };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            if content_length.is_some() {
-                return Err(protocol("duplicate Content-Length header"));
-            }
-            let length = value
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| protocol(format!("unparseable Content-Length {value:?}")))?;
-            if length > MAX_BODY_BYTES {
-                return Err(protocol(format!(
-                    "body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-                )));
-            }
-            content_length = Some(length);
-        } else if name.trim().eq_ignore_ascii_case("connection") {
-            connection = Some(value.trim().to_owned());
-        }
-    }
-    let keep_alive = wants_keep_alive(connection.as_deref(), keep_alive_default);
-
-    let mut body = vec![0u8; content_length.unwrap_or(0)];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| protocol(format!("connection ended mid-body: {e}")))?;
-    let body = String::from_utf8(body).map_err(|_| protocol("request body is not UTF-8"))?;
-    Ok((HttpRequest { method, path, body }, keep_alive))
-}
-
 /// Result of incrementally parsing one request from a byte buffer
 /// ([`parse_request_bytes`]).
 #[derive(Debug)]
@@ -179,8 +114,7 @@ pub enum Parsed {
 
 /// Pull one complete line (up to `\n`, `\r` stripped) out of `buf`
 /// starting at `at`. `Ok(None)` means the line is still incomplete.
-/// Limits and error strings mirror [`read_line`] exactly so the two
-/// parsers reject identical wire bytes with identical messages.
+/// Limits and error strings match the client's [`read_line`].
 fn take_line(buf: &[u8], at: usize) -> Result<Option<(String, usize)>, AcsError> {
     let rest = &buf[at..];
     match rest.iter().position(|&b| b == b'\n') {
@@ -201,18 +135,21 @@ fn take_line(buf: &[u8], at: usize) -> Result<Option<(String, usize)>, AcsError>
     }
 }
 
-/// Incrementally frame one request from an in-memory buffer — the
-/// non-blocking twin of [`read_request`], driven by readiness events
-/// instead of blocking reads. The event-loop connection state machine
-/// appends whatever bytes the socket had, calls this, and either waits
-/// for more ([`Parsed::NeedMore`]), dispatches and drains
-/// ([`Parsed::Complete`]), or answers 400 and closes
-/// ([`Parsed::Invalid`]).
+/// Incrementally frame one request from an in-memory buffer, returning
+/// whether the client wants the connection kept open afterwards
+/// (HTTP/1.1 defaults to keep-alive unless it sends `Connection: close`;
+/// HTTP/1.0 defaults to close unless it sends `Connection:
+/// keep-alive`). The connection state machine appends whatever bytes
+/// the socket had, calls this, and either waits for more
+/// ([`Parsed::NeedMore`]), dispatches and drains ([`Parsed::Complete`]),
+/// or answers 400 and closes ([`Parsed::Invalid`]).
 ///
-/// Framing rules, limits, and error strings are byte-identical to
-/// [`read_request`] so both serve tiers reject the same wire bytes with
-/// the same error envelopes (the `event_loop_vs_pool` differential arm
-/// and the fuzz harness both assert this).
+/// The outcome depends only on the bytes, not on how they arrived: once
+/// a prefix of the buffer gives a result other than `NeedMore`, every
+/// longer buffer gives the same one (the fuzz harness asserts this
+/// under seeded chunked arrival). Framing violations — malformed
+/// request lines, non-UTF-8 headers or bodies, oversized
+/// lines/bodies/header counts — are [`AcsError::Protocol`].
 #[must_use]
 pub fn parse_request_bytes(buf: &[u8]) -> Parsed {
     fn parse(buf: &[u8]) -> Result<Option<(HttpRequest, usize, bool)>, AcsError> {
@@ -297,53 +234,11 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Write one `Connection: close` JSON response. I/O errors are returned
-/// so callers can count them, but by this point the client may be gone —
-/// treat failures as diagnostics, not faults.
-///
-/// # Errors
-///
-/// [`AcsError::Io`] when the socket write fails.
-pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> Result<(), AcsError> {
-    write_response_with(stream, status, body, false)
-}
-
-/// Write one JSON response, announcing whether the server will keep the
-/// connection open (`Connection: keep-alive`) or close it afterwards
-/// (`Connection: close`). The caller owns actually closing or reusing
-/// the socket to match. Generic over the stream so the connection loop
-/// can answer through a deadline- or fault-wrapped socket.
-///
-/// # Errors
-///
-/// [`AcsError::Io`] when the socket write fails.
-pub fn write_response_with(
-    stream: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> Result<(), AcsError> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
-        reason_phrase(status),
-        body.len(),
-    );
-    let io_err = |e: std::io::Error| AcsError::Io {
-        path: "tcp-response".to_owned(),
-        reason: e.to_string(),
-    };
-    stream.write_all(head.as_bytes()).map_err(io_err)?;
-    stream.write_all(body.as_bytes()).map_err(io_err)?;
-    stream.flush().map_err(io_err)
-}
-
-/// Serialise one JSON response into a byte vector — the event-loop tier
-/// appends this to a connection's output buffer instead of writing to
-/// the socket inline. The head layout matches [`write_response_with`]
-/// byte for byte (the differential arm compares tiers on the wire);
-/// `extra` headers (e.g. `Retry-After` on a priority shed) are spliced
-/// in before the blank line.
+/// Serialise one JSON response into a byte vector, announcing whether
+/// the server will keep the connection open (`Connection: keep-alive`)
+/// or close it afterwards (`Connection: close`); the server appends it
+/// to a connection's output buffer. `extra` headers (e.g. `Retry-After`
+/// on a priority shed) are spliced in before the blank line.
 #[must_use]
 pub fn response_bytes(
     status: u16,
@@ -369,77 +264,39 @@ pub fn response_bytes(
     out
 }
 
-/// An incremental `Transfer-Encoding: chunked` response writer: the
-/// head goes out with the first chunk (so a pre-stream failure can
-/// still be answered with a plain framed error), each chunk is one
-/// `size-hex CRLF data CRLF` frame, and [`ChunkedWriter::finish`] sends
-/// the zero-length terminator. The server streams one `/v1/whatif`
-/// record per chunk through this.
+/// A `Transfer-Encoding: chunked` NDJSON response appended to an output
+/// buffer: the head on construction, one `size-hex CRLF line LF CRLF`
+/// frame per [`ChunkedWriter::write_line`], and the zero-length
+/// terminator on [`ChunkedWriter::finish`]. The server streams one
+/// `/v1/whatif` record per chunk through this.
 #[derive(Debug)]
-pub struct ChunkedWriter<'a, W: Write> {
-    stream: &'a mut W,
-    keep_alive: bool,
-    head_sent: bool,
+pub struct ChunkedWriter<'a> {
+    out: &'a mut Vec<u8>,
 }
 
-impl<'a, W: Write> ChunkedWriter<'a, W> {
-    /// A writer over `stream`; nothing is written until the first chunk.
-    pub fn new(stream: &'a mut W, keep_alive: bool) -> Self {
-        ChunkedWriter { stream, keep_alive, head_sent: false }
-    }
-
-    /// Whether the response head has already gone out — past this point
-    /// the response cannot be re-framed as a plain error.
-    #[must_use]
-    pub fn head_sent(&self) -> bool {
-        self.head_sent
-    }
-
-    fn io_err(e: &std::io::Error) -> AcsError {
-        AcsError::Io { path: "tcp-response".to_owned(), reason: e.to_string() }
-    }
-
-    fn send_head(&mut self) -> Result<(), AcsError> {
-        let connection = if self.keep_alive { "keep-alive" } else { "close" };
-        let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n",
+impl<'a> ChunkedWriter<'a> {
+    /// Append the response head to `out`.
+    pub fn new(out: &'a mut Vec<u8>, keep_alive: bool) -> Self {
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        out.extend_from_slice(
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n",
+            )
+            .as_bytes(),
         );
-        self.stream.write_all(head.as_bytes()).map_err(|e| Self::io_err(&e))?;
-        self.head_sent = true;
-        Ok(())
+        ChunkedWriter { out }
     }
 
-    /// Write one chunk (sending the head first if this is the first),
-    /// then flush so the record reaches the client now, not when the
-    /// stream ends.
-    ///
-    /// # Errors
-    ///
-    /// [`AcsError::Io`] when the socket write fails.
-    pub fn write_chunk(&mut self, data: &str) -> Result<(), AcsError> {
-        if !self.head_sent {
-            self.send_head()?;
-        }
-        if data.is_empty() {
-            return Ok(()); // a zero-length chunk would terminate the stream
-        }
-        let frame = format!("{:x}\r\n{data}\r\n", data.len());
-        self.stream.write_all(frame.as_bytes()).map_err(|e| Self::io_err(&e))?;
-        self.stream.flush().map_err(|e| Self::io_err(&e))
+    /// Append one chunk holding `line` and its terminating newline.
+    pub fn write_line(&mut self, line: &str) {
+        self.out.extend_from_slice(format!("{:x}\r\n", line.len() + 1).as_bytes());
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.extend_from_slice(b"\n\r\n");
     }
 
-    /// Terminate the stream with the zero-length chunk (sending the head
-    /// first for a zero-chunk response).
-    ///
-    /// # Errors
-    ///
-    /// [`AcsError::Io`] when the socket write fails.
-    pub fn finish(mut self) -> Result<(), AcsError> {
-        if !self.head_sent {
-            self.send_head()?;
-        }
-        self.stream.write_all(b"0\r\n\r\n").map_err(|e| Self::io_err(&e))?;
-        self.stream.flush().map_err(|e| Self::io_err(&e))
+    /// Terminate the stream with the zero-length chunk.
+    pub fn finish(self) {
+        self.out.extend_from_slice(b"0\r\n\r\n");
     }
 }
 
@@ -893,70 +750,91 @@ mod tests {
         assert_eq!(percent_decode("%ff"), "\u{fffd}");
     }
 
-    /// Drive both parsers over the same wire bytes and demand identical
-    /// outcomes: same framing, same keep-alive verdict, same error text.
-    fn assert_parsers_agree(wire: &[u8]) {
-        let incremental = parse_request_bytes(wire);
-        let mut reader = std::io::BufReader::new(wire);
-        let blocking = read_request(&mut reader);
-        match (&incremental, &blocking) {
-            (Parsed::Complete { request, keep_alive, consumed }, Ok((r, k))) => {
-                assert_eq!(request, r);
-                assert_eq!(keep_alive, k);
-                assert!(*consumed <= wire.len());
+    /// What [`parse_request_bytes`] made of one whole buffer: `Ok(None)`
+    /// for `NeedMore`, the framed `(method, path, body, keep_alive)`, or
+    /// the error text.
+    type Outcome = Result<Option<(String, String, String, bool)>, String>;
+
+    fn outcome(wire: &[u8]) -> Outcome {
+        match parse_request_bytes(wire) {
+            Parsed::NeedMore => Ok(None),
+            Parsed::Complete { request, consumed, keep_alive } => {
+                assert_eq!(consumed, wire.len(), "{:?}", String::from_utf8_lossy(wire));
+                Ok(Some((request.method, request.path, request.body, keep_alive)))
             }
-            (Parsed::Invalid(e), Err(b)) => {
-                assert_eq!(e.to_string(), b.to_string(), "wire {:?}", String::from_utf8_lossy(wire));
-            }
-            // A truncated buffer is NeedMore incrementally but EOF
-            // ("connection ended mid-...") for the blocking reader.
-            (Parsed::NeedMore, Err(b)) => {
-                assert!(
-                    b.to_string().contains("connection ended"),
-                    "blocking parser saw {b} where incremental wants more"
-                );
-            }
-            (incr, block) => {
-                panic!("parsers disagree on {:?}: {incr:?} vs {block:?}", String::from_utf8_lossy(wire));
-            }
+            Parsed::Invalid(e) => Err(e.to_string()),
         }
     }
 
     #[test]
-    fn incremental_parser_matches_the_blocking_reader() {
-        let wires: Vec<Vec<u8>> = vec![
-            b"GET /v1/devices HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
-            b"POST /v1/screen HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}".to_vec(),
-            b"GET /v1/devices HTTP/1.0\r\n\r\n".to_vec(),
-            b"GET /v1/devices HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
-            b"GET /v1/devices HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
-            b"\r\n".to_vec(),
-            b"GET\r\n\r\n".to_vec(),
-            b"GET /x\r\n\r\n".to_vec(),
-            b"GET /x SPDY/9\r\n\r\n".to_vec(),
-            b"GET /x HTTP/1.1\r\nbogus header\r\n\r\n".to_vec(),
-            b"GET /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx".to_vec(),
-            b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_vec(),
-            format!("GET /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1)
-                .into_bytes(),
-            [b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\n".as_slice(), &[0xff, 0xfe]].concat(),
-            [b"GET /x HTTP/1.1\r\nX: ".as_slice(), &vec![b'a'; MAX_LINE_BYTES + 2], b"\r\n\r\n"]
-                .concat(),
-            // Truncations of a valid request: NeedMore at every prefix.
-            b"POST /v1/screen HTTP/1.1\r\nContent-Length: 2\r\n\r\n{".to_vec(),
-            b"POST /v1/screen HTTP/1.1\r\nContent-Le".to_vec(),
-            b"POST /v1/scr".to_vec(),
-        ];
-        for wire in &wires {
-            assert_parsers_agree(wire);
-        }
-        // Too-many-headers in both parsers.
-        let mut wire = b"GET /x HTTP/1.1\r\n".to_vec();
+    fn incremental_parser_frames_and_rejects_the_wire_table() {
+        let ok = |method: &str, path: &str, body: &str, keep_alive: bool| -> Outcome {
+            Ok(Some((method.to_owned(), path.to_owned(), body.to_owned(), keep_alive)))
+        };
+        let bad = |reason: &str| -> Outcome { Err(protocol(reason).to_string()) };
+        let mut too_many_headers = b"GET /x HTTP/1.1\r\n".to_vec();
         for i in 0..=MAX_HEADERS {
-            wire.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
+            too_many_headers.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
         }
-        wire.extend_from_slice(b"\r\n");
-        assert_parsers_agree(&wire);
+        too_many_headers.extend_from_slice(b"\r\n");
+        let table: Vec<(Vec<u8>, Outcome)> = vec![
+            (
+                b"GET /v1/devices HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+                ok("GET", "/v1/devices", "", true),
+            ),
+            (
+                b"POST /v1/screen HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}".to_vec(),
+                ok("POST", "/v1/screen", "{}", true),
+            ),
+            (b"GET /v1/devices HTTP/1.0\r\n\r\n".to_vec(), ok("GET", "/v1/devices", "", false)),
+            (
+                b"GET /v1/devices HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
+                ok("GET", "/v1/devices", "", false),
+            ),
+            (
+                b"GET /v1/devices HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
+                ok("GET", "/v1/devices", "", true),
+            ),
+            (b"\r\n".to_vec(), bad("empty request line")),
+            (b"GET\r\n\r\n".to_vec(), bad("request line missing target")),
+            (b"GET /x\r\n\r\n".to_vec(), bad("request line missing version")),
+            (b"GET /x SPDY/9\r\n\r\n".to_vec(), bad("unsupported protocol version SPDY/9")),
+            (
+                b"GET /x HTTP/1.1\r\nbogus header\r\n\r\n".to_vec(),
+                bad("malformed header line \"bogus header\""),
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx".to_vec(),
+                bad("duplicate Content-Length header"),
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_vec(),
+                bad("unparseable Content-Length \" nope\""),
+            ),
+            (
+                format!("GET /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1)
+                    .into_bytes(),
+                bad("body of 1048577 bytes exceeds the 1048576-byte limit"),
+            ),
+            (
+                [b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\n".as_slice(), &[0xff, 0xfe]]
+                    .concat(),
+                bad("request body is not UTF-8"),
+            ),
+            (
+                [b"GET /x HTTP/1.1\r\nX: ".as_slice(), &vec![b'a'; MAX_LINE_BYTES + 2], b"\r\n\r\n"]
+                    .concat(),
+                bad("header line exceeds 8 KiB"),
+            ),
+            (too_many_headers, bad("too many headers")),
+            // Truncations of a valid request wait for more bytes.
+            (b"POST /v1/screen HTTP/1.1\r\nContent-Length: 2\r\n\r\n{".to_vec(), Ok(None)),
+            (b"POST /v1/screen HTTP/1.1\r\nContent-Le".to_vec(), Ok(None)),
+            (b"POST /v1/scr".to_vec(), Ok(None)),
+        ];
+        for (wire, expected) in &table {
+            assert_eq!(&outcome(wire), expected, "wire {:?}", String::from_utf8_lossy(wire));
+        }
     }
 
     #[test]
@@ -1008,13 +886,16 @@ mod tests {
     }
 
     #[test]
-    fn response_bytes_match_the_streaming_writer() {
-        let mut wire = Vec::new();
-        write_response_with(&mut wire, 200, "{\"ok\":true}", true).unwrap();
-        assert_eq!(wire, response_bytes(200, "{\"ok\":true}", true, &[]));
-        let shed = response_bytes(503, "{}", true, &[("Retry-After", "1")]);
+    fn response_bytes_frame_head_extras_and_body() {
+        let wire = response_bytes(200, "{\"ok\":true}", true, &[]);
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
+        let shed = response_bytes(503, "{}", false, &[("Retry-After", "1")]);
         let text = String::from_utf8(shed).unwrap();
-        assert!(text.contains("\r\nRetry-After: 1\r\n\r\n{}"), "{text}");
+        assert!(text.contains("\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{}"), "{text}");
     }
 
     #[test]
@@ -1027,16 +908,18 @@ mod tests {
     #[test]
     fn chunked_responses_round_trip_through_the_client_decoder() {
         let mut wire = Vec::new();
-        {
-            let mut writer = ChunkedWriter::new(&mut wire, true);
-            assert!(!writer.head_sent());
-            writer.write_chunk("{\"variant\":0}\n").unwrap();
-            assert!(writer.head_sent());
-            writer.write_chunk("{\"variant\":1}\n").unwrap();
-            writer.write_chunk("").unwrap(); // must not terminate the stream
-            writer.write_chunk("{\"summary\":true}\n").unwrap();
-            writer.finish().unwrap();
-        }
+        let mut writer = ChunkedWriter::new(&mut wire, true);
+        writer.write_line("{\"variant\":0}");
+        writer.write_line("{\"variant\":1}");
+        writer.write_line("{\"summary\":true}");
+        writer.finish();
+        // One chunk per line, the line's newline inside the chunk.
+        assert!(wire.starts_with(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+              Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n\
+              e\r\n{\"variant\":0}\n\r\n"
+        ));
+        assert!(wire.ends_with(b"11\r\n{\"summary\":true}\n\r\n0\r\n\r\n"));
         let mut reader = std::io::BufReader::new(&wire[..]);
         let (status, body, keep) = read_framed_response(&mut reader).unwrap();
         assert_eq!(status, 200);

@@ -12,10 +12,13 @@
 //! counters that prove it.
 //!
 //! Built entirely on `std::net`: no async runtime, no HTTP framework.
-//! A fixed worker pool drains a bounded accept queue; overflow is shed
-//! with a 503 (`overloaded` in the error taxonomy) rather than queued
-//! without bound, and per-connection read/write timeouts bound the
-//! damage a slow client can do.
+//! One acceptor thread routes connections to shard workers, each a
+//! non-blocking connection state machine driven by a readiness source
+//! (`epoll` on Linux x86-64/aarch64, a scan poller elsewhere). Unique
+//! expensive work beyond a per-round budget is shed with a 503
+//! (`overloaded` in the error taxonomy) while cached traffic keeps
+//! flowing, and per-request read deadlines, write-stall timeouts and
+//! idle reaping bound the damage a slow client can do.
 //!
 //! # Example
 //!
@@ -42,37 +45,37 @@ pub mod http;
 pub mod loadgen;
 pub mod reactor;
 
-pub use chaos::{FaultPlan, FaultStream, SocketControl};
-pub use handlers::{error_body, handle, status_for, AppState};
+pub use chaos::{FaultPlan, FaultStream};
+pub use handlers::{error_body, handle_lane, status_for, AppState};
 pub use http::{ClientConfig, HttpClient};
 pub use loadgen::{run_loadgen, LoadMode, LoadgenConfig, LoadgenReport};
 
 use acs_errors::AcsError;
-use std::collections::VecDeque;
-use std::io::{BufRead, Read, Write};
+use event_loop::EventLoop;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Shard workers serving connections, each with its own cache lane.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before load shedding.
+    /// Expensive requests (unique POST work) each worker admits per poll
+    /// round; beyond it they are shed with `503` + `Retry-After` while
+    /// GETs and raw-front-cache hits keep flowing.
     pub queue_depth: usize,
-    /// Per-connection read and write timeout.
+    /// Write-stall timeout: a connection whose buffered response makes
+    /// no write progress for this long is closed.
     pub io_timeout: Duration,
     /// Total wall-clock budget for reading one request once its first
     /// byte has arrived. A per-operation timeout alone cannot stop a
-    /// slow-loris client that drips one byte per interval — each read
-    /// succeeds inside `io_timeout` while the worker stays pinned
-    /// forever. The deadline bounds the whole request instead; on
-    /// expiry the connection is closed and counted in
-    /// `connections.deadline_closed`.
+    /// slow-loris client that drips one byte per interval. The deadline
+    /// bounds the whole request instead; on expiry the connection is
+    /// closed and counted in `connections.deadline_closed`.
     pub request_deadline: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// before the worker reclaims it.
@@ -85,12 +88,6 @@ pub struct ServeConfig {
     /// Capacity of each response cache (screen, simulate, sim-steps,
     /// whatif).
     pub cache_capacity: usize,
-    /// Serve through the non-blocking epoll event loop (shard workers
-    /// with private cache lanes, pipelined HTTP/1.1, priority
-    /// shedding). When false — or when the build target has no reactor
-    /// — the blocking worker pool serves instead, as the differential
-    /// baseline.
-    pub event_loop: bool,
 }
 
 impl Default for ServeConfig {
@@ -104,38 +101,15 @@ impl Default for ServeConfig {
             keepalive_idle: Duration::from_secs(5),
             chaos_seed: None,
             cache_capacity: 4096,
-            event_loop: true,
         }
     }
-}
-
-/// The per-connection timing policy workers apply, split out of
-/// [`ServeConfig`] so the connection loop does not care about
-/// server-level knobs (bind address, pool sizes).
-#[derive(Debug, Clone)]
-struct ConnPolicy {
-    io_timeout: Duration,
-    request_deadline: Duration,
-    keepalive_idle: Duration,
-}
-
-struct Shared {
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    stop: AtomicBool,
-    /// Workers currently parked in `available.wait` (incremented under
-    /// the queue lock before waiting). The accept loop only signals the
-    /// condvar when someone is actually parked, so a burst of accepts
-    /// against busy workers doesn't pay a futex wake per connection —
-    /// the mutex convoy that serialised the old hand-off.
-    waiting: AtomicUsize,
 }
 
 /// Requests a running server stop accepting and drain. Cloneable and
 /// sendable across threads; `shutdown` is idempotent.
 #[derive(Clone)]
 pub struct ServerHandle {
-    shared: Arc<Shared>,
+    stop: Arc<AtomicBool>,
     addr: SocketAddr,
 }
 
@@ -144,8 +118,7 @@ impl ServerHandle {
     /// is delivered; use the join handle from [`Server::spawn`] to wait
     /// for the drain.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
+        self.stop.store(true, Ordering::SeqCst);
         // The accept loop blocks in `accept()`; a throwaway local
         // connection wakes it so it can observe the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -156,17 +129,19 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     state: Arc<AppState>,
-    shared: Arc<Shared>,
-    config: ServeConfig,
+    stop: Arc<AtomicBool>,
+    workers: EventLoop,
     addr: SocketAddr,
 }
 
 impl Server {
-    /// Bind the listener and build the shared state.
+    /// Bind the listener, build the shared state, and set up every
+    /// worker's poller and wake pipe.
     ///
     /// # Errors
     ///
-    /// [`AcsError::Io`] when the address cannot be bound.
+    /// [`AcsError::Io`] when the address cannot be bound or a worker's
+    /// readiness source cannot be set up.
     pub fn bind(config: ServeConfig) -> Result<Self, AcsError> {
         let io_err = |e: std::io::Error| AcsError::Io {
             path: config.addr.clone(),
@@ -174,18 +149,10 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr).map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
-        Ok(Server {
-            listener,
-            state: Arc::new(AppState::new(config.cache_capacity)),
-            shared: Arc::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                stop: AtomicBool::new(false),
-                waiting: AtomicUsize::new(0),
-            }),
-            config,
-            addr,
-        })
+        let state = Arc::new(AppState::new(config.cache_capacity));
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers = EventLoop::new(&config, &state, &stop).map_err(io_err)?;
+        Ok(Server { listener, state, stop, workers, addr })
     }
 
     /// The bound address (resolves port 0).
@@ -197,7 +164,7 @@ impl Server {
     /// A handle that can stop the server from another thread.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shared: Arc::clone(&self.shared), addr: self.addr }
+        ServerHandle { stop: Arc::clone(&self.stop), addr: self.addr }
     }
 
     /// The shared application state (for in-process metrics inspection).
@@ -209,85 +176,8 @@ impl Server {
     /// Accept and serve until [`ServerHandle::shutdown`] is called.
     /// Blocks the calling thread; worker threads are joined before
     /// returning, so all in-flight requests finish.
-    ///
-    /// With `event_loop: true` (the default) requests go through the
-    /// non-blocking epoll tier; targets without a reactor — and any
-    /// event-loop setup failure — fall back to the blocking worker
-    /// pool, which also serves when the flag is off.
     pub fn run(self) {
-        if self.config.event_loop
-            && reactor::supported()
-            && event_loop::run(&self.listener, &self.state, &self.shared, &self.config).is_ok()
-        {
-            return;
-        }
-        self.run_pool();
-    }
-
-    fn run_pool(self) {
-        let policy = ConnPolicy {
-            io_timeout: self.config.io_timeout,
-            request_deadline: self.config.request_deadline,
-            keepalive_idle: self.config.keepalive_idle,
-        };
-        let chaos = self.config.chaos_seed.map(FaultPlan::gentle);
-        let conn_seq = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..self.config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                let state = Arc::clone(&self.state);
-                let policy = policy.clone();
-                let chaos = chaos.clone();
-                let conn_seq = Arc::clone(&conn_seq);
-                std::thread::spawn(move || {
-                    worker_loop(&shared, &state, &policy, chaos.as_ref(), &conn_seq);
-                })
-            })
-            .collect();
-
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) => {
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            if self.shared.stop.load(Ordering::SeqCst) {
-                break; // the wake-up connection, or a straggler: drop it
-            }
-            // Keep-alive makes Nagle hostile: a small response followed
-            // by the client's next small request deadlocks against
-            // delayed ACKs for ~40 ms per round trip. Flush segments
-            // immediately; best-effort, the socket still works without.
-            let _ = stream.set_nodelay(true);
-            let mut queue =
-                self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if queue.len() >= self.config.queue_depth {
-                drop(queue);
-                self.state.record_shed();
-                shed(stream);
-            } else {
-                queue.push_back(stream);
-                let depth = queue.len();
-                drop(queue);
-                // The gauge write happens outside the lock, and the
-                // condvar is only signalled when a worker is actually
-                // parked: busy workers re-check the queue themselves,
-                // so a burst of accepts doesn't stampede the futex.
-                self.state.record_queue_depth(depth);
-                if self.shared.waiting.load(Ordering::SeqCst) > 0 {
-                    self.shared.available.notify_one();
-                }
-            }
-        }
-
-        self.shared.available.notify_all();
-        for worker in workers {
-            let _ = worker.join();
-        }
+        self.workers.run(&self.listener, &self.stop);
     }
 
     /// [`Server::run`] on a new thread; returns the shutdown handle and
@@ -300,274 +190,12 @@ impl Server {
     }
 }
 
-/// How long the accept thread may spend writing a 503 to a shed
-/// connection. Shedding happens exactly when the server is overloaded, so
-/// a stalled client must not hold up `accept()` for the full per-request
-/// `io_timeout` — give the courtesy response a tight budget and otherwise
-/// just drop the connection.
-const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Reject one connection with a 503 without occupying a worker.
-fn shed(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
-    let error = AcsError::Overloaded {
-        reason: "accept queue full; retry with backoff".to_owned(),
-    };
-    let _ = http::write_response(&mut stream, 503, &handlers::error_body(&error));
-}
-
-fn worker_loop(
-    shared: &Shared,
-    state: &AppState,
-    policy: &ConnPolicy,
-    chaos: Option<&FaultPlan>,
-    conn_seq: &AtomicU64,
-) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let popped = loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some((stream, queue.len()));
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                // Count this worker as parked *before* releasing the
-                // lock inside `wait`: the accept loop reads the counter
-                // after its push, so either it sees us parked and
-                // signals, or we see its connection on the re-check.
-                shared.waiting.fetch_add(1, Ordering::SeqCst);
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-                shared.waiting.fetch_sub(1, Ordering::SeqCst);
-            };
-            popped.map(|(stream, depth)| {
-                // Gauge write after the lock is gone.
-                drop(queue);
-                state.record_queue_depth(depth);
-                stream
-            })
-        };
-        let Some(stream) = stream else { return };
-        match chaos {
-            None => serve_connection(state, stream, policy),
-            Some(plan) => {
-                // Each connection replays its own schedule: seed mixed
-                // with a connection ordinal via the SplitMix64 increment.
-                let n = conn_seq.fetch_add(1, Ordering::Relaxed);
-                let per_conn = plan.reseeded(plan.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let tally = Arc::new(AtomicU64::new(0));
-                let faulted = FaultStream::new(stream, per_conn).with_tally(Arc::clone(&tally));
-                serve_connection(state, faulted, policy);
-                // The stream is consumed by the connection loop; the
-                // shared tally carries the fault count back out.
-                state.record_chaos(tally.load(Ordering::Relaxed));
-            }
-        }
-    }
-}
-
-/// A read-side wrapper enforcing a whole-request wall-clock deadline on
-/// top of the per-operation socket timeout. Unarmed (between requests)
-/// it lets the keep-alive idle budget govern; once armed, each read gets
-/// `min(per-op timeout, time left until the deadline)`, so a client
-/// dripping bytes slowly enough to satisfy every per-op timeout still
-/// runs out of wall clock.
-struct DeadlineStream<S> {
-    inner: S,
-    per_op: Duration,
-    budget: Duration,
-    deadline: Option<Instant>,
-    expired: bool,
-}
-
-impl<S: SocketControl> DeadlineStream<S> {
-    fn new(inner: S, per_op: Duration, budget: Duration) -> Self {
-        DeadlineStream { inner, per_op, budget, deadline: None, expired: false }
-    }
-
-    /// Between requests: no deadline, idle-reap timeout on the socket.
-    fn disarm(&mut self, idle: Duration) {
-        self.deadline = None;
-        let _ = self.inner.control_read_timeout(Some(idle));
-    }
-
-    /// A request's first byte has arrived: start its wall-clock budget.
-    fn arm(&mut self) {
-        self.deadline = Some(Instant::now() + self.budget);
-    }
-
-    /// Whether a read failed because the request deadline ran out (as
-    /// opposed to an idle client or a genuine socket error).
-    fn expired(&self) -> bool {
-        self.expired
-    }
-}
-
-impl<S: Read + SocketControl> Read for DeadlineStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                self.expired = true;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "request read deadline exhausted",
-                ));
-            }
-            // Zero-duration socket timeouts are rejected by the OS;
-            // clamp the final sliver up to a millisecond.
-            let per_read = remaining.min(self.per_op).max(Duration::from_millis(1));
-            let _ = self.inner.control_read_timeout(Some(per_read));
-        }
-        match self.inner.read(buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.expired = true;
-                }
-                Err(e)
-            }
-            outcome => outcome,
-        }
-    }
-}
-
-impl<S: Write> Write for DeadlineStream<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// How one request was answered: a complete buffered response still to
-/// be written, or a `/v1/whatif` stream already written chunk-by-chunk
-/// by the handler itself.
-enum Handled {
-    Plain(u16, String, bool),
-    Streamed { keep_alive: bool, wire_ok: bool },
-}
-
-/// Serve one connection until the client (or a framing error, or the
-/// request read deadline) closes it. HTTP/1.1 requests default to
-/// keep-alive, so a well-behaved client can run many sequential requests
-/// over one socket; `Connection: close` ends the session after the
-/// response it rides on. `POST /v1/whatif` answers are streamed with
-/// chunked transfer-encoding as each rule variant completes; everything
-/// else is buffered and `Content-Length`-framed. Generic over the stream
-/// so the chaos shim's [`FaultStream`] serves through the same loop as a
-/// bare socket.
-fn serve_connection<S: Read + Write + SocketControl>(
-    state: &AppState,
-    stream: S,
-    policy: &ConnPolicy,
-) {
-    let _ = stream.control_write_timeout(Some(policy.io_timeout));
-    // One buffered reader for the connection's whole lifetime: read-ahead
-    // bytes of a pipelined next request live in this buffer, so it must
-    // outlive individual requests.
-    let mut reader = std::io::BufReader::new(DeadlineStream::new(
-        stream,
-        policy.io_timeout,
-        policy.request_deadline,
-    ));
-    loop {
-        // Between requests: no deadline, just the idle-reap timeout. A
-        // clean close here is the normal end of a keep-alive session,
-        // not a protocol error — and an idle timeout is not a shed.
-        reader.get_mut().disarm(policy.keepalive_idle);
-        match reader.fill_buf() {
-            Ok([]) | Err(_) => return,
-            Ok(_) => {}
-        }
-        // The request's first byte is buffered: its wall clock starts.
-        reader.get_mut().arm();
-        // A panic anywhere in parsing or handling must not kill the
-        // worker: the pool is fixed-size and never respawned, so an
-        // unwinding bug would silently shrink it until the service dies.
-        // Contain the unwind and answer with a taxonomy-tagged 500.
-        let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match http::read_request(&mut reader) {
-                Ok((request, keep_alive)) => {
-                    let path = request.path.split('?').next().unwrap_or("");
-                    if request.method == "POST" && path == "/v1/whatif" {
-                        // Streamed: the handler writes the chunked
-                        // response itself, one record per chunk, unless
-                        // it fails before the first chunk.
-                        match handlers::handle_whatif_streaming(
-                            state,
-                            &request,
-                            reader.get_mut(),
-                            keep_alive,
-                        ) {
-                            Ok(wire_ok) => Handled::Streamed { keep_alive, wire_ok },
-                            Err((status, body)) => Handled::Plain(status, body, keep_alive),
-                        }
-                    } else {
-                        let (status, body) = handlers::handle(state, &request);
-                        Handled::Plain(status, body, keep_alive)
-                    }
-                }
-                // The connection's framing state is unknown after a
-                // malformed request; answer and hang up.
-                Err(e) => {
-                    Handled::Plain(handlers::status_for(&e), handlers::error_body(&e), false)
-                }
-            }
-        }));
-        let handled = handled.unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            let e = AcsError::EvaluationPanic { design: "request-handler".to_owned(), message };
-            // If the panic unwound out of a started stream, this framed
-            // error lands after raw chunk bytes — the client sees a torn
-            // frame either way, and the connection closes.
-            Handled::Plain(handlers::status_for(&e), handlers::error_body(&e), false)
-        });
-        // A request that ran out its read deadline is a slow-loris (or a
-        // wedged peer): count the shed and hang up without answering — the
-        // client earned no response and the worker is needed elsewhere.
-        if reader.get_mut().expired() {
-            state.record_deadline_close();
-            return;
-        }
-        match handled {
-            // The client may already be gone; a failed write is not a
-            // server fault, but it does end the session.
-            Handled::Plain(status, body, keep_alive) => {
-                if http::write_response_with(reader.get_mut(), status, &body, keep_alive)
-                    .is_err()
-                    || !keep_alive
-                {
-                    return;
-                }
-            }
-            Handled::Streamed { keep_alive, wire_ok } => {
-                if !wire_ok || !keep_alive {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use acs_errors::json::parse;
-    use std::io::Write;
+    use std::io::{BufRead, Write};
+    use std::time::Instant;
 
     fn start() -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>, Arc<AppState>) {
         let server = Server::bind(ServeConfig { workers: 2, ..ServeConfig::default() })
@@ -628,29 +256,6 @@ mod tests {
         let stats = state.cache_stats()[1];
         assert_eq!((stats.hits, stats.misses), (0, 1));
         assert_eq!(state.raw_hit_count(), 1);
-        handle.shutdown();
-        thread.join().unwrap();
-    }
-
-    #[test]
-    fn repeated_simulate_requests_hit_the_cache_on_the_pool_tier() {
-        // The legacy pool has no raw front cache: the repeat is a
-        // semantic-cache hit, as it always was.
-        let server = Server::bind(ServeConfig {
-            workers: 2,
-            event_loop: false,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let (addr, state) = (server.local_addr(), server.state());
-        let (handle, thread) = server.spawn();
-        let body = "{\"trace\":{\"duration_s\":5},\"workload\":{\"batch\":8,\"input_len\":512,\"output_len\":64}}";
-        let (_, first) = request(addr, "POST", "/v1/simulate", body);
-        let (_, second) = request(addr, "POST", "/v1/simulate", body);
-        assert_eq!(first, second, "cached response must be byte-identical");
-        let stats = state.cache_stats()[1];
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(state.raw_hit_count(), 0);
         handle.shutdown();
         thread.join().unwrap();
     }
@@ -845,6 +450,48 @@ mod tests {
             .and_then(|c| c.get("deadline_closed"))
             .and_then(acs_errors::json::Value::as_u64);
         assert_eq!(closed, Some(1), "{body}");
+        handle.shutdown();
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn each_pipelined_request_gets_its_own_read_deadline() {
+        // A and B are each read within the 600 ms deadline, but B's first
+        // bytes ride in with A's tail: B's clock starts then, not when A's
+        // first byte arrived.
+        let server = Server::bind(ServeConfig {
+            workers: 1,
+            request_deadline: Duration::from_millis(600),
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let addr = server.local_addr();
+        let (handle, thread) = server.spawn();
+
+        let a = b"GET /v1/devices HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        let b = b"GET /v1/devices/H100%20SXM HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        let pause = Duration::from_millis(400);
+        let mut reader = std::io::BufReader::new(TcpStream::connect(addr).unwrap());
+        reader.get_mut().write_all(&a[..10]).unwrap();
+        std::thread::sleep(pause);
+        reader.get_mut().write_all(&[&a[10..], &b[..10]].concat()).unwrap();
+        std::thread::sleep(pause);
+        reader.get_mut().write_all(&b[10..]).unwrap();
+        let (status, _, body) = read_one_response(&mut reader);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("devices"), "{body}");
+        let (status, _, body) = read_one_response(&mut reader);
+        assert_eq!(status, 200, "B must be answered, not cut off by A's deadline: {body}");
+        assert!(body.contains("H100"), "{body}");
+
+        let (status, body) = request(addr, "GET", "/v1/metrics", "");
+        assert_eq!(status, 200, "{body}");
+        let m = parse(&body).unwrap();
+        let closed = m
+            .get("connections")
+            .and_then(|c| c.get("deadline_closed"))
+            .and_then(acs_errors::json::Value::as_u64);
+        assert_eq!(closed, Some(0), "{body}");
         handle.shutdown();
         thread.join().unwrap();
     }
@@ -1053,7 +700,6 @@ mod tests {
     fn read_one_response<R: std::io::BufRead>(
         reader: &mut R,
     ) -> (u16, Vec<(String, String)>, String) {
-        use std::io::Read;
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let status: u16 =

@@ -1,7 +1,7 @@
 //! A multi-connection, pipelined load generator for the service.
 //!
 //! The original closed-loop single-in-flight client could not saturate
-//! the event-loop tier: with one request on the wire per connection,
+//! the server: with one request on the wire per connection,
 //! measured QPS is bounded by round-trip latency, not by the server.
 //! This driver opens a configurable number of connections and keeps a
 //! configurable number of requests in flight on each (HTTP/1.1
@@ -29,7 +29,7 @@ pub enum LoadMode {
     Mixed,
     /// Every `/v1/screen` body is a distinct config: all misses, but
     /// each miss is a cheap policy screening rather than a simulation —
-    /// the unique-throughput shape for the event-loop tier.
+    /// the server's cheap unique-throughput shape.
     UniqueScreen,
 }
 
@@ -456,9 +456,9 @@ mod tests {
         assert!(report.p50_ms > 0.0 && report.p50_ms <= report.p99_ms);
         assert_eq!(report.per_class.len(), 1, "all-repeated stream has one class");
         assert_eq!(report.per_class[0].class, "repeated");
-        // Repeats land in the semantic cache or, on the event-loop
-        // tier, the workers' raw front caches; between them all but the
-        // first identical request is a hit.
+        // Repeats land in the workers' raw front caches or the semantic
+        // cache; between them all but the first identical request is a
+        // hit.
         let stats = state.cache_stats()[1];
         assert!(
             stats.hits + state.raw_hit_count() >= 18,

@@ -4,7 +4,7 @@
 //! Serve mode (default):
 //!
 //! ```text
-//! acs-serve [--addr 127.0.0.1:8737] [--workers 4] [--event-loop|--pool]
+//! acs-serve [--addr 127.0.0.1:8737] [--workers 4]
 //! ```
 //!
 //! The bound address is printed as `listening on http://...` once the
@@ -41,7 +41,6 @@ struct Args {
     loadgen: bool,
     addr: Option<String>,
     workers: usize,
-    event_loop: bool,
     requests: usize,
     concurrency: usize,
     connections: usize,
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         loadgen: false,
         addr: None,
         workers: 4,
-        event_loop: true,
         requests: 200,
         concurrency: 4,
         connections: 0,
@@ -86,8 +84,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--concurrency: {e}"))?;
             }
-            "--event-loop" => args.event_loop = true,
-            "--pool" => args.event_loop = false,
             "--connections" => {
                 args.connections = value("--connections")?
                     .parse()
@@ -107,8 +103,7 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--help" | "-h" => {
-                return Err("usage: acs-serve [--addr HOST:PORT] [--workers N] \
-                     [--event-loop|--pool] | \
+                return Err("usage: acs-serve [--addr HOST:PORT] [--workers N] | \
                      acs-serve --loadgen [--addr HOST:PORT] [--requests N] [--concurrency N] \
                      [--connections N] [--pipeline N] \
                      [--mode unique|repeated|mixed|unique-screen|compare] [--min-unique-qps X]"
@@ -124,7 +119,6 @@ fn serve(args: &Args) -> Result<(), String> {
     let config = ServeConfig {
         addr: args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_owned()),
         workers: args.workers,
-        event_loop: args.event_loop,
         ..ServeConfig::default()
     };
     let server = Server::bind(config).map_err(|e| e.to_string())?;
@@ -176,11 +170,7 @@ fn loadgen(args: &Args) -> Result<(), String> {
             (addr, None)
         }
         None => {
-            let server = Server::bind(ServeConfig {
-                event_loop: args.event_loop,
-                ..ServeConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
+            let server = Server::bind(ServeConfig::default()).map_err(|e| e.to_string())?;
             let addr = server.local_addr();
             println!("loadgen: started in-process server on http://{addr}");
             (addr, Some(server.spawn()))

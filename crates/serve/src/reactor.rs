@@ -1,21 +1,24 @@
-//! A zero-dependency `epoll` reactor: readiness notification via direct
-//! Linux syscalls, no `libc`, no `mio`.
+//! Readiness sources for the event loop.
 //!
-//! The whole workspace is std-only, and std exposes no readiness API —
-//! so this module makes the four syscalls the event loop needs
-//! (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`) through
-//! inline assembly, the same way std's own `syscall!` shims do. Only
-//! the Linux kernel ABI is depended on, which is stable by contract.
+//! On Linux x86-64 and aarch64, [`Poller`] is a zero-dependency `epoll`
+//! reactor: readiness notification via direct Linux syscalls, no `libc`,
+//! no `mio`. The whole workspace is std-only, and std exposes no
+//! readiness API — so this module makes the four syscalls the event loop
+//! needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`) through
+//! inline assembly, the same way std's own `syscall!` shims do. Only the
+//! Linux kernel ABI is depended on, which is stable by contract.
 //!
-//! Supported targets are gated with `cfg(reactor)`-style conditions on
-//! `target_os = "linux"` plus `target_arch` x86_64/aarch64; elsewhere
-//! [`Poller::new`] returns `Unsupported` and the serve tier falls back
-//! to the blocking worker pool (`ServeConfig::event_loop = false`).
+//! Everywhere else, [`Poller`] is the std-only `ScanPoller`: after a
+//! short sleep it reports every registration ready for its whole
+//! interest set. That is sound because the event loop already treats a
+//! `WouldBlock` read or write as "not ready", so a spurious report costs
+//! one failed syscall and nothing else. The scan poller is also compiled
+//! under `cfg(test)`, so its unit tests run on Linux too.
 //!
 //! Registration uses the classic readiness model (level-triggered for
 //! writes is avoided by only subscribing to `EPOLLOUT` while a
 //! connection has buffered output): each connection is registered with
-//! a `u64` token the caller chooses, and [`Poller::wait`] returns
+//! a `u64` token the caller chooses, and `wait` returns
 //! `(token, readiness)` pairs.
 
 use std::io;
@@ -146,14 +149,6 @@ mod sys {
     }
 }
 
-/// Whether this build target has a working reactor. The serve tier
-/// consults this to decide whether `event_loop: true` is honourable or
-/// must silently fall back to the worker pool.
-#[must_use]
-pub fn supported() -> bool {
-    cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))
-}
-
 /// Turn a raw syscall return into `Ok(value)` or an `io::Error` built
 /// from the `-errno` encoding.
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -166,6 +161,7 @@ fn check(ret: isize) -> io::Result<isize> {
 }
 
 /// An `epoll` instance: register fds with tokens, wait for readiness.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 #[derive(Debug)]
 pub struct Poller {
     epfd: i32,
@@ -267,36 +263,108 @@ impl Drop for Poller {
     }
 }
 
+/// The readiness source on targets without `epoll`.
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-impl Poller {
-    /// Stub on unsupported targets: always `Unsupported`, so the serve
-    /// tier falls back to the worker pool.
+pub use ScanPoller as Poller;
+
+/// One registered fd: its interest set and the token to report.
+#[cfg(any(test, not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))))]
+#[derive(Debug, Clone, Copy)]
+struct Registration {
+    fd: i32,
+    interest: u32,
+    token: u64,
+}
+
+/// A std-only poller with the [`Poller`] interface: `wait` sleeps at
+/// most 1 ms, then reports every registration ready for its whole
+/// interest set. When more fds are registered than the event buffer
+/// holds, successive waits rotate through them, so none starves.
+#[cfg(any(test, not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))))]
+#[derive(Debug, Default)]
+pub struct ScanPoller {
+    registrations: std::cell::RefCell<Vec<Registration>>,
+    /// Where the next `wait` starts reporting.
+    cursor: std::cell::Cell<usize>,
+}
+
+#[cfg(any(test, not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))))]
+impl ScanPoller {
+    /// An empty poller.
     ///
     /// # Errors
     ///
-    /// Always `io::ErrorKind::Unsupported`.
+    /// Never; the signature matches the `epoll` poller's.
     pub fn new() -> io::Result<Self> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no epoll reactor on this target"))
+        Ok(ScanPoller::default())
     }
 
-    #[allow(clippy::missing_errors_doc, clippy::unused_self)]
-    pub fn add(&self, _fd: i32, _interest: u32, _token: u64) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
+    /// Register `fd` for `interest`, delivering `token` on every wait.
+    ///
+    /// # Errors
+    ///
+    /// `AlreadyExists` when `fd` is already registered.
+    pub fn add(&self, fd: i32, interest: u32, token: u64) -> io::Result<()> {
+        let mut registrations = self.registrations.borrow_mut();
+        if registrations.iter().any(|r| r.fd == fd) {
+            return Err(io::Error::from(io::ErrorKind::AlreadyExists));
+        }
+        registrations.push(Registration { fd, interest, token });
+        Ok(())
     }
 
-    #[allow(clippy::missing_errors_doc, clippy::unused_self)]
-    pub fn modify(&self, _fd: i32, _interest: u32, _token: u64) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
+    /// Change the interest set and token of an already registered `fd`.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` when `fd` is not registered.
+    pub fn modify(&self, fd: i32, interest: u32, token: u64) -> io::Result<()> {
+        let mut registrations = self.registrations.borrow_mut();
+        let r = registrations
+            .iter_mut()
+            .find(|r| r.fd == fd)
+            .ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))?;
+        *r = Registration { fd, interest, token };
+        Ok(())
     }
 
-    #[allow(clippy::missing_errors_doc, clippy::unused_self)]
-    pub fn delete(&self, _fd: i32) -> io::Result<()> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
+    /// Deregister `fd`; deregistering an unknown fd is a no-op, as for
+    /// the `epoll` poller.
+    ///
+    /// # Errors
+    ///
+    /// Never.
+    pub fn delete(&self, fd: i32) -> io::Result<()> {
+        self.registrations.borrow_mut().retain(|r| r.fd != fd);
+        Ok(())
     }
 
-    #[allow(clippy::missing_errors_doc, clippy::unused_self)]
-    pub fn wait(&self, _events: &mut [EpollEvent], _timeout_ms: i32) -> io::Result<usize> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
+    /// Sleep 1 ms (none when `timeout_ms` is 0), then fill `events` with
+    /// registrations, each reported ready for its interest set.
+    ///
+    /// # Errors
+    ///
+    /// Never.
+    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        if events.is_empty() {
+            return Ok(0);
+        }
+        if timeout_ms != 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let registrations = self.registrations.borrow();
+        let total = registrations.len();
+        if total == 0 {
+            return Ok(0);
+        }
+        let start = self.cursor.get() % total;
+        let n = total.min(events.len());
+        let ready = registrations.iter().cycle().skip(start).take(n);
+        for (slot, r) in events.iter_mut().zip(ready) {
+            *slot = EpollEvent { events: r.interest, data: r.token };
+        }
+        self.cursor.set((start + n) % total);
+        Ok(n)
     }
 }
 
@@ -365,9 +433,72 @@ mod tests {
         let poller = Poller::new().unwrap();
         assert_eq!(poller.wait(&mut [], 0).unwrap(), 0);
     }
+}
+
+#[cfg(test)]
+mod scan_tests {
+    use super::*;
+
+    fn tokens(events: &[EpollEvent]) -> Vec<u64> {
+        events.iter().map(|e| e.data).collect()
+    }
 
     #[test]
-    fn the_reactor_reports_support_on_this_target() {
-        assert!(supported());
+    fn every_registration_is_reported_for_its_interest_set() {
+        let poller = ScanPoller::new().unwrap();
+        poller.add(3, EPOLLIN, 10).unwrap();
+        poller.add(4, EPOLLIN | EPOLLOUT, 11).unwrap();
+        assert_eq!(
+            poller.add(4, EPOLLIN, 12).unwrap_err().kind(),
+            io::ErrorKind::AlreadyExists
+        );
+        let mut events = [EpollEvent::default(); 8];
+        let n = poller.wait(&mut events, 0).unwrap();
+        assert_eq!(tokens(&events[..n]), [10, 11]);
+        let masks: Vec<u32> = events[..n].iter().map(|e| e.events).collect();
+        assert_eq!(masks, [EPOLLIN, EPOLLIN | EPOLLOUT]);
+    }
+
+    #[test]
+    fn modify_switches_interest_and_delete_unregisters() {
+        let poller = ScanPoller::new().unwrap();
+        poller.add(3, EPOLLIN, 1).unwrap();
+        poller.modify(3, EPOLLIN | EPOLLOUT, 2).unwrap();
+        assert_eq!(poller.modify(9, EPOLLIN, 9).unwrap_err().kind(), io::ErrorKind::NotFound);
+        let mut events = [EpollEvent::default(); 8];
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 1);
+        let (token, mask) = (events[0].data, events[0].events);
+        assert_eq!((token, mask), (2, EPOLLIN | EPOLLOUT));
+        poller.delete(3).unwrap();
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
+        // Deleting twice is tolerated, as for epoll.
+        poller.delete(3).unwrap();
+    }
+
+    #[test]
+    fn waits_rotate_past_a_full_event_buffer() {
+        let poller = ScanPoller::new().unwrap();
+        for fd in 0..5 {
+            poller.add(fd, EPOLLIN, fd as u64).unwrap();
+        }
+        let mut events = [EpollEvent::default(); 2];
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let n = poller.wait(&mut events, 0).unwrap();
+            assert_eq!(n, 2);
+            seen.extend(tokens(&events));
+        }
+        assert_eq!(seen, [0, 1, 2, 3, 4, 0]);
+    }
+
+    #[test]
+    fn a_wait_sleeps_briefly_not_for_its_timeout() {
+        let poller = ScanPoller::new().unwrap();
+        poller.add(3, EPOLLIN, 7).unwrap();
+        let mut events = [EpollEvent::default(); 4];
+        let started = std::time::Instant::now();
+        assert_eq!(poller.wait(&mut events, 10_000).unwrap(), 1);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(poller.wait(&mut [], 0).unwrap(), 0);
     }
 }

@@ -13,9 +13,9 @@
 //! so `scripts/ci.sh` can gate on it directly.
 
 use acs_verify::{
-    check_corpus, default_corpus_path, event_loop_vs_pool, lattice_screen_front_diff,
-    random_sweep_spec, regressions_dir, replay_dir, run_chaos, run_fuzz, standard_suite,
-    whatif_grid_64, whatif_grid_diff, ChaosConfig, DiffCase, Differential, EvalPath,
+    check_corpus, default_corpus_path, lattice_screen_front_diff, random_sweep_spec,
+    regressions_dir, replay_dir, run_chaos, run_fuzz, standard_suite, whatif_grid_64,
+    whatif_grid_diff, wire_vs_handler, ChaosConfig, DiffCase, Differential, EvalPath,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -185,9 +185,9 @@ fn cmd_diff(_args: &[String]) -> Result<(), String> {
             }
         }
     }
-    // The serve-tier arm: the epoll event loop and the legacy worker
-    // pool must be indistinguishable over one replayed corpus.
-    let serve = event_loop_vs_pool().map_err(|e| e.to_string())?;
+    // The serve-tier arm: a live server's answers must equal the
+    // in-process handler's over one replayed corpus.
+    let serve = wire_vs_handler().map_err(|e| e.to_string())?;
     println!(
         "diff {}: {} requests ({} ok) -> {}",
         serve.label,

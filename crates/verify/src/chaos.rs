@@ -7,9 +7,9 @@
 //! faults into their sockets. Individual requests are allowed — indeed
 //! expected — to fail; the system-level invariants are:
 //!
-//! - the process never panics (worker panics are contained by the
-//!   connection loop, and the final health check would catch a shrunken
-//!   pool);
+//! - the process never panics (handler panics are contained by the
+//!   event loop's dispatch, and the final health check would catch a
+//!   dead worker);
 //! - no worker wedges: after the storm, a *clean* client must get a
 //!   `200` from `/v1/metrics` within a bounded timeout;
 //! - the fault machinery actually fired: the server's chaos tally and

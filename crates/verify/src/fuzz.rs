@@ -15,6 +15,10 @@
 //!   because this fuzzer's nesting mutation found its absence);
 //! - **round-trip** — anything that *does* parse must re-serialize and
 //!   re-parse to the same value (JSON `Value`s, `DeviceRecord`s);
+//! - **arrival-order independence** — HTTP inputs delivered in seeded
+//!   1–5-byte chunks, re-parsed after each chunk the way the server's
+//!   connection state machine does, frame exactly as the whole buffer
+//!   does;
 //! - **no worker death** — HTTP inputs that parse are additionally run
 //!   through the real request handler against live [`AppState`].
 //!
@@ -25,15 +29,15 @@ use acs_devices::{DeviceRecord, GpuDatabase};
 use acs_errors::json::parse;
 use acs_llm::rng::SplitMix64;
 use acs_serve::handlers::{self, AppState};
-use acs_serve::http::read_request;
+use acs_serve::http::{parse_request_bytes, Parsed};
 use std::fmt;
-use std::io::{BufReader, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which parse boundary an input targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzTarget {
-    /// `read_request` + the request handler.
+    /// `parse_request_bytes` (whole and chunk by chunk) + the request
+    /// handler.
     Http,
     /// `acs_errors::json::parse` + `to_json` round-trip.
     Json,
@@ -135,34 +139,26 @@ pub fn from_hex(hex: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-/// A reader that hands out tiny, seed-sized chunks — the in-process
-/// analogue of a peer splitting its writes at arbitrary byte
-/// boundaries, which exercises every incremental-parse path in
-/// `read_request`.
-struct ChunkedReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    rng: SplitMix64,
-}
-
-impl Read for ChunkedReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.data.len() || buf.is_empty() {
-            return Ok(0);
-        }
-        #[allow(clippy::cast_possible_truncation)]
-        let chunk = (1 + (self.rng.next_u64() % 5) as usize)
-            .min(buf.len())
-            .min(self.data.len() - self.pos);
-        buf[..chunk].copy_from_slice(&self.data[self.pos..self.pos + chunk]);
-        self.pos += chunk;
-        Ok(chunk)
+/// Why a parse of a buffer prefix disagrees with the parse of the whole
+/// buffer, if it does. `NeedMore` on a prefix never disagrees.
+fn prefix_disagreement(prefix: &Parsed, whole: &Parsed) -> Option<String> {
+    match (prefix, whole) {
+        (Parsed::NeedMore, _) => None,
+        (
+            Parsed::Complete { request: a, consumed: ca, keep_alive: ka },
+            Parsed::Complete { request: b, consumed: cb, keep_alive: kb },
+        ) if a == b && ca == cb && ka == kb => None,
+        (Parsed::Invalid(a), Parsed::Invalid(b)) if a.to_string() == b.to_string() => None,
+        (prefix, whole) => Some(format!(
+            "chunked arrival parsed {prefix:?} where the whole buffer parses {whole:?}"
+        )),
     }
 }
 
 /// Drive one input through its target's full invariant check. Used both
 /// by the fuzz loop and by regression replay. When `chunk_seed` is set,
-/// HTTP inputs are delivered through a chunk-splitting reader.
+/// HTTP inputs also arrive in seeded 1–5-byte chunks, the accumulated
+/// buffer re-parsed after each.
 #[must_use]
 pub fn run_target(
     target: FuzzTarget,
@@ -172,46 +168,24 @@ pub fn run_target(
 ) -> TargetOutcome {
     let outcome = catch_unwind(AssertUnwindSafe(|| match target {
         FuzzTarget::Http => {
-            let parsed = match chunk_seed {
-                Some(seed) => {
-                    let reader = ChunkedReader { data: input, pos: 0, rng: SplitMix64::new(seed) };
-                    // A deliberately tiny buffer forces refills mid-token.
-                    read_request(&mut BufReader::with_capacity(8, reader))
-                }
-                None => read_request(&mut BufReader::new(input)),
-            };
-            // Parser equivalence: the event loop's incremental
-            // `parse_request_bytes` and the pool's blocking
-            // `read_request` must agree on every input — same framing
-            // accepted, same request produced. (A blocking-parse error
-            // may map to `NeedMore`: truncation is EOF on a stream but
-            // "wait for more bytes" on a buffer.)
-            let incremental = acs_serve::http::parse_request_bytes(input);
-            match (&parsed, &incremental) {
-                (Ok((req, ka)), acs_serve::http::Parsed::Complete { request, keep_alive, .. }) => {
-                    if req != request || ka != keep_alive {
-                        return TargetOutcome::Violated(
-                            "incremental and blocking parsers framed the request differently"
-                                .to_owned(),
-                        );
+            let whole = parse_request_bytes(input);
+            if let Some(seed) = chunk_seed {
+                let mut rng = SplitMix64::new(seed);
+                let mut at = 0;
+                while at < input.len() {
+                    #[allow(clippy::cast_possible_truncation)]
+                    let chunk = 1 + (rng.next_u64() % 5) as usize;
+                    at = (at + chunk).min(input.len());
+                    if let Some(why) = prefix_disagreement(&parse_request_bytes(&input[..at]), &whole)
+                    {
+                        return TargetOutcome::Violated(why);
                     }
                 }
-                (Ok(_), _) => {
-                    return TargetOutcome::Violated(
-                        "blocking parser accepted what the incremental parser did not".to_owned(),
-                    );
-                }
-                (Err(_), acs_serve::http::Parsed::Complete { .. }) => {
-                    return TargetOutcome::Violated(
-                        "incremental parser accepted what the blocking parser rejected".to_owned(),
-                    );
-                }
-                (Err(_), _) => {}
             }
-            match parsed {
-                Err(_) => TargetOutcome::Rejected,
-                Ok((request, _keep_alive)) => {
-                    let (status, body) = handlers::handle(state, &request);
+            match whole {
+                Parsed::NeedMore | Parsed::Invalid(_) => TargetOutcome::Rejected,
+                Parsed::Complete { request, .. } => {
+                    let (status, body) = handlers::handle_lane(state, &request, None);
                     if !matches!(status, 200 | 400 | 404 | 405 | 422 | 500 | 503) {
                         return TargetOutcome::Violated(format!(
                             "handler produced unknown status {status}"

@@ -18,16 +18,16 @@
 //!   (`crates/verify/corpus/golden.json`) every PR is diffed against,
 //!   regenerated with `acs-verify corpus --bless`.
 //! - [`fuzz`] — a SplitMix64-seeded structured fuzzer for the HTTP
-//!   surface and the JSON/CSV codecs: no-panic, round-trip, and
-//!   no-worker-death invariants, with findings hex-encoded for the
-//!   [`regressions`] corpus.
+//!   surface and the JSON/CSV codecs: no-panic, round-trip,
+//!   chunked-arrival, and no-worker-death invariants, with findings
+//!   hex-encoded for the [`regressions`] corpus.
 //! - [`chaos`] — socket-fault rounds against a live server (torn reads,
 //!   partial writes, stalls, disconnects on both ends of the wire),
 //!   asserting the service stays healthy after the storm.
-//! - [`serve_diff`] — the serve-tier differential: the epoll event loop
-//!   and the legacy worker pool replay one request corpus and must
-//!   produce byte-equal responses (chunked streams compared after
-//!   reassembly, `/v1/metrics` on status only).
+//! - [`serve_diff`] — the serve-tier oracle: a live server's answers to
+//!   a replayed request corpus must equal, byte for byte, what the
+//!   request handler returns in process on a fresh state (chunked
+//!   streams compared after reassembly, `/v1/metrics` on status only).
 //!
 //! The `acs-verify` binary drives all four; `scripts/ci.sh` runs the
 //! corpus diff, a fixed-seed fuzz smoke, and one chaos round on every
@@ -52,5 +52,5 @@ pub use differential::{
 };
 pub use fuzz::{run_fuzz, FuzzReport, FuzzTarget};
 pub use regressions::replay_dir;
-pub use serve_diff::{event_loop_vs_pool, ServeDiffReport};
+pub use serve_diff::{wire_vs_handler, ServeDiffReport};
 pub use tolerance::{ulps_apart, Tolerance};

@@ -1,32 +1,34 @@
-//! The serve-tier differential: event loop vs worker pool.
+//! The serve-tier oracle: answers over the wire vs the handler in
+//! process.
 //!
-//! The epoll event loop and the legacy thread-per-connection pool are
-//! two transports for one service; no request may tell them apart. One
-//! diff run boots both tiers (identical config except the transport
-//! flag), replays an identical request corpus against each in the same
-//! order, and demands byte-equal status + body on every response.
+//! One server (event loop, raw front cache, pipelining-capable
+//! connection state machine) answers a replayed request corpus over one
+//! keep-alive connection; the same requests, in the same order, go to
+//! [`handle_lane`] on a fresh [`AppState`]. Every answer must match byte
+//! for byte, so nothing the transport adds — parsing, caching, framing —
+//! may change a response.
 //!
 //! Two deliberate exclusions:
 //!
-//! - `/v1/metrics` is compared on status only: the event-loop tier's
-//!   raw front cache shifts hits between the `raw` and semantic
-//!   counters, so the bodies legitimately diverge.
-//! - `/v1/whatif` responses are compared after chunked reassembly (the
-//!   [`HttpClient`] decodes the framing): chunk boundaries depend on
-//!   write-readiness timing and are not part of the contract — the
-//!   reassembled NDJSON is.
+//! - `/v1/metrics` is compared on status only: the server's raw front
+//!   cache shifts hits between the `raw` and semantic counters, so the
+//!   bodies legitimately diverge.
+//! - `/v1/whatif` streams arrive as chunked NDJSON (the [`HttpClient`]
+//!   decodes the framing); the buffered `{"summary":..,"records":[..]}`
+//!   document is rebuilt from the lines before comparing.
 
 use acs_errors::AcsError;
-use acs_serve::http::HttpClient;
+use acs_serve::handlers::{handle_lane, AppState};
+use acs_serve::http::{HttpClient, HttpRequest};
 use acs_serve::{ServeConfig, Server};
 use std::time::Duration;
 
-/// What one serve-tier differential run observed.
+/// What one serve-tier oracle run observed.
 #[derive(Debug, Clone)]
 pub struct ServeDiffReport {
-    /// Case label (`event_loop_vs_pool`).
+    /// Case label (`wire_vs_handler`).
     pub label: String,
-    /// Requests replayed against each tier.
+    /// Requests replayed.
     pub requests: usize,
     /// Requests whose responses matched.
     pub ok: usize,
@@ -44,7 +46,7 @@ impl ServeDiffReport {
 
 /// The replay corpus: every endpoint, hits and misses, streamed and
 /// plain, valid and malformed. `(method, path, body)` triples issued in
-/// order on one keep-alive connection per tier.
+/// order on one keep-alive connection.
 fn corpus() -> Vec<(&'static str, String, String)> {
     let sim = |seed: u64| {
         format!(
@@ -60,8 +62,8 @@ fn corpus() -> Vec<(&'static str, String, String)> {
         ("POST", "/v1/screen".into(), "{\"device\":\"H100 SXM\"}".into()),
         ("POST", "/v1/screen".into(), "not json at all".into()),
         ("POST", "/v1/simulate".into(), sim(7)),
-        // The byte-identical repeat: raw front-cache hit on the event
-        // loop, semantic hit on the pool — same bytes back either way.
+        // The byte-identical repeat: a raw front-cache hit on the wire,
+        // a semantic hit in process — same bytes back either way.
         ("POST", "/v1/simulate".into(), sim(7)),
         ("POST", "/v1/simulate".into(), sim(11)),
         ("POST", "/v1/whatif".into(), "{\"grid\":{\"tpp_license\":[2400,4800]}}".into()),
@@ -74,58 +76,64 @@ fn corpus() -> Vec<(&'static str, String, String)> {
     cases
 }
 
-/// Run the event-loop-vs-pool differential.
+/// The buffered `/v1/whatif` document [`handle_lane`] returns, rebuilt
+/// from the de-chunked NDJSON stream: every line a record, the last the
+/// summary.
+fn whatif_document(ndjson: &str) -> String {
+    let mut lines: Vec<&str> = ndjson.lines().collect();
+    let summary = lines.pop().unwrap_or("");
+    format!("{{\"summary\":{summary},\"records\":[{}]}}", lines.join(","))
+}
+
+/// Replay the corpus over the wire and through [`handle_lane`] on a
+/// fresh [`AppState`], comparing every answer.
 ///
 /// # Errors
 ///
-/// [`AcsError::Io`] when either tier cannot be bound.
-pub fn event_loop_vs_pool() -> Result<ServeDiffReport, AcsError> {
-    let tier = |event_loop: bool| {
-        Server::bind(ServeConfig { workers: 2, event_loop, ..ServeConfig::default() })
-    };
-    let loop_server = tier(true)?;
-    let pool_server = tier(false)?;
-    let (loop_addr, pool_addr) = (loop_server.local_addr(), pool_server.local_addr());
-    let loop_run = loop_server.spawn();
-    let pool_run = pool_server.spawn();
+/// [`AcsError::Io`] when the server cannot be bound.
+pub fn wire_vs_handler() -> Result<ServeDiffReport, AcsError> {
+    let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+    let fresh = AppState::new(config.cache_capacity);
+    let server = Server::bind(config)?;
+    let mut client = HttpClient::new(server.local_addr(), Duration::from_secs(10));
+    let (handle, thread) = server.spawn();
 
-    let timeout = Duration::from_secs(10);
-    let mut loop_client = HttpClient::new(loop_addr, timeout);
-    let mut pool_client = HttpClient::new(pool_addr, timeout);
     let cases = corpus();
     let requests = cases.len();
     let mut ok = 0usize;
     let mut mismatches = Vec::new();
     for (method, path, body) in cases {
-        let a = loop_client.request(method, &path, &body);
-        let b = pool_client.request(method, &path, &body);
         let tag = format!("{method} {path} body={body:.40?}");
-        match (a, b) {
-            (Ok((sa, ba)), Ok((sb, bb))) => {
-                if sa != sb {
-                    mismatches
-                        .push(format!("{tag}: status {sa} (event loop) vs {sb} (pool)"));
-                } else if ba != bb && path != "/v1/metrics" {
-                    let at = ba.bytes().zip(bb.bytes()).take_while(|(x, y)| x == y).count();
+        let request = HttpRequest { method: method.to_owned(), path, body };
+        let (status, expected) = handle_lane(&fresh, &request, None);
+        match client.request(method, &request.path, &request.body) {
+            Ok((wire_status, _)) if wire_status != status => {
+                mismatches.push(format!("{tag}: status {wire_status} (wire) vs {status} (handler)"));
+            }
+            Ok((_, wire)) => {
+                let got = if request.path == "/v1/whatif" && status == 200 {
+                    whatif_document(&wire)
+                } else {
+                    wire
+                };
+                if got != expected && request.path != "/v1/metrics" {
+                    let at = got.bytes().zip(expected.bytes()).take_while(|(x, y)| x == y).count();
                     mismatches.push(format!(
-                        "{tag}: bodies diverge at byte {at} \
-                         (event loop {}B, pool {}B)",
-                        ba.len(),
-                        bb.len()
+                        "{tag}: bodies diverge at byte {at} (wire {}B, handler {}B)",
+                        got.len(),
+                        expected.len()
                     ));
                 } else {
                     ok += 1;
                 }
             }
-            (a, b) => mismatches.push(format!("{tag}: transport outcome {a:?} vs {b:?}")),
+            Err(e) => mismatches.push(format!("{tag}: transport error {e}")),
         }
     }
 
-    loop_run.0.shutdown();
-    pool_run.0.shutdown();
-    let _ = loop_run.1.join();
-    let _ = pool_run.1.join();
-    Ok(ServeDiffReport { label: "event_loop_vs_pool".to_owned(), requests, ok, mismatches })
+    handle.shutdown();
+    let _ = thread.join();
+    Ok(ServeDiffReport { label: "wire_vs_handler".to_owned(), requests, ok, mismatches })
 }
 
 #[cfg(test)]
@@ -133,11 +141,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_two_serve_tiers_are_indistinguishable_over_the_corpus() {
-        let report = event_loop_vs_pool().expect("both tiers bind");
+    fn wire_answers_match_the_in_process_handler() {
+        let report = wire_vs_handler().expect("server binds");
         assert!(
             report.is_clean(),
-            "serve tiers diverged:\n{}",
+            "wire and handler diverged:\n{}",
             report.mismatches.join("\n")
         );
         assert_eq!(report.ok, report.requests);

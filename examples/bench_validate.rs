@@ -25,8 +25,8 @@
 //!
 //! `--min-serve-cached-qps <qps>` and `--min-serve-unique-qps <qps>`
 //! floor the `serve` suite's `repeated_qps` and `unique_qps` metrics:
-//! the event-loop tier's cached and unique-work throughput under the
-//! pipelined load generator.
+//! the server's cached and unique-work throughput under the pipelined
+//! load generator.
 
 use acs_errors::json::{parse, Value};
 use std::process::ExitCode;

@@ -80,9 +80,10 @@ fn run(addr: SocketAddr) -> Result<(), AcsError> {
     let simulate_body = "{\"config\":{\"name\":\"compliant-3.2tb\",\"core_count\":96,\
                          \"l1_kib\":1024,\"hbm_tb_s\":3.2,\"device_bw_gb_s\":599.0},\
                          \"model\":\"llama3-8b\",\"trace\":{\"duration_s\":5}}";
-    // On the event-loop tier a byte-identical repeat short-circuits in
-    // the worker's raw front cache; on the pool tier it is a semantic
-    // simulate-cache hit. Either way the sum must advance.
+    // A byte-identical repeat on the same connection short-circuits in
+    // its worker's raw front cache; one that lands on another worker
+    // (after a reconnect) is a semantic simulate-cache hit. Either way
+    // the sum must advance.
     let simulate_hits = |client: &mut HttpClient| -> Result<f64, AcsError> {
         let metrics = parse(&call(client, "GET", "/v1/metrics", "")?)?;
         let caches = metrics.require("caches")?;

@@ -32,13 +32,13 @@ echo "==> verification harness (golden corpus, seeded fuzz, socket chaos)"
 # evaluation. The differential suite includes the whatif batch-vs-naive
 # ledger case. Then a fixed-seed structured fuzz pass (10k mutations over
 # the HTTP surface — /v1/whatif rule grids included — and the JSON/CSV
-# codecs, plus the checked-in regression corpus, with the incremental
-# parse_request_bytes checked for frame-equivalence against the blocking
-# parser on every input) and one socket-fault chaos round against a live
-# event-loop server, all of which must end with zero findings and a
-# healthy server. The diff suite includes the serve-tier differential:
-# the epoll event loop and the legacy worker pool must answer one
-# replayed corpus with byte-equal responses.
+# codecs, plus the checked-in regression corpus; HTTP inputs also arrive
+# in seeded 1-5-byte chunks, and every re-parse of the accumulated buffer
+# must frame exactly as the whole buffer does) and one socket-fault chaos
+# round against a live server, all of which must end with zero findings
+# and a healthy server. The diff suite includes the serve-tier oracle
+# wire_vs_handler: a live server's answers to one replayed corpus must
+# equal, byte for byte, the in-process handler's on a fresh state.
 cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- corpus
 cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- diff
 cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- fuzz --iters 10000 --seed 1
@@ -78,10 +78,6 @@ echo "ok (served on $addr, graceful shutdown)"
 echo "==> loadgen throughput floor (unique /v1/simulate >= 2000 QPS, no failures)"
 cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
     --loadgen --mode compare --requests 60 --concurrency 4 --min-unique-qps 2000
-
-echo "==> pool-tier loadgen smoke (legacy transport stays alive behind --pool)"
-cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
-    --loadgen --pool --mode repeated --requests 60 --connections 2 --pipeline 4
 
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh

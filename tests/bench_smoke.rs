@@ -570,15 +570,11 @@ fn bench_scenarios() {
 #[test]
 #[ignore = "smoke benchmark; run via scripts/bench-smoke.sh"]
 fn bench_serve() {
-    // Both transports get benched: the epoll event loop (default) and
-    // the legacy worker pool, each a fresh server so cache state never
-    // leaks across tiers. queue_depth is raised so the event loop's
-    // per-round shed budget does not throttle the pipelined bench
-    // itself (shedding is a protection benched by its own test).
-    let boot = |event_loop: bool| {
-        Server::bind(ServeConfig { queue_depth: 512, event_loop, ..ServeConfig::default() })
-            .expect("bind ephemeral port")
-    };
+    // queue_depth is raised so the per-round shed budget does not
+    // throttle the pipelined bench itself (shedding is a protection
+    // benched by its own test).
+    let server = Server::bind(ServeConfig { queue_depth: 512, ..ServeConfig::default() })
+        .expect("bind ephemeral port");
     let drive = |addr, mode, requests, connections, pipeline| {
         let report = run_loadgen(
             addr,
@@ -589,8 +585,7 @@ fn bench_serve() {
         report
     };
 
-    // --- Event-loop tier: pipelined multi-connection drive. ---
-    let server = boot(true);
+    // Pipelined multi-connection drive.
     let (addr, state) = (server.local_addr(), server.state());
     let (handle, thread) = server.spawn();
     // Repeated bodies ride the raw front cache after the first; unique
@@ -607,15 +602,6 @@ fn bench_serve() {
     handle.shutdown();
     thread.join().expect("server thread");
 
-    // --- Pool tier: same streams, legacy transport. ---
-    let server = boot(false);
-    let addr = server.local_addr();
-    let (handle, thread) = server.spawn();
-    let pool_repeated = drive(addr, LoadMode::Repeated, 4_000, 4, 1);
-    let pool_unique = drive(addr, LoadMode::UniqueScreen, 2_000, 4, 1);
-    handle.shutdown();
-    thread.join().expect("server thread");
-
     let speedup = if sim_unique.qps > 0.0 { repeated.qps / sim_unique.qps } else { 0.0 };
     println!(
         "loadgen event-loop repeated      {:>9.1} qps  p50 {:>8.3} ms  p99 {:>8.3} ms",
@@ -629,10 +615,6 @@ fn bench_serve() {
         "loadgen event-loop unique-sim    {:>9.1} qps  p50 {:>8.3} ms  p99 {:>8.3} ms",
         sim_unique.qps, sim_unique.p50_ms, sim_unique.p99_ms
     );
-    println!(
-        "loadgen pool       repeated      {:>9.1} qps  unique-screen {:>9.1} qps",
-        pool_repeated.qps, pool_unique.qps
-    );
 
     assert!(repeated.p50_ms > 0.0 && repeated.p50_ms <= repeated.p99_ms);
     assert!(speedup > 1.0, "repeated stream must beat unique simulate (got {speedup:.2}x)");
@@ -644,8 +626,6 @@ fn bench_serve() {
             ("repeated_qps", repeated.qps),
             ("sim_unique_qps", sim_unique.qps),
             ("cache_speedup", speedup),
-            ("pool_unique_qps", pool_unique.qps),
-            ("pool_repeated_qps", pool_repeated.qps),
             ("unique_p50_ms", unique.p50_ms),
             ("unique_p99_ms", unique.p99_ms),
             ("repeated_p50_ms", repeated.p50_ms),

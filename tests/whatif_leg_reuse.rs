@@ -12,7 +12,7 @@
 //! their counter traffic; separate test binaries run sequentially).
 
 use acs_serve::http::HttpRequest;
-use acs_serve::{handle, AppState};
+use acs_serve::{handle_lane, AppState};
 
 /// Points in [`acs_dse::SweepSpec::synthetic_fleet`].
 const FLEET: u64 = 4096;
@@ -25,7 +25,7 @@ const LOOKUPS_PER_POINT: u64 = 6;
 fn whatif(state: &AppState, body: &str) -> (u16, String) {
     let request =
         HttpRequest { method: "POST".into(), path: "/v1/whatif".into(), body: body.into() };
-    handle(state, &request)
+    handle_lane(state, &request, None)
 }
 
 fn leg_counters(reg: &acs_telemetry::Registry) -> (u64, u64) {
