@@ -293,6 +293,25 @@ impl DseRunner {
         self.expert_parallel
     }
 
+    /// The tensor-parallel device count of the evaluated node.
+    #[must_use]
+    pub fn device_count(&self) -> u32 {
+        self.device_count
+    }
+
+    /// The operand-format override applied before pricing, if any (see
+    /// [`DseRunner::with_datatype`]).
+    #[must_use]
+    pub fn datatype(&self) -> Option<acs_hw::DataType> {
+        self.datatype
+    }
+
+    /// The simulator calibration every design is priced under.
+    #[must_use]
+    pub fn sim_params(&self) -> SimParams {
+        self.sim_params
+    }
+
     /// The content-addressed key for one configuration under this
     /// runner's model, workload, and calibration. The model, workload,
     /// device count, and datatype are folded into the two layer-plan
@@ -471,74 +490,6 @@ impl DseRunner {
         Ok(Arc::clone(map.entry(dtype_bytes).or_insert(built)))
     }
 
-    /// The pre-plan evaluation pipeline, kept verbatim as the reference
-    /// baseline: eager guard contexts, a device clone into the system,
-    /// and per-call graph lowering through
-    /// [`Simulator::try_simulate_layer`]. The golden-equivalence test
-    /// and the bench-smoke speedup ratio compare the planned path
-    /// against this.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_legacy(&self, config: &DeviceConfig) -> Result<EvaluatedDesign, AcsError> {
-        if self.expert_parallel > 1 {
-            // The legacy pipeline lowers per call through the dense
-            // builder; silently pricing a different graph would defeat
-            // its purpose as a differential baseline.
-            return Err(AcsError::invalid_config(
-                "expert_parallel",
-                "the legacy reference pipeline prices the dense lowering only",
-            ));
-        }
-        let retyped;
-        let config = match self.datatype {
-            Some(dt) if dt != config.datatype() => {
-                let mut builder = config.to_builder();
-                builder.datatype(dt);
-                retyped = builder.build()?;
-                &retyped
-            }
-            _ => config,
-        };
-        let ctx = format!("evaluate.{}", config.name());
-        let area =
-            guard::ensure_positive(&ctx, "die_area_mm2", self.area_model.die_area(config).total_mm2())?;
-        let tpp = guard::ensure_positive(&ctx, "tpp", config.tpp().0)?;
-        let pd = guard::ensure_positive(&ctx, "perf_density", tpp / area)?;
-        let system = SystemConfig::new(config.clone(), self.device_count)?;
-        let sim = Simulator::with_params(system, self.sim_params);
-        Ok(EvaluatedDesign {
-            name: config.name().to_owned(),
-            params: SweptParams::of(config),
-            tpp,
-            die_area_mm2: area,
-            perf_density: pd,
-            die_cost_usd: guard::ensure_positive(
-                &ctx,
-                "die_cost_usd",
-                self.cost_model.die_cost_usd(area),
-            )?,
-            good_die_cost_usd: guard::ensure_positive(
-                &ctx,
-                "good_die_cost_usd",
-                self.cost_model.good_die_cost_usd(area),
-            )?,
-            ttft_s: {
-                let lat =
-                    sim.try_simulate_layer(&self.model, &self.workload, InferencePhase::Prefill)?;
-                guard::ensure_positive("simulator", "ttft_s", lat.total_s())?
-            },
-            tbt_s: {
-                let lat =
-                    sim.try_simulate_layer(&self.model, &self.workload, self.workload.decode_phase())?;
-                guard::ensure_positive("simulator", "tbt_s", lat.total_s())?
-            },
-            within_reticle: area <= RETICLE_LIMIT_MM2,
-            pd_unregulated_2023: self.rule_2023.is_unregulated_dc(tpp, pd),
-        })
-    }
-
     /// Evaluate a whole sweep at a TPP ceiling, in parallel across the
     /// machine's cores. Points that fail validation or evaluation are
     /// dropped; use [`DseRunner::run_report`] to keep the failure ledger.
@@ -567,20 +518,6 @@ impl DseRunner {
             candidates,
             |cand| cand.name.as_str(),
             |cand| cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_shared(&cfg)),
-        );
-        self.collect_report(candidates, outcomes)
-    }
-
-    /// [`DseRunner::run_report`] through the pre-plan
-    /// [`DseRunner::try_evaluate_legacy`] pipeline. Reference baseline
-    /// for equivalence tests and the bench-smoke speedup ratio; never
-    /// consults the evaluation cache.
-    #[must_use]
-    pub fn run_report_legacy(&self, candidates: &[CandidateParams]) -> SweepReport {
-        let outcomes = self.parallel_map(
-            candidates,
-            |cand| cand.name.as_str(),
-            |cand| cand.build().and_then(|cfg| self.try_evaluate_legacy(&cfg)),
         );
         self.collect_report(candidates, outcomes)
     }
@@ -936,18 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_matches_legacy_reference() {
-        let r = runner();
-        for cfg in small_spec().configs(4800.0) {
-            let planned = r.try_evaluate(&cfg).unwrap();
-            let legacy = r.try_evaluate_legacy(&cfg).unwrap();
-            assert_eq!(planned, legacy);
-            assert_eq!(planned.ttft_s.to_bits(), legacy.ttft_s.to_bits());
-            assert_eq!(planned.tbt_s.to_bits(), legacy.tbt_s.to_bits());
-        }
-    }
-
-    #[test]
     fn datatype_override_retypes_evaluations() {
         let cfg = DeviceConfig::a100_like();
         let base = runner().try_evaluate(&cfg).unwrap();
@@ -960,11 +885,14 @@ mod tests {
         let int4 = narrow.try_evaluate(&cfg).unwrap();
         assert!((int4.tpp / base.tpp - 0.25).abs() < 0.01, "ratio {}", int4.tpp / base.tpp);
         assert_eq!(int4.params.core_count, base.params.core_count);
-        // All three pricing paths agree under the override.
-        let factored = narrow.try_evaluate_factored(&cfg).unwrap();
-        let legacy = narrow.try_evaluate_legacy(&cfg).unwrap();
-        assert_eq!(int4, factored);
-        assert_eq!(int4.ttft_s.to_bits(), legacy.ttft_s.to_bits());
+        // The lattice engine applies the same override, bit for bit.
+        let spec = small_spec();
+        let lattice = narrow.run_lattice(&spec, 4800.0);
+        for (i, design) in &lattice.designs {
+            let planned = narrow.try_evaluate(&spec.configs(4800.0)[*i]).unwrap();
+            assert_eq!(design, &planned);
+            assert_eq!(design.ttft_s.to_bits(), planned.ttft_s.to_bits());
+        }
     }
 
     #[test]

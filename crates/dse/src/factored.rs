@@ -1,40 +1,30 @@
-//! Factored sweep evaluation: dependency-keyed leg memoization over the
-//! sweep lattice.
+//! Dependency-keyed leg tables: the lattice engine's pricing substrate.
 //!
 //! A sweep walks a dense Cartesian grid, but each priced cost leg reads
 //! only a subset of the axes (see `acs_sim::legs`): over the 1536-point
 //! reference sweep the compute leg takes ~32 distinct values, the DRAM
-//! leg 16, and the collective leg 3. The planned path still re-prices
-//! every operator at every point; this module prices each distinct leg
-//! once, stores it in a small per-key table shared across the
-//! work-stealing workers, and reduces a grid point to a few hash
-//! lookups plus the fused `max()` combine loop in
-//! [`Simulator::try_ttft_factored`].
+//! leg 16, and the collective leg 3. These tables price each distinct
+//! leg once and keep it for the runner's lifetime, so the lattice
+//! engine (`crate::lattice`) fuses its per-signature vectors from
+//! already-priced legs and a warm runner re-prices nothing.
 //!
 //! Because the tables are keyed by *value-derived* dependency keys
 //! ([`LegKeys`], built from the concrete device, not from the sweep
 //! axes), a permuted `SweepSpec` hits the same entries, and a faulted
-//! candidate either fails validation before pricing or perturbs its key
-//! — so the factored path produces bit-identical `EvaluatedDesign`
-//! totals and failure ledgers to [`DseRunner::run_report`], a guarantee
-//! pinned by `tests/factored_equivalence.rs` with the same golden-digest
-//! discipline as `tests/plan_equivalence.rs`.
+//! candidate either fails validation before pricing or perturbs its key.
+//! The `dse.factored.leg_hit`/`dse.factored.leg_miss` counters report
+//! the tables' traffic.
 
-use crate::evaluate::{DseRunner, EvaluatedDesign, SweptParams};
-use crate::report::SweepReport;
-use crate::sweeps::{CandidateParams, SweepSpec};
-use acs_errors::{guard, AcsError};
-use acs_hw::{DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_sim::{ComputeLeg, LayerPlan, LegKeys, MemoryLeg, Simulator};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// A multiply-rotate hasher (the FxHash construction) for the leg
-/// tables. The table lookup sits on the per-point hot path — six hashes
-/// per evaluated design — and the default SipHash costs more than the
-/// whole `max()` combine; these keys are small fixed tuples of trusted
-/// internal values, so HashDoS resistance buys nothing here.
+/// A multiply-rotate hasher (the FxHash construction) for the leg and
+/// lattice tables. The lookups sit on the sweep hot path and the default
+/// SipHash costs more than a fused combine; these keys are small fixed
+/// tuples of trusted internal values, so HashDoS resistance buys nothing
+/// here.
 #[derive(Debug, Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -81,7 +71,7 @@ impl Hasher for FxHasher {
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The three per-key leg maps of one phase, behind a single lock (one
-/// acquisition covers all three lookups of a point).
+/// acquisition covers all three lookups of a probe).
 #[derive(Debug, Default)]
 struct LegMaps {
     compute: FxMap<acs_sim::ComputeKey, Arc<Vec<ComputeLeg>>>,
@@ -89,7 +79,7 @@ struct LegMaps {
     comm: FxMap<acs_sim::CommKey, Arc<Vec<f64>>>,
 }
 
-/// Per-phase leg tables shared by every point of a sweep. One table per
+/// Per-phase leg tables shared by every sweep of a runner. One table per
 /// leg kind, each keyed by exactly the parameters that leg reads, so
 /// distinct axes never alias and identical sub-tuples never re-price.
 #[derive(Debug, Default)]
@@ -107,36 +97,6 @@ pub(crate) struct FactoredSlot {
 }
 
 impl LegTables {
-    /// Run `combine` over the three leg vectors of `plan` for the node
-    /// described by `keys`. On the hot path — every table hit — the
-    /// combine executes under the read guard itself, borrowing the legs
-    /// straight out of the maps: no Arc refcount traffic at all. Misses
-    /// fall back to [`LegTables::legs_for`], which prices and installs
-    /// the missing entries.
-    pub(crate) fn with_legs<R>(
-        &self,
-        sim: &Simulator,
-        plan: &LayerPlan,
-        keys: &LegKeys,
-        combine: impl FnOnce(&[ComputeLeg], &[MemoryLeg], &[f64]) -> R,
-    ) -> R {
-        static HITS: acs_telemetry::GlobalCounter =
-            acs_telemetry::GlobalCounter::new("dse.factored.leg_hit");
-        {
-            let maps = self.0.read().unwrap_or_else(PoisonError::into_inner);
-            if let (Some(c), Some(m), Some(w)) = (
-                maps.compute.get(&keys.compute),
-                maps.memory.get(&keys.memory),
-                maps.comm.get(&keys.comm),
-            ) {
-                HITS.add(3);
-                return combine(c, m, w);
-            }
-        }
-        let (c, m, w) = self.legs_for(sim, plan, keys);
-        combine(&c, &m, &w)
-    }
-
     /// Fetch (or price and install) the three leg vectors of `plan` for
     /// the node described by `keys`. The hot path is one read-locked
     /// triple of hash lookups; on any miss the plan is priced once — a
@@ -149,7 +109,7 @@ impl LegTables {
         plan: &LayerPlan,
         keys: &LegKeys,
     ) -> (Arc<Vec<ComputeLeg>>, Arc<Vec<MemoryLeg>>, Arc<Vec<f64>>) {
-        // Cached handles: per-point hot path (see parallel_map).
+        // Cached handles: one lookup per signature probe.
         static HITS: acs_telemetry::GlobalCounter =
             acs_telemetry::GlobalCounter::new("dse.factored.leg_hit");
         static MISSES: acs_telemetry::GlobalCounter =
@@ -214,165 +174,10 @@ impl FactoredSlot {
     }
 }
 
-impl DseRunner {
-    /// [`DseRunner::try_evaluate`] through the factored pricing path:
-    /// leg tables instead of per-point graph walks, bit-identical
-    /// results. Useful on its own for single points (a service screening
-    /// one design reuses the legs of every earlier request); the sweep
-    /// drivers use [`DseRunner::run_report_factored`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_factored(&self, config: &DeviceConfig) -> Result<EvaluatedDesign, AcsError> {
-        self.try_evaluate_factored_shared(&Arc::new(config.clone()))
-    }
-
-    /// [`DseRunner::try_evaluate_factored`] for a configuration that is
-    /// already shared (the sweep drivers' form). Consults the runner's
-    /// evaluation cache, when configured, under the same key as the
-    /// planned path — safe because the two paths produce bit-identical
-    /// designs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_factored_shared(
-        &self,
-        config: &Arc<DeviceConfig>,
-    ) -> Result<EvaluatedDesign, AcsError> {
-        let retyped = self.retyped(config)?;
-        let config = retyped.as_ref().unwrap_or(config);
-        match &self.cache {
-            Some(cache) => {
-                let key = self.cache_key(config);
-                let (design, hit) =
-                    cache.get_or_try_insert(&key, || self.evaluate_factored(config))?;
-                // Same counters as the planned path: callers care about
-                // evaluation-cache traffic, not which pricing path filled
-                // a miss.
-                static HITS: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.hits");
-                static MISSES: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.misses");
-                if hit {
-                    HITS.add(1);
-                } else {
-                    MISSES.add(1);
-                }
-                Ok(design)
-            }
-            None => self.evaluate_factored(config),
-        }
-    }
-
-    /// The factored mirror of `evaluate_uncached`: identical guard
-    /// contexts in identical order (area, TPP, perf density, system,
-    /// plans, die costs, TTFT, TBT), with only the latency pricing
-    /// swapped for table lookups — so errors, failure kinds, and every
-    /// result bit match the planned path.
-    pub(crate) fn evaluate_factored(
-        &self,
-        config: &Arc<DeviceConfig>,
-    ) -> Result<EvaluatedDesign, AcsError> {
-        let ctx = || format!("evaluate.{}", config.name());
-        let area = guard::ensure_positive_with(
-            ctx,
-            "die_area_mm2",
-            self.area_model.die_area(config).total_mm2(),
-        )?;
-        let tpp = guard::ensure_positive_with(ctx, "tpp", config.tpp().0)?;
-        let pd = guard::ensure_positive_with(ctx, "perf_density", tpp / area)?;
-        let system = SystemConfig::shared(Arc::clone(config), self.device_count)?;
-        let sim = Simulator::with_params(system, self.sim_params);
-        let plans = self.plans_for(config.datatype().bytes())?;
-        let die_cost_usd =
-            guard::ensure_positive_with(ctx, "die_cost_usd", self.cost_model.die_cost_usd(area))?;
-        let good_die_cost_usd = guard::ensure_positive_with(
-            ctx,
-            "good_die_cost_usd",
-            self.cost_model.good_die_cost_usd(area),
-        )?;
-        let mut keys = LegKeys::of(sim.system());
-        // The comm leg of an expert-parallel plan includes the
-        // dispatch/combine all-to-alls, whose payloads depend on the
-        // group width — fold it into the key so differently grouped
-        // runners sharing a node shape never alias (dense plans keep the
-        // key's historical value of 1).
-        keys.comm.expert_parallel = plans.prefill.expert_parallel();
-        // Legs are fetched lazily per phase, prefill before decode, so a
-        // cost-model failure surfaces at the same phase as on the
-        // planned path.
-        let ttft_s = self.factored.prefill.with_legs(&sim, &plans.prefill, &keys, |c, m, w| {
-            sim.try_ttft_factored(&plans.prefill, c, m, w)
-        })?;
-        let tbt_s = self.factored.decode.with_legs(&sim, &plans.decode, &keys, |c, m, w| {
-            sim.try_tbt_factored(&plans.decode, c, m, w)
-        })?;
-        Ok(EvaluatedDesign {
-            name: config.name().to_owned(),
-            params: SweptParams::of(config),
-            tpp,
-            die_area_mm2: area,
-            perf_density: pd,
-            die_cost_usd,
-            good_die_cost_usd,
-            ttft_s,
-            tbt_s,
-            within_reticle: area <= RETICLE_LIMIT_MM2,
-            pd_unregulated_2023: self.rule_2023.is_unregulated_dc(tpp, pd),
-        })
-    }
-
-    /// [`DseRunner::run_report`] through the factored pricing path. Same
-    /// fault isolation (every point behind `catch_unwind`), same
-    /// work-stealing schedule, same designs and failure ledger bit for
-    /// bit; the leg tables are shared across the workers through the
-    /// runner.
-    #[must_use]
-    pub fn run_report_factored(&self, candidates: &[CandidateParams]) -> SweepReport {
-        let outcomes = self.parallel_map(
-            candidates,
-            |cand| cand.name.as_str(),
-            |cand| {
-                cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_factored_shared(&cfg))
-            },
-        );
-        self.collect_report(candidates, outcomes)
-    }
-
-    /// [`DseRunner::run_configs`] through the factored pricing path:
-    /// order- and length-preserving, one `Result` per configuration.
-    #[must_use]
-    pub fn run_configs_factored(
-        &self,
-        configs: &[DeviceConfig],
-    ) -> Vec<Result<EvaluatedDesign, AcsError>> {
-        self.parallel_map(configs, |cfg| cfg.name(), |cfg| self.try_evaluate_factored(cfg))
-    }
-
-    /// Evaluate a whole sweep at a TPP ceiling through the factored
-    /// path. The lattice shape is read off the spec before the run: the
-    /// compute leg varies with the systolic dimension, lane count, and
-    /// L1 axes (the solved core count is a function of the first two),
-    /// the DRAM leg with the L2 and HBM axes, and the collective leg
-    /// with the device-bandwidth axis — so the tables are pre-sized to
-    /// exactly the lattice's distinct key counts and never rehash
-    /// mid-sweep.
-    #[must_use]
-    pub fn run_factored(&self, spec: &SweepSpec, tpp_target: f64) -> SweepReport {
-        self.factored.reserve(
-            spec.systolic_dims.len() * spec.lanes_per_core.len() * spec.l1_kib.len(),
-            spec.l2_mib.len() * spec.hbm_tb_s.len(),
-            spec.device_bw_gb_s.len(),
-        );
-        self.run_report_factored(&spec.candidates(tpp_target))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::evaluate::DseRunner;
+    use crate::sweeps::SweepSpec;
     use acs_llm::{ModelConfig, WorkloadConfig};
 
     fn runner() -> DseRunner {
@@ -391,33 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn factored_sweep_is_bit_identical_to_planned() {
-        let r = runner();
-        let candidates = small_spec().candidates(4800.0);
-        let planned = r.run_report(&candidates);
-        let factored = r.run_report_factored(&candidates);
-        assert_eq!(planned.designs.len(), factored.designs.len());
-        assert!(planned.failures.is_empty() && factored.failures.is_empty());
-        for ((i, p), (j, f)) in planned.designs.iter().zip(&factored.designs) {
-            assert_eq!(i, j);
-            assert_eq!(p, f);
-            assert_eq!(p.ttft_s.to_bits(), f.ttft_s.to_bits());
-            assert_eq!(p.tbt_s.to_bits(), f.tbt_s.to_bits());
-        }
-    }
-
-    #[test]
-    fn run_factored_reports_the_whole_lattice() {
-        let report = runner().run_factored(&small_spec(), 4800.0);
-        assert_eq!(report.total(), 8);
-        assert!(report.failures.is_empty());
-    }
-
-    #[test]
     fn leg_tables_stay_small() {
         let r = runner();
         let spec = small_spec();
-        let _ = r.run_factored(&spec, 4800.0);
+        let _ = r.run_lattice(&spec, 4800.0);
         // 1 dim x 2 lanes x 2 l1 = 4 compute keys; 1 l2 x 2 hbm = 2
         // memory keys; 1 bandwidth = 1 comm key — per phase.
         let slot = &r.factored;
@@ -430,34 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn faulted_candidates_fail_identically_on_both_paths() {
-        let r = runner();
-        let mut candidates = small_spec().candidates(4800.0);
-        candidates[1].hbm_tb_s = 0.0;
-        candidates[3].lanes_per_core = 0;
-        let planned = r.run_report(&candidates);
-        let factored = r.run_report_factored(&candidates);
-        assert_eq!(planned.failures.len(), factored.failures.len());
-        for (p, f) in planned.failures.iter().zip(&factored.failures) {
-            assert_eq!((p.index, p.kind()), (f.index, f.kind()));
-            assert_eq!(p.params, f.params);
-        }
-    }
-
-    #[test]
     fn calibration_change_resets_the_leg_tables() {
         let r = runner();
-        let _ = r.run_factored(&small_spec(), 4800.0);
-        let base = r.try_evaluate_factored(&small_spec().configs(4800.0)[0]).unwrap();
+        let config = small_spec().configs(4800.0).remove(0);
+        let base = r.run_lattice(&small_spec(), 4800.0).designs.remove(0).1;
         // A different overhead calibration must not see the old legs.
         let mut params = acs_sim::SimParams::calibrated();
         params.op_overhead_s *= 2.0;
         let recal = r.clone().with_sim_params(params);
-        let shifted = recal.try_evaluate_factored(&small_spec().configs(4800.0)[0]).unwrap();
+        let shifted = recal.run_lattice(&small_spec(), 4800.0).designs.remove(0).1;
         assert!(shifted.ttft_s > base.ttft_s);
-        assert_eq!(
-            shifted.ttft_s.to_bits(),
-            recal.try_evaluate(&small_spec().configs(4800.0)[0]).unwrap().ttft_s.to_bits()
-        );
+        assert_eq!(shifted.ttft_s.to_bits(), recal.try_evaluate(&config).unwrap().ttft_s.to_bits());
     }
 }

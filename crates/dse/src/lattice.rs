@@ -1,53 +1,34 @@
 //! Lattice-algebra sweep evaluation: price the grid, not the points.
 //!
-//! The factored path (`crate::factored`) memoizes priced legs per
-//! dependency key but still re-combines every point scalar-by-scalar:
-//! per point it builds a device, hashes three keys, takes a lock, and
-//! walks the per-op guard chain twice. This module finishes the
-//! dependency-key argument. Each leg is evaluated once as a
-//! structure-of-arrays vector indexed by only the axes in its
-//! `ComputeKey`/`MemoryKey`/`CommKey`, the per-op guards are hoisted
-//! into a one-time cleanliness proof per vector
+//! The per-point evaluator (`DseRunner::run_report`) builds a device,
+//! walks both layer plans, and prices every operator at every grid
+//! point. This module exploits the dependency-key argument of
+//! `acs_sim::legs` instead. Each leg is priced once per distinct
+//! `ComputeKey`/`MemoryKey`/`CommKey` into the runner's persistent leg
+//! tables (`crate::factored`), fused into structure-of-arrays vectors
+//! whose per-op guards are hoisted into a one-time cleanliness proof
 //! ([`acs_sim::CombineProgram`]), and a grid point collapses to a few
 //! dozen additions over pre-fused vectors plus the scalar area/cost
 //! pipeline assembled from per-axis components — the outer-product
 //! broadcast LLMCompass applies to analytical design spaces.
 //!
-//! Exactness discipline: the fast path replicates the factored path's
-//! guard *order* (area, TPP, perf density, system, plans, die costs,
-//! TTFT, TBT) with cheap per-point checks; any check that would fail —
-//! or any precondition the broadcast cannot prove (unclean fused
-//! vectors, probe failure, invalid candidate) — demotes that point to
-//! the factored per-point evaluator, which reproduces the exact typed
-//! error, bit for bit. Healthy points take the broadcast; the result is
-//! bit-identical either way, a guarantee pinned by
-//! `tests/lattice_equivalence.rs` with the same golden-digest
-//! discipline as `tests/factored_equivalence.rs`.
-//!
-//! On top of the exact engine, [`DseRunner::screen_lattice`] adds
-//! monotonic branch-and-bound: every leg (and the area/cost pipeline)
-//! is componentwise monotone in its axes, so the componentwise minimum
-//! over a sub-grid's corners lower-bounds both objectives over the
-//! whole sub-grid; boxes whose bound is strictly dominated by the
-//! current Pareto front — or whose TPP cannot reach `min_tpp` — are
-//! skipped unpriced. Ties are never pruned (a bound equal to a front
-//! point on both objectives does not dominate), so designs exactly at a
-//! threshold always materialize. Adaptive refinement then inserts axis
-//! midpoints wherever the October 2023 compliance flag flips between
-//! grid neighbours, sharpening the sweep around the TPP/PD threshold
-//! crossovers the paper's analysis turns on.
+//! Exactness discipline: the fast path replicates the per-point guard
+//! *order* (area, TPP, perf density, system, plans, die costs, TTFT,
+//! TBT) with cheap per-point checks; any check that would fail — or any
+//! precondition the broadcast cannot prove (unclean fused vectors, probe
+//! failure, invalid candidate) — demotes that point to the per-point
+//! evaluator, which reproduces the exact typed error, bit for bit.
+//! Healthy points take the broadcast; the result is bit-identical either
+//! way, a guarantee `tests/lattice_equivalence.rs` pins against the
+//! naive reference evaluator in `acs-verify`.
 
 use crate::evaluate::{DseRunner, EvaluatedDesign, SweptParams};
 use crate::factored::FxMap;
-use crate::pareto::pareto_front;
 use crate::report::{DesignFailure, SweepReport};
 use crate::sweeps::{CandidateParams, SweepSpec};
 use acs_errors::AcsError;
-use acs_hw::tpp::cores_for_tpp;
-use acs_hw::{DataType, DeviceConfig, SystemConfig, SystolicDims, RETICLE_LIMIT_MM2};
+use acs_hw::{DataType, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_sim::{CombineProgram, CommKey, ComputeKey, EvalPlans, FusedLegs, LegKeys, MemoryKey, Simulator};
-use std::collections::HashMap;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -82,10 +63,6 @@ struct FusedTables {
 }
 
 impl FusedTables {
-    fn get_onchip(&self, key: &(ComputeKey, MemoryKey)) -> Option<Arc<PairFused>> {
-        self.onchip.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
-    }
-
     fn put_onchip(&self, key: (ComputeKey, MemoryKey), fused: PairFused) -> Arc<PairFused> {
         let mut map = self.onchip.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(fused)))
@@ -102,8 +79,8 @@ impl FusedTables {
 }
 
 /// The lattice tables of one runner: per-phase fused vectors plus the
-/// per-dtype combine programs. Reset wherever the factored leg tables
-/// reset (device count, expert parallelism, datatype, calibration) —
+/// per-dtype combine programs. Reset wherever the leg tables reset
+/// (device count, expert parallelism, datatype, calibration) —
 /// the fused values bake in the launch overhead and the priced legs.
 #[derive(Debug, Default)]
 pub(crate) struct LatticeSlot {
@@ -113,7 +90,7 @@ pub(crate) struct LatticeSlot {
     /// Sound because every cached field depends only on the axes in its
     /// own signature (the same invariant the broadcast itself rests on),
     /// and each successful probe has already priced its leg into the
-    /// runner's persistent factored tables, which never evict. Failed
+    /// runner's persistent leg tables, which never evict. Failed
     /// probes are not cached: failure can depend on the sweep's base
     /// point, so they re-probe.
     csig_cache: RwLock<FxMap<(u32, u32, u32, u32), ComputeSigData>>,
@@ -126,7 +103,7 @@ pub(crate) struct LatticeSlot {
     /// and this slot resets whenever any of them changes). A hit replays
     /// the stored bits; only the candidate's name is per-point. Cells
     /// are recorded only for points that passed every guard — a point
-    /// that demotes to the factored fallback is never cached, so the
+    /// that demotes to the per-point fallback is never cached, so the
     /// unclean corner re-prices (and re-reports) exactly every time.
     cells: RwLock<FxMap<CellKey, CellNumbers>>,
 }
@@ -229,92 +206,6 @@ static CELL_HIT: acs_telemetry::GlobalCounter =
 static CELL_BUILT: acs_telemetry::GlobalCounter =
     acs_telemetry::GlobalCounter::new("dse.lattice.cell_built");
 
-/// Whether any point of `front` strictly dominates `bound` (no worse on
-/// both objectives, strictly better on at least one, minimizing).
-///
-/// This is the branch-and-bound prune test, and its strictness is the
-/// tie-safety argument: a sub-grid whose best-corner bound *equals* a
-/// front point on both objectives is never pruned, so an interior
-/// design tying the front always materializes. Soundness: the bound is
-/// componentwise ≤ every point in the sub-grid, so a strict dominator
-/// of the bound strictly dominates every interior point — none of which
-/// can therefore sit on the exact Pareto front.
-#[must_use]
-pub fn bound_is_dominated(front: &[(f64, f64)], bound: (f64, f64)) -> bool {
-    front.iter().any(|f| {
-        f.0 <= bound.0 && f.1 <= bound.1 && (f.0 < bound.0 || f.1 < bound.1)
-    })
-}
-
-/// Insert one evaluated objective pair into an incremental front,
-/// dropping it if dominated and evicting anything it dominates.
-/// Equal-valued points are kept (duplicates survive, matching
-/// [`pareto_front`]'s tie handling).
-fn push_front(front: &mut Vec<(f64, f64)>, p: (f64, f64)) {
-    if !p.0.is_finite() || !p.1.is_finite() {
-        return;
-    }
-    if bound_is_dominated(front, p) {
-        return;
-    }
-    front.retain(|f| !(p.0 <= f.0 && p.1 <= f.1 && (p.0 < f.0 || p.1 < f.1)));
-    front.push(p);
-}
-
-/// Options for [`DseRunner::screen_lattice`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatticeScreenOptions {
-    /// Skip compute sub-grids whose achieved TPP is strictly below this
-    /// floor. Designs exactly at the floor are never pruned.
-    pub min_tpp: Option<f64>,
-    /// Branch-and-bound pruning against the incremental Pareto front.
-    /// With pruning off the screen materializes every feasible point
-    /// (the exact reference the differential harness compares against).
-    pub prune: bool,
-    /// Rounds of adaptive refinement around October 2023 compliance
-    /// crossovers (0 = base grid only).
-    pub refine_rounds: u32,
-}
-
-impl Default for LatticeScreenOptions {
-    fn default() -> Self {
-        LatticeScreenOptions { min_tpp: None, prune: true, refine_rounds: 0 }
-    }
-}
-
-/// Materialization accounting of one screen run, mirrored into the
-/// `dse.lattice.*` telemetry counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatticeStats {
-    /// Grid cardinality before feasibility, pruning, or refinement.
-    pub nominal_points: u64,
-    /// Points actually priced (base grid + refined).
-    pub materialized_points: u64,
-    /// Points of (dim, lanes) pairs with no feasible core count.
-    pub infeasible_points: u64,
-    /// Sub-grids skipped by the bound test or the TPP floor.
-    pub pruned_boxes: u64,
-    /// Points never priced because their sub-grid was pruned.
-    pub pruned_points: u64,
-    /// Materialized points whose evaluation failed.
-    pub failed_points: u64,
-    /// Refinement rounds that inserted at least one new point.
-    pub refinement_rounds: u64,
-    /// Off-grid points added by refinement.
-    pub refined_points: u64,
-}
-
-/// Result of a pruned/refined lattice screen.
-#[derive(Debug, Clone)]
-pub struct LatticeScreen {
-    /// Every successfully materialized design (base grid + refined).
-    pub designs: Vec<EvaluatedDesign>,
-    /// Indices into `designs` of the (TBT, good-die-cost) Pareto front.
-    pub front: Vec<usize>,
-    /// Materialization accounting.
-    pub stats: LatticeStats,
-}
-
 /// One compute signature's probe-derived constants: the dependency key,
 /// the area components that depend only on compute axes (assembled in
 /// the exact left-to-right order of `AreaBreakdown::total_mm2`), and
@@ -373,171 +264,6 @@ struct SweepCtx<'a> {
 }
 
 impl DseRunner {
-    /// [`DseRunner::try_evaluate`] through the lattice pricing path:
-    /// fused per-plan vectors instead of per-op combine loops,
-    /// bit-identical results. Single points share the runner's
-    /// persistent fused tables, so a service screening one design reuses
-    /// every earlier request's fusions.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_lattice(&self, config: &DeviceConfig) -> Result<EvaluatedDesign, AcsError> {
-        self.try_evaluate_lattice_shared(&Arc::new(config.clone()))
-    }
-
-    /// [`DseRunner::try_evaluate_lattice`] for a configuration that is
-    /// already shared. Consults the runner's evaluation cache, when
-    /// configured, under the same key as the planned path — safe because
-    /// the paths produce bit-identical designs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_lattice_shared(
-        &self,
-        config: &Arc<DeviceConfig>,
-    ) -> Result<EvaluatedDesign, AcsError> {
-        let retyped = self.retyped(config)?;
-        let config = retyped.as_ref().unwrap_or(config);
-        match &self.cache {
-            Some(cache) => {
-                let key = self.cache_key(config);
-                let (design, hit) =
-                    cache.get_or_try_insert(&key, || self.evaluate_lattice(config))?;
-                // Same counters as the planned path: callers care about
-                // evaluation-cache traffic, not which pricing path
-                // filled a miss.
-                static HITS: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.hits");
-                static MISSES: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.misses");
-                if hit {
-                    HITS.add(1);
-                } else {
-                    MISSES.add(1);
-                }
-                Ok(design)
-            }
-            None => self.evaluate_lattice(config),
-        }
-    }
-
-    /// The lattice mirror of `evaluate_factored`: identical guard
-    /// contexts in identical order, with the per-op combine loops
-    /// replaced by pre-fused vector sums when the fused vectors are
-    /// clean, and the factored combine otherwise (whose per-op guards
-    /// reproduce the exact error).
-    fn evaluate_lattice(&self, config: &Arc<DeviceConfig>) -> Result<EvaluatedDesign, AcsError> {
-        use acs_errors::guard;
-        let ctx = || format!("evaluate.{}", config.name());
-        let area = guard::ensure_positive_with(
-            ctx,
-            "die_area_mm2",
-            self.area_model.die_area(config).total_mm2(),
-        )?;
-        let tpp = guard::ensure_positive_with(ctx, "tpp", config.tpp().0)?;
-        let pd = guard::ensure_positive_with(ctx, "perf_density", tpp / area)?;
-        let system = SystemConfig::shared(Arc::clone(config), self.device_count)?;
-        let sim = Simulator::with_params(system, self.sim_params);
-        let plans = self.plans_for(config.datatype().bytes())?;
-        let die_cost_usd =
-            guard::ensure_positive_with(ctx, "die_cost_usd", self.cost_model.die_cost_usd(area))?;
-        let good_die_cost_usd = guard::ensure_positive_with(
-            ctx,
-            "good_die_cost_usd",
-            self.cost_model.good_die_cost_usd(area),
-        )?;
-        let mut keys = LegKeys::of(sim.system());
-        keys.comm.expert_parallel = plans.prefill.expert_parallel();
-        let programs = self.lattice.programs_for(&plans, config.datatype().bytes());
-        let onchip = self.fused_onchip_pair(&sim, &plans, &keys, &programs);
-        let comm = self.fused_comm_pair(&sim, &plans, &keys, &programs);
-        let (ttft_s, tbt_s) = if onchip.clean && comm.clean {
-            (
-                programs.prefill.try_ttft(&onchip.prefill.values, &comm.prefill.values)?,
-                programs.decode.try_tbt(&onchip.decode.values, &comm.decode.values)?,
-            )
-        } else {
-            // Unclean legs: the factored combine's per-op guards name
-            // the exact failing operator.
-            (
-                self.factored.prefill.with_legs(&sim, &plans.prefill, &keys, |c, m, w| {
-                    sim.try_ttft_factored(&plans.prefill, c, m, w)
-                })?,
-                self.factored.decode.with_legs(&sim, &plans.decode, &keys, |c, m, w| {
-                    sim.try_tbt_factored(&plans.decode, c, m, w)
-                })?,
-            )
-        };
-        Ok(EvaluatedDesign {
-            name: config.name().to_owned(),
-            params: SweptParams::of(config),
-            tpp,
-            die_area_mm2: area,
-            perf_density: pd,
-            die_cost_usd,
-            good_die_cost_usd,
-            ttft_s,
-            tbt_s,
-            within_reticle: area <= RETICLE_LIMIT_MM2,
-            pd_unregulated_2023: self.rule_2023.is_unregulated_dc(tpp, pd),
-        })
-    }
-
-    /// Look up (or build, pricing both phases' legs) the both-phase
-    /// fused on-chip entry of one (compute, memory) key pair.
-    fn fused_onchip_pair(
-        &self,
-        sim: &Simulator,
-        plans: &EvalPlans,
-        keys: &LegKeys,
-        programs: &ProgramPair,
-    ) -> Arc<PairFused> {
-        let pair_key = (keys.compute, keys.memory);
-        if let Some(f) = self.lattice.fused.get_onchip(&pair_key) {
-            FUSED_HIT.add(1);
-            return f;
-        }
-        let overhead = self.sim_params.op_overhead_s;
-        let (cp, mp, _) = self.factored.prefill.legs_for(sim, &plans.prefill, keys);
-        let (cd, md, _) = self.factored.decode.legs_for(sim, &plans.decode, keys);
-        FUSED_BUILT.add(1);
-        self.lattice.fused.put_onchip(
-            pair_key,
-            PairFused::of(
-                programs.prefill.fuse_onchip(&cp, &mp, overhead),
-                programs.decode.fuse_onchip(&cd, &md, overhead),
-            ),
-        )
-    }
-
-    /// Look up (or build) the both-phase fused comm entry of one comm
-    /// key.
-    fn fused_comm_pair(
-        &self,
-        sim: &Simulator,
-        plans: &EvalPlans,
-        keys: &LegKeys,
-        programs: &ProgramPair,
-    ) -> Arc<PairFused> {
-        if let Some(f) = self.lattice.fused.get_comm(&keys.comm) {
-            FUSED_HIT.add(1);
-            return f;
-        }
-        let overhead = self.sim_params.op_overhead_s;
-        let (_, _, wp) = self.factored.prefill.legs_for(sim, &plans.prefill, keys);
-        let (_, _, wd) = self.factored.decode.legs_for(sim, &plans.decode, keys);
-        FUSED_BUILT.add(1);
-        self.lattice.fused.put_comm(
-            keys.comm,
-            PairFused::of(
-                programs.prefill.fuse_comm(&wp, overhead),
-                programs.decode.fuse_comm(&wd, overhead),
-            ),
-        )
-    }
-
     /// [`DseRunner::run_report`] through the lattice broadcast engine:
     /// same fault isolation, same designs and failure ledger bit for
     /// bit, with healthy points priced as vector sums grouped by compute
@@ -545,40 +271,23 @@ impl DseRunner {
     #[must_use]
     pub fn run_report_lattice(&self, candidates: &[CandidateParams]) -> SweepReport {
         if self.cache.is_some() {
-            // Evaluation-cache traffic is per point; route through the
-            // per-point lattice path so hits, misses, and insertions
-            // match the factored path's accounting exactly.
-            let outcomes = self.parallel_map(
-                candidates,
-                |cand| cand.name.as_str(),
-                |cand| {
-                    cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_lattice_shared(&cfg))
-                },
-            );
-            return self.collect_report(candidates, outcomes);
+            // Evaluation-cache traffic is per point; the per-point
+            // evaluator keeps the hits, misses, and insertions exact.
+            return self.run_report(candidates);
         }
-        match self.lattice_sweep_outcomes(candidates) {
-            Some(report) => report,
-            // A sweep-wide precondition failed (no valid candidate,
-            // plans, zero device count, or a pathological calibration):
-            // every point prices identically through the factored path.
-            None => self.run_report_factored(candidates),
-        }
-    }
-
-    /// [`DseRunner::run_configs`] through the lattice pricing path:
-    /// order- and length-preserving, one `Result` per configuration.
-    #[must_use]
-    pub fn run_configs_lattice(
-        &self,
-        configs: &[DeviceConfig],
-    ) -> Vec<Result<EvaluatedDesign, AcsError>> {
-        self.parallel_map(configs, |cfg| cfg.name(), |cfg| self.try_evaluate_lattice(cfg))
+        // `None`: a sweep-wide precondition failed (no valid candidate,
+        // plans, zero device count, or a pathological calibration), and
+        // every point prices identically through the per-point path.
+        self.lattice_sweep_outcomes(candidates).unwrap_or_else(|| self.run_report(candidates))
     }
 
     /// Evaluate a whole sweep at a TPP ceiling through the lattice
-    /// engine, pre-sizing the leg tables to the spec's distinct key
-    /// counts like [`DseRunner::run_factored`].
+    /// engine. The lattice shape is read off the spec first: the compute
+    /// leg varies with the systolic dimension, lane count, and L1 axes
+    /// (the solved core count is a function of the first two), the DRAM
+    /// leg with the L2 and HBM axes, and the collective leg with the
+    /// device-bandwidth axis — so the leg tables are pre-sized to the
+    /// lattice's distinct key counts and never rehash mid-sweep.
     #[must_use]
     pub fn run_lattice(&self, spec: &SweepSpec, tpp_target: f64) -> SweepReport {
         self.factored.reserve(
@@ -589,12 +298,12 @@ impl DseRunner {
         self.run_report_lattice(&spec.candidates(tpp_target))
     }
 
-    /// The factored per-point evaluation wrapped in the same panic
-    /// containment `parallel_map` applies, so a demoted point reports
-    /// the identical `EvaluationPanic` label and message.
+    /// The per-point evaluation wrapped in the same panic containment
+    /// `parallel_map` applies, so a demoted point reports the identical
+    /// `EvaluationPanic` label and message.
     fn lattice_fallback(&self, cand: &CandidateParams) -> Result<EvaluatedDesign, AcsError> {
         catch_unwind(AssertUnwindSafe(|| {
-            cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_factored_shared(&cfg))
+            cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_shared(&cfg))
         }))
         .unwrap_or_else(|payload| {
             let message = payload
@@ -734,12 +443,12 @@ impl DseRunner {
                 point_sigs.push(None);
             }
         }
-        // No valid candidate: the factored path reproduces every
+        // No valid candidate: the per-point path reproduces every
         // failure without any probe machinery.
         let base = &candidates[base?];
 
         // Probe and price each signature once. Pricing goes through the
-        // factored leg tables with a representative simulator, so a
+        // runner's leg tables with a representative simulator, so a
         // signature costs one plan walk per phase and later sweeps hit.
         let probe_sig = |dim: u32, lanes: u32, cores: u32, l1: u32, l2: u32, hbm: f64, bw: f64| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -942,7 +651,7 @@ impl DseRunner {
         // Evaluate in contiguous point chunks: the harness cost (panic
         // containment, counter flush) amortises over a chunk, and a
         // chunk whose harness panicked demotes its points to the
-        // per-point factored fallback — which re-contains and reports
+        // per-point fallback — which re-contains and reports
         // each point exactly.
         const LATTICE_CHUNK: usize = 64;
         let mut report = SweepReport::default();
@@ -1062,8 +771,8 @@ impl DseRunner {
     }
 
     /// The broadcast fast path for one point. `None` demotes the point
-    /// to the factored evaluator — taken on any validity, cleanliness,
-    /// or guard-check failure, so errors always carry the factored
+    /// to the per-point evaluator — taken on any validity, cleanliness,
+    /// or guard-check failure, so errors always carry the per-point
     /// path's exact shape. A cell-table hit replays the stored bits; a
     /// miss computes them and records the cell for publication (only on
     /// full success, so cached cells always passed every guard).
@@ -1089,7 +798,7 @@ impl DseRunner {
             return None;
         }
         // Area assembled addend-by-addend in `total_mm2`'s exact
-        // left-to-right order; the guard checks replicate the factored
+        // left-to-right order; the guard checks replicate the per-point
         // pipeline's order so the first failing stage matches.
         let a = cs.partial_area + ms.l2_area;
         let a = a + ms.hbm_phy_area;
@@ -1165,390 +874,6 @@ fn cell_design(cand: &CandidateParams, cell: &CellNumbers) -> EvaluatedDesign {
     }
 }
 
-/// Mutable accumulators of one screen run.
-struct ScreenState {
-    designs: Vec<EvaluatedDesign>,
-    front: Vec<(f64, f64)>,
-    stats: LatticeStats,
-}
-
-/// Memoized evaluations of one compute triple's sub-grid, keyed by the
-/// four box-axis values (`None` = evaluated and failed).
-type ScreenMemo = HashMap<(u32, u32, u64, u64), Option<usize>>;
-
-/// One feasible compute triple and the box axes it spans.
-struct TripleGrid<'a> {
-    dim: u32,
-    lanes: u32,
-    cores: u32,
-    tpp_target: f64,
-    l1s: &'a [u32],
-    l2s: &'a [u32],
-    hbms: &'a [f64],
-    bws: &'a [f64],
-    prune: bool,
-}
-
-/// Sub-grids at or below this volume are priced exhaustively instead of
-/// bounded: sixteen corners cannot pay for themselves on a box they
-/// nearly cover.
-const SCREEN_LEAF_POINTS: usize = 8;
-
-impl DseRunner {
-    /// Branch-and-bound lattice screen: walk the sweep grid as nested
-    /// sub-boxes per compute triple, lower-bound each box's (TBT,
-    /// good-die-cost) objectives by the componentwise minimum over its
-    /// evaluated corners, and skip — unpriced — every box strictly
-    /// dominated by the incremental Pareto front, plus every compute
-    /// triple strictly below `min_tpp`. Then optionally refine: insert
-    /// axis midpoints wherever the October 2023 compliance flag flips
-    /// between neighbours, for `refine_rounds` rounds.
-    ///
-    /// Soundness (see `bound_is_dominated`): every leg and the area/cost
-    /// pipeline are componentwise monotone in the box axes, so corner
-    /// minima bound the interior regardless of each axis's direction;
-    /// strict dominance means pruned interiors are strictly dominated by
-    /// a materialized design, so the front over materialized points
-    /// equals the exact front — ties included, because a bound merely
-    /// *equal* to a front point never prunes. Boundary designs with TPP
-    /// exactly at `min_tpp` are likewise never pruned (strict `<`).
-    #[must_use]
-    pub fn screen_lattice(
-        &self,
-        spec: &SweepSpec,
-        tpp_target: f64,
-        opts: &LatticeScreenOptions,
-    ) -> LatticeScreen {
-        let mut st = ScreenState {
-            designs: Vec::new(),
-            front: Vec::new(),
-            stats: LatticeStats {
-                nominal_points: spec.cardinality() as u64,
-                ..LatticeStats::default()
-            },
-        };
-        let box_points =
-            spec.l1_kib.len() * spec.l2_mib.len() * spec.hbm_tb_s.len() * spec.device_bw_gb_s.len();
-        let mut triples: Vec<((u32, u32, u32), ScreenMemo)> = Vec::new();
-        for &dim in &spec.systolic_dims {
-            for &lanes in &spec.lanes_per_core {
-                let dims = SystolicDims::square(dim);
-                let Ok(cores) = cores_for_tpp(tpp_target, 1.41, DataType::Fp16, dims, lanes)
-                else {
-                    st.stats.infeasible_points += box_points as u64;
-                    continue;
-                };
-                if let (Some(min_tpp), Some((&l1, &l2)), Some((&hbm, &bw))) = (
-                    opts.min_tpp,
-                    spec.l1_kib.first().zip(spec.l2_mib.first()),
-                    spec.hbm_tb_s.first().zip(spec.device_bw_gb_s.first()),
-                ) {
-                    // TPP depends only on the compute triple; a probe
-                    // that fails to build skips the floor test rather
-                    // than mispruning.
-                    let below = self
-                        .build_probe(dim, lanes, cores, l1, l2, hbm, bw)
-                        .map(|cfg| cfg.tpp().0 < min_tpp)
-                        .unwrap_or(false);
-                    if below {
-                        st.stats.pruned_boxes += 1;
-                        continue;
-                    }
-                }
-                let grid = TripleGrid {
-                    dim,
-                    lanes,
-                    cores,
-                    tpp_target,
-                    l1s: &spec.l1_kib,
-                    l2s: &spec.l2_mib,
-                    hbms: &spec.hbm_tb_s,
-                    bws: &spec.device_bw_gb_s,
-                    prune: opts.prune,
-                };
-                let mut memo = ScreenMemo::new();
-                self.screen_box(
-                    &grid,
-                    &mut st,
-                    &mut memo,
-                    [
-                        0..grid.l1s.len(),
-                        0..grid.l2s.len(),
-                        0..grid.hbms.len(),
-                        0..grid.bws.len(),
-                    ],
-                );
-                triples.push(((dim, lanes, cores), memo));
-            }
-        }
-        for _ in 0..opts.refine_rounds {
-            let mut added = 0u64;
-            for ((dim, lanes, cores), memo) in &mut triples {
-                let candidates = refinement_candidates(memo, &st.designs);
-                for (l1, l2, hbm, bw) in candidates {
-                    if memo.contains_key(&(l1, l2, hbm.to_bits(), bw.to_bits())) {
-                        continue;
-                    }
-                    self.screen_eval(*dim, *lanes, *cores, tpp_target, l1, l2, hbm, bw, &mut st, memo);
-                    added += 1;
-                }
-            }
-            if added == 0 {
-                break;
-            }
-            st.stats.refinement_rounds += 1;
-            st.stats.refined_points += added;
-        }
-        st.stats.pruned_points = st
-            .stats
-            .nominal_points
-            .saturating_sub(st.stats.infeasible_points)
-            .saturating_sub(st.stats.materialized_points - st.stats.refined_points);
-        if acs_telemetry::enabled() {
-            let s = &st.stats;
-            acs_telemetry::count("dse.lattice.nominal_points", s.nominal_points);
-            acs_telemetry::count("dse.lattice.materialized_points", s.materialized_points);
-            acs_telemetry::count("dse.lattice.pruned_boxes", s.pruned_boxes);
-            acs_telemetry::count("dse.lattice.pruned_points", s.pruned_points);
-            acs_telemetry::count("dse.lattice.refine_rounds", s.refinement_rounds);
-            acs_telemetry::count("dse.lattice.refined_points", s.refined_points);
-        }
-        let front = pareto_front(&st.designs, |d| d.tbt_s, |d| d.good_die_cost_usd);
-        LatticeScreen { designs: st.designs, front, stats: st.stats }
-    }
-
-    /// Recursive box walk: bound, prune, or subdivide; leaves price
-    /// exhaustively. Corners are memoized, so subdivision re-uses them.
-    fn screen_box(
-        &self,
-        g: &TripleGrid<'_>,
-        st: &mut ScreenState,
-        memo: &mut ScreenMemo,
-        ranges: [Range<usize>; 4],
-    ) {
-        let volume: usize = ranges.iter().map(ExactSizeIterator::len).product();
-        if volume == 0 {
-            return;
-        }
-        if g.prune && volume > SCREEN_LEAF_POINTS {
-            let corner_ix = |r: &Range<usize>| {
-                if r.len() == 1 { vec![r.start] } else { vec![r.start, r.end - 1] }
-            };
-            let (c0, c1, c2, c3) = (
-                corner_ix(&ranges[0]),
-                corner_ix(&ranges[1]),
-                corner_ix(&ranges[2]),
-                corner_ix(&ranges[3]),
-            );
-            let mut bound = (f64::INFINITY, f64::INFINITY);
-            let mut all_ok = true;
-            for &i0 in &c0 {
-                for &i1 in &c1 {
-                    for &i2 in &c2 {
-                        for &i3 in &c3 {
-                            match self.screen_eval(
-                                g.dim,
-                                g.lanes,
-                                g.cores,
-                                g.tpp_target,
-                                g.l1s[i0],
-                                g.l2s[i1],
-                                g.hbms[i2],
-                                g.bws[i3],
-                                st,
-                                memo,
-                            ) {
-                                Some(ix) => {
-                                    let d = &st.designs[ix];
-                                    bound.0 = bound.0.min(d.tbt_s);
-                                    bound.1 = bound.1.min(d.good_die_cost_usd);
-                                }
-                                // A failed corner forfeits the bound: a
-                                // box we cannot bound is never pruned.
-                                None => all_ok = false,
-                            }
-                        }
-                    }
-                }
-            }
-            if all_ok && bound_is_dominated(&st.front, bound) {
-                st.stats.pruned_boxes += 1;
-                return;
-            }
-        }
-        if volume <= SCREEN_LEAF_POINTS {
-            for i0 in ranges[0].clone() {
-                for i1 in ranges[1].clone() {
-                    for i2 in ranges[2].clone() {
-                        for i3 in ranges[3].clone() {
-                            self.screen_eval(
-                                g.dim,
-                                g.lanes,
-                                g.cores,
-                                g.tpp_target,
-                                g.l1s[i0],
-                                g.l2s[i1],
-                                g.hbms[i2],
-                                g.bws[i3],
-                                st,
-                                memo,
-                            );
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let axis = ranges
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| r.len())
-            .map_or(0, |(i, _)| i);
-        let r = ranges[axis].clone();
-        let mid = r.start + r.len() / 2;
-        let mut lo = ranges.clone();
-        lo[axis] = r.start..mid;
-        let mut hi = ranges;
-        hi[axis] = mid..r.end;
-        self.screen_box(g, st, memo, lo);
-        self.screen_box(g, st, memo, hi);
-    }
-
-    /// Price one screen point through the lattice per-point path
-    /// (memoized, panic-contained). Successful designs join the
-    /// incremental front; failures count but never bound.
-    #[allow(clippy::too_many_arguments)]
-    fn screen_eval(
-        &self,
-        dim: u32,
-        lanes: u32,
-        cores: u32,
-        tpp_target: f64,
-        l1: u32,
-        l2: u32,
-        hbm: f64,
-        bw: f64,
-        st: &mut ScreenState,
-        memo: &mut ScreenMemo,
-    ) -> Option<usize> {
-        let key = (l1, l2, hbm.to_bits(), bw.to_bits());
-        if let Some(&r) = memo.get(&key) {
-            return r;
-        }
-        let cand = CandidateParams {
-            name: format!(
-                "dse-{tpp_target:.0}-{dim}x{dim}-{lanes}l-{l1}k-{l2}m-{hbm}t-{bw:.0}g"
-            ),
-            systolic_dim: dim,
-            lanes_per_core: lanes,
-            core_count: cores,
-            l1_kib: l1,
-            l2_mib: l2,
-            hbm_tb_s: hbm,
-            device_bw_gb_s: bw,
-        };
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_lattice_shared(&cfg))
-        }))
-        .unwrap_or_else(|_| {
-            Err(AcsError::EvaluationPanic {
-                design: cand.name.clone(),
-                message: "panic during screen evaluation".to_owned(),
-            })
-        });
-        st.stats.materialized_points += 1;
-        let out = match res {
-            Ok(d) => {
-                push_front(&mut st.front, (d.tbt_s, d.good_die_cost_usd));
-                st.designs.push(d);
-                Some(st.designs.len() - 1)
-            }
-            Err(_) => {
-                st.stats.failed_points += 1;
-                None
-            }
-        };
-        memo.insert(key, out);
-        out
-    }
-}
-
-/// Axis midpoints around October 2023 compliance crossovers: for every
-/// pair of evaluated points adjacent along one axis (all other
-/// coordinates equal) whose `pd_unregulated_2023` flags differ, the
-/// midpoint of that axis span. Integer axes refine only while the span
-/// is wider than one step.
-fn refinement_candidates(
-    memo: &ScreenMemo,
-    designs: &[EvaluatedDesign],
-) -> Vec<(u32, u32, f64, f64)> {
-    let pts: Vec<([f64; 4], bool)> = memo
-        .iter()
-        .filter_map(|(&(l1, l2, hb, bb), ix)| {
-            let d = &designs[(*ix)?];
-            Some((
-                [f64::from(l1), f64::from(l2), f64::from_bits(hb), f64::from_bits(bb)],
-                d.pd_unregulated_2023,
-            ))
-        })
-        .collect();
-    let mut out = Vec::new();
-    for axis in 0..4 {
-        let mut lanes: HashMap<[u64; 3], Vec<(f64, bool)>> = HashMap::new();
-        for (coords, flag) in &pts {
-            let mut rest = [0u64; 3];
-            let mut j = 0;
-            for (k, v) in coords.iter().enumerate() {
-                if k != axis {
-                    rest[j] = v.to_bits();
-                    j += 1;
-                }
-            }
-            lanes.entry(rest).or_default().push((coords[axis], *flag));
-        }
-        for (rest, mut vals) in lanes {
-            vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for w in vals.windows(2) {
-                let ((a, fa), (b, fb)) = (w[0], w[1]);
-                if fa == fb {
-                    continue;
-                }
-                let mid = if axis < 2 {
-                    // Integer axes (L1, L2): refine on the integer grid.
-                    let (ai, bi) = (a as u32, b as u32);
-                    let m = ai + (bi - ai) / 2;
-                    if m == ai || m == bi {
-                        continue;
-                    }
-                    f64::from(m)
-                } else {
-                    let m = 0.5 * (a + b);
-                    if !m.is_finite() || m == a || m == b {
-                        continue;
-                    }
-                    m
-                };
-                let mut coords = [0.0f64; 4];
-                let mut j = 0;
-                for (k, slot) in coords.iter_mut().enumerate() {
-                    if k == axis {
-                        *slot = mid;
-                    } else {
-                        *slot = f64::from_bits(rest[j]);
-                        j += 1;
-                    }
-                }
-                out.push((coords[0] as u32, coords[1] as u32, coords[2], coords[3]));
-            }
-        }
-    }
-    out.sort_by(|x, y| {
-        (x.0, x.1, x.2.to_bits(), x.3.to_bits()).cmp(&(y.0, y.1, y.2.to_bits(), y.3.to_bits()))
-    });
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1571,18 +896,18 @@ mod tests {
     }
 
     #[test]
-    fn lattice_sweep_is_bit_identical_to_factored() {
+    fn lattice_sweep_is_bit_identical_to_per_point() {
         let r = runner();
         let candidates = small_spec().candidates(4800.0);
-        let factored = r.run_report_factored(&candidates);
+        let planned = r.run_report(&candidates);
         let lattice = r.run_report_lattice(&candidates);
-        assert_eq!(factored.designs.len(), lattice.designs.len());
-        assert!(factored.failures.is_empty() && lattice.failures.is_empty());
-        for ((i, f), (j, l)) in factored.designs.iter().zip(&lattice.designs) {
+        assert_eq!(planned.designs.len(), lattice.designs.len());
+        assert!(planned.failures.is_empty() && lattice.failures.is_empty());
+        for ((i, p), (j, l)) in planned.designs.iter().zip(&lattice.designs) {
             assert_eq!(i, j);
-            assert_eq!(f, l);
-            assert_eq!(f.ttft_s.to_bits(), l.ttft_s.to_bits());
-            assert_eq!(f.tbt_s.to_bits(), l.tbt_s.to_bits());
+            assert_eq!(p, l);
+            assert_eq!(p.ttft_s.to_bits(), l.ttft_s.to_bits());
+            assert_eq!(p.tbt_s.to_bits(), l.tbt_s.to_bits());
         }
     }
 
@@ -1593,42 +918,26 @@ mod tests {
         candidates[1].hbm_tb_s = 0.0;
         candidates[3].lanes_per_core = 0;
         candidates[5].device_bw_gb_s = f64::NAN;
-        let factored = r.run_report_factored(&candidates);
+        let planned = r.run_report(&candidates);
         let lattice = r.run_report_lattice(&candidates);
-        assert_eq!(factored.failures.len(), 3);
-        assert_eq!(factored.failures.len(), lattice.failures.len());
-        for (f, l) in factored.failures.iter().zip(&lattice.failures) {
-            assert_eq!((f.index, f.kind()), (l.index, l.kind()));
-            assert_eq!(f.params, l.params);
-            assert_eq!(f.reason.to_string(), l.reason.to_string());
+        assert_eq!(planned.failures.len(), 3);
+        assert_eq!(planned.failures.len(), lattice.failures.len());
+        for (p, l) in planned.failures.iter().zip(&lattice.failures) {
+            assert_eq!((p.index, p.kind()), (l.index, l.kind()));
+            assert_eq!(p.params, l.params);
+            assert_eq!(p.reason.to_string(), l.reason.to_string());
         }
-        assert_eq!(factored.designs, lattice.designs);
+        assert_eq!(planned.designs, lattice.designs);
     }
 
     #[test]
-    fn run_configs_lattice_matches_run_configs_across_dtypes() {
-        for dt in [DataType::Fp16, DataType::Int8] {
-            let r = runner().with_datatype(dt);
-            let configs = small_spec().configs(4800.0);
-            let factored = r.run_configs(&configs);
-            let lattice = r.run_configs_lattice(&configs);
-            assert_eq!(factored.len(), lattice.len());
-            for (f, l) in factored.iter().zip(&lattice) {
-                let (f, l) = (f.as_ref().unwrap(), l.as_ref().unwrap());
-                assert_eq!(f, l);
-                assert_eq!(f.tbt_s.to_bits(), l.tbt_s.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn cached_lattice_matches_factored_and_hits_on_repeat() {
+    fn cached_lattice_matches_per_point_and_hits_on_repeat() {
         let cache = Arc::new(ShardedCache::new(256));
         let cached = runner().with_cache(Arc::clone(&cache));
         let plain = runner();
         let candidates = small_spec().candidates(4800.0);
         let first = cached.run_report_lattice(&candidates);
-        assert_eq!(first.designs, plain.run_report_factored(&candidates).designs);
+        assert_eq!(first.designs, plain.run_report(&candidates).designs);
         let cold = cache.stats();
         assert_eq!(cold.misses as usize, candidates.len());
         let _ = cached.run_report_lattice(&candidates);
@@ -1656,221 +965,5 @@ mod tests {
         let _ = r.run_lattice(&spec, 4800.0);
         let after_second = sizes(&r.lattice.fused);
         assert_eq!(after_second, after_first, "re-running the sweep must re-fuse nothing");
-    }
-
-    /// A grid wide enough to subdivide (box volume > leaf) whose upper
-    /// L2/HBM reaches are strictly worse on cost without a latency win,
-    /// so branch-and-bound has something real to prune.
-    fn prunable_spec() -> SweepSpec {
-        SweepSpec {
-            systolic_dims: vec![16],
-            lanes_per_core: vec![4],
-            l1_kib: vec![192],
-            l2_mib: vec![40, 80, 160, 320, 640, 1280],
-            hbm_tb_s: vec![2.0, 2.4, 2.8, 3.2, 3.6, 4.0],
-            device_bw_gb_s: vec![600.0],
-        }
-    }
-
-    fn front_names(designs: &[EvaluatedDesign], front: &[usize]) -> Vec<String> {
-        let mut names: Vec<String> =
-            front.iter().map(|&i| designs[i].name.clone()).collect();
-        names.sort();
-        names
-    }
-
-    #[test]
-    fn screen_exact_mode_matches_run_lattice() {
-        let r = runner();
-        let spec = prunable_spec();
-        let exact = r.screen_lattice(
-            &spec,
-            4800.0,
-            &LatticeScreenOptions { prune: false, ..LatticeScreenOptions::default() },
-        );
-        let report = r.run_lattice(&spec, 4800.0);
-        assert_eq!(exact.stats.materialized_points as usize, spec.cardinality());
-        assert_eq!(exact.stats.pruned_boxes, 0);
-        assert_eq!(exact.stats.pruned_points, 0);
-        let sweep_front = pareto_front(
-            &report.designs.iter().map(|(_, d)| d.clone()).collect::<Vec<_>>(),
-            |d| d.tbt_s,
-            |d| d.good_die_cost_usd,
-        );
-        let mut sweep_names: Vec<String> = {
-            let designs: Vec<EvaluatedDesign> =
-                report.designs.iter().map(|(_, d)| d.clone()).collect();
-            sweep_front.iter().map(|&i| designs[i].name.clone()).collect()
-        };
-        sweep_names.sort();
-        assert_eq!(front_names(&exact.designs, &exact.front), sweep_names);
-    }
-
-    #[test]
-    fn screen_pruned_front_equals_exact_front() {
-        let r = runner();
-        let spec = prunable_spec();
-        let exact = r.screen_lattice(
-            &spec,
-            4800.0,
-            &LatticeScreenOptions { prune: false, ..LatticeScreenOptions::default() },
-        );
-        let pruned = r.screen_lattice(&spec, 4800.0, &LatticeScreenOptions::default());
-        assert_eq!(
-            front_names(&pruned.designs, &pruned.front),
-            front_names(&exact.designs, &exact.front),
-            "pruning must preserve the exact Pareto front"
-        );
-        assert!(
-            pruned.stats.pruned_boxes > 0,
-            "the oversized grid should have prunable boxes, stats: {:?}",
-            pruned.stats
-        );
-        assert!(pruned.stats.materialized_points < exact.stats.materialized_points);
-        assert_eq!(
-            pruned.stats.materialized_points + pruned.stats.pruned_points,
-            pruned.stats.nominal_points - pruned.stats.infeasible_points
-        );
-    }
-
-    #[test]
-    fn min_tpp_exactly_at_threshold_is_never_pruned() {
-        let r = runner();
-        let spec = small_spec();
-        // Every candidate in a (dim, lanes) triple shares one TPP; set
-        // the floor exactly to the achieved TPP of each triple in turn
-        // and require all of that triple's points to materialize.
-        let all = r.run_lattice(&spec, 4800.0);
-        let mut tpps: Vec<f64> = all.designs.iter().map(|(_, d)| d.tpp).collect();
-        tpps.sort_by(f64::total_cmp);
-        tpps.dedup();
-        for &floor in &tpps {
-            let screen = r.screen_lattice(
-                &spec,
-                4800.0,
-                &LatticeScreenOptions { min_tpp: Some(floor), ..LatticeScreenOptions::default() },
-            );
-            let at_floor = all.designs.iter().filter(|(_, d)| d.tpp == floor).count();
-            let kept = screen.designs.iter().filter(|d| d.tpp == floor).count();
-            assert_eq!(kept, at_floor, "designs at TPP == min_tpp must survive the floor");
-            assert!(screen.designs.iter().all(|d| d.tpp >= floor));
-        }
-    }
-
-    #[test]
-    fn refinement_inserts_midpoints_at_compliance_flips() {
-        let r = runner();
-        // L1 span chosen so the 2023 PD rule flips somewhere inside it
-        // (the small end is regulated, the big end is not).
-        let spec = SweepSpec {
-            systolic_dims: vec![16],
-            lanes_per_core: vec![4],
-            l1_kib: vec![192, 4096],
-            l2_mib: vec![40],
-            hbm_tb_s: vec![2.0],
-            device_bw_gb_s: vec![600.0],
-        };
-        let coarse = r.screen_lattice(&spec, 2400.0, &LatticeScreenOptions::default());
-        let flips = coarse
-            .designs
-            .iter()
-            .map(|d| d.pd_unregulated_2023)
-            .collect::<std::collections::HashSet<_>>()
-            .len();
-        if flips < 2 {
-            // The span straddles no threshold under this calibration;
-            // refinement then has nothing to sharpen and must say so.
-            let refined = r.screen_lattice(
-                &spec,
-                2400.0,
-                &LatticeScreenOptions { refine_rounds: 3, ..LatticeScreenOptions::default() },
-            );
-            assert_eq!(refined.stats.refined_points, 0);
-            return;
-        }
-        let refined = r.screen_lattice(
-            &spec,
-            2400.0,
-            &LatticeScreenOptions { refine_rounds: 3, ..LatticeScreenOptions::default() },
-        );
-        assert!(refined.stats.refined_points > 0);
-        assert!(refined.stats.refinement_rounds >= 1);
-        assert!(refined.stats.materialized_points > coarse.stats.materialized_points);
-    }
-
-    #[test]
-    fn bound_domination_is_strict_on_ties() {
-        let front = vec![(1.0, 10.0), (2.0, 5.0)];
-        // Exact tie with a front point: never dominated, never pruned.
-        assert!(!bound_is_dominated(&front, (1.0, 10.0)));
-        assert!(!bound_is_dominated(&front, (2.0, 5.0)));
-        // Worse on one objective, tied on the other: dominated.
-        assert!(bound_is_dominated(&front, (1.0, 11.0)));
-        assert!(bound_is_dominated(&front, (2.5, 5.0)));
-        // Strictly worse on both: dominated.
-        assert!(bound_is_dominated(&front, (3.0, 6.0)));
-        // Better on either objective than every front point: kept.
-        assert!(!bound_is_dominated(&front, (0.5, 100.0)));
-        assert!(!bound_is_dominated(&front, (100.0, 4.0)));
-        assert!(!bound_is_dominated(&[], (1.0, 1.0)));
-    }
-
-    /// Adversarial equal-cost property test: coordinates drawn from a
-    /// three-value pool so exact ties and duplicates dominate the
-    /// distribution — the regime where an off-by-strictness bound test
-    /// silently drops tied front members. The incremental front the
-    /// screen maintains must equal [`pareto_front`] over the same
-    /// points, as a multiset, on every round.
-    #[test]
-    fn incremental_front_matches_pareto_front_under_heavy_ties() {
-        let mut state = 0xAC5_5EED_u64 ^ 0x9E37_79B9;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for round in 0..200 {
-            let n = (next() % 40) as usize;
-            let pts: Vec<(f64, f64)> = (0..n)
-                .map(|_| {
-                    let coord = |v: u64| match v % 8 {
-                        0 => f64::NAN,
-                        1 => f64::INFINITY,
-                        v => f64::from(u32::try_from(v % 3).unwrap()),
-                    };
-                    (coord(next()), coord(next()))
-                })
-                .collect();
-            let mut front = Vec::new();
-            for &p in &pts {
-                push_front(&mut front, p);
-            }
-            let mut got: Vec<(u64, u64)> =
-                front.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect();
-            got.sort_unstable();
-            let mut expect: Vec<(u64, u64)> = pareto_front(&pts, |p| p.0, |p| p.1)
-                .iter()
-                .map(|&i| (pts[i].0.to_bits(), pts[i].1.to_bits()))
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "round {round}: {pts:?}");
-        }
-    }
-
-    #[test]
-    fn push_front_keeps_duplicates_and_evicts_dominated() {
-        let mut front = Vec::new();
-        push_front(&mut front, (1.0, 10.0));
-        push_front(&mut front, (1.0, 10.0));
-        assert_eq!(front.len(), 2, "equal points both survive, like pareto_front");
-        push_front(&mut front, (2.0, 11.0));
-        assert_eq!(front.len(), 2, "dominated points never enter");
-        push_front(&mut front, (0.5, 9.0));
-        assert_eq!(front, vec![(0.5, 9.0)], "a dominating point evicts both duplicates");
-        push_front(&mut front, (f64::NAN, 1.0));
-        push_front(&mut front, (1.0, f64::INFINITY));
-        assert_eq!(front.len(), 1, "non-finite objectives never join the front");
     }
 }

@@ -6,6 +6,20 @@
 //! the distribution statistics behind the architecture-first-indicator
 //! analysis (Figures 11 and 12).
 //!
+//! Two evaluators price a sweep, bit-identically:
+//!
+//! - the per-point path ([`DseRunner::try_evaluate`],
+//!   [`DseRunner::run_report`], [`DseRunner::run`]) prices each design
+//!   against layer plans shared across the sweep;
+//! - the lattice engine ([`DseRunner::run_report_lattice`],
+//!   [`DseRunner::run_lattice`]) prices each distinct cost leg once in
+//!   the runner's persistent leg tables and reduces a grid point to a
+//!   fused vector sum, demoting any point it cannot prove clean to the
+//!   per-point path.
+//!
+//! Both are checked against the naive reference evaluator in
+//! `acs-verify`.
+//!
 //! # Example
 //!
 //! ```
@@ -29,9 +43,9 @@
 
 pub mod checkpoint;
 pub mod evaluate;
-pub mod factored;
+mod factored;
 pub mod faultinject;
-pub mod lattice;
+mod lattice;
 pub mod packaged;
 pub mod pareto;
 pub mod report;
@@ -41,7 +55,6 @@ pub mod sweeps;
 
 pub use evaluate::{DseRunner, EvaluatedDesign, SweptParams};
 pub use faultinject::{inject_faults, FaultClass};
-pub use lattice::{bound_is_dominated, LatticeScreen, LatticeScreenOptions, LatticeStats};
 pub use packaged::{run_packaged, PackagedDesign};
 pub use pareto::pareto_front;
 pub use report::{DesignFailure, SweepReport};
@@ -52,7 +65,6 @@ pub use sweeps::{CandidateParams, SweepSpec};
 /// Commonly used items.
 pub mod prelude {
     pub use crate::evaluate::{DseRunner, EvaluatedDesign, SweptParams};
-    pub use crate::lattice::{LatticeScreen, LatticeScreenOptions, LatticeStats};
     pub use crate::pareto::pareto_front;
     pub use crate::report::{DesignFailure, SweepReport};
     pub use crate::stats::{narrowing_factor, Distribution};

@@ -91,7 +91,7 @@ pub fn run() -> Result<(), Box<dyn Error>> {
     // §4.4 quotes — where low-density points escape the 2023 DC rule.
     for name in ["dense-llama3-fp16-tp4", "moe-mixtral-fp16-tp4-ep4"] {
         let scenario = registry.get(name)?;
-        let report = scenario.runner().run_factored(&SweepSpec::synthetic_fleet(), 2400.0);
+        let report = scenario.runner().run_lattice(&SweepSpec::synthetic_fleet(), 2400.0);
         let compliant: Vec<_> =
             report.successes().filter(|d| d.valid_2023()).collect();
         let best = compliant

@@ -50,8 +50,8 @@ pub struct AppState {
     step_cache: StepCostCache,
     whatif_cache: ShardedCache<String>,
     plan_store: PlanStore,
-    // The grid evaluator. Its factored leg tables and the fused lattice
-    // vectors built over them live inside the runner and persist for
+    // The grid evaluator. Its leg tables and the fused lattice vectors
+    // built over them live inside the runner and persist for
     // the service's lifetime, so every /v1/screen grid request — and
     // every /v1/whatif fleet — prices only the legs no earlier request
     // has priced and re-fuses nothing it has already fused.
@@ -151,7 +151,7 @@ impl AppState {
     }
 
     /// The persistent runner for one scenario, created on first use and
-    /// kept for the service's lifetime: its factored leg tables are what
+    /// kept for the service's lifetime: its lattice leg tables are what
     /// turn repeated grids under the same scenario into table hits.
     /// Inline (unnamed) scenario specs share runners too — the key is
     /// the scenario's content digest, not its name.
@@ -619,7 +619,7 @@ fn parse_grid(
 }
 
 /// Normalised canonical form of a grid for cache keys: axis values in
-/// request order (the factored evaluator is order-insensitive, but two
+/// request order (the lattice engine is order-insensitive, but two
 /// orderings are two requests — correctness never depends on collapsing
 /// them).
 fn grid_fingerprint(s: &SweepSpec) -> Value {
@@ -661,7 +661,7 @@ fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value
 }
 
 /// `POST /v1/screen` with a `grid` member: evaluate a DSE lattice with
-/// the factored evaluator and return every design plus the failure
+/// the lattice engine and return every design plus the failure
 /// ledger. A `scenario` member evaluates the same hardware lattice once
 /// per scenario (model x dtype x parallelism), grouping the results per
 /// scenario; without one the state's historical dense default runner
@@ -755,7 +755,7 @@ fn screen_grid(
 
 /// `POST /v1/screen` — classify a device (by database name) or a custom
 /// accelerator config under each ACR vintage, or evaluate a `grid` of
-/// swept configurations with the factored DSE evaluator.
+/// swept configurations with the lattice DSE engine.
 fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<String, AcsError> {
     let request = parse(body)?;
     if let Some(grid) = request.get("grid") {
@@ -1418,7 +1418,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_screens_run_the_factored_sweep_and_cache() {
+    fn grid_screens_run_the_lattice_sweep_and_cache() {
         let state = AppState::new(64);
         let body = "{\"grid\":{\"systolic_dims\":[16],\"lanes_per_core\":[4],\
                     \"l1_kib\":[192,1024],\"l2_mib\":[40],\"hbm_tb_s\":[2.0,3.2],\
@@ -1432,8 +1432,8 @@ mod tests {
         let designs = r1.get("designs").unwrap().as_array().unwrap();
         assert_eq!(designs.len(), 4);
         // The response prices through the lattice engine; comparing
-        // against the library's factored runner doubles as a service-
-        // level bit-equivalence check between the two paths.
+        // against the library's per-point evaluator doubles as a
+        // service-level bit-equivalence check between the two engines.
         let spec = SweepSpec {
             systolic_dims: vec![16],
             lanes_per_core: vec![4],
@@ -1443,7 +1443,7 @@ mod tests {
             device_bw_gb_s: vec![600.0],
         };
         let reference = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default())
-            .run_factored(&spec, 4800.0);
+            .run_report(&spec.candidates(4800.0));
         for (entry, (index, design)) in designs.iter().zip(&reference.designs) {
             assert_eq!(entry.get("index").unwrap().as_u64(), Some(*index as u64));
             let d = entry.get("design").unwrap();

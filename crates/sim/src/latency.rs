@@ -392,39 +392,6 @@ impl Simulator {
         self.tbt_s(model, workload) * f64::from(model.num_layers())
     }
 
-    /// Price one layer and enforce the simulator's numeric contract: every
-    /// per-operator time and byte count must be finite and non-negative —
-    /// a NaN or infinity produced anywhere inside the cost models surfaces
-    /// here as a typed [`AcsError::NonFinite`] instead of propagating
-    /// silently into sweep results. The DSE pipeline now reuses plans via
-    /// [`Simulator::try_simulate_planned`]; this per-call variant (with
-    /// its eager guard contexts) is kept as the legacy reference path the
-    /// equivalence tests and the throughput benchmark compare against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcsError::NonFinite`] naming the offending operator and
-    /// metric.
-    pub fn try_simulate_layer(
-        &self,
-        model: &ModelConfig,
-        workload: &WorkloadConfig,
-        phase: InferencePhase,
-    ) -> Result<LayerLatency, AcsError> {
-        let lat = self.simulate_layer(model, workload, phase);
-        for op in lat.ops() {
-            let ctx = format!("simulator.{}", op.name);
-            guard::ensure_non_negative(&ctx, "time_s", op.time_s)?;
-            guard::ensure_non_negative(&ctx, "compute_s", op.compute_s)?;
-            guard::ensure_non_negative(&ctx, "dram_s", op.dram_s)?;
-            guard::ensure_non_negative(&ctx, "l2_s", op.l2_s)?;
-            guard::ensure_non_negative(&ctx, "comm_s", op.comm_s)?;
-            guard::ensure_non_negative(&ctx, "dram_bytes", op.dram_bytes)?;
-        }
-        guard::ensure_finite("simulator.layer", "total_s", lat.total_s())?;
-        Ok(lat)
-    }
-
     /// Reject a plan built for a different node shape or operand dtype —
     /// executing it would price the wrong graph.
     pub(crate) fn check_plan(&self, plan: &LayerPlan) -> Result<(), AcsError> {
@@ -453,10 +420,12 @@ impl Simulator {
     }
 
     /// [`Simulator::simulate_planned`] with the simulator's numeric
-    /// contract enforced (see [`Simulator::try_simulate_layer`]) and the
-    /// plan's node shape and dtype checked against this simulator. Guard
-    /// contexts are built lazily, so the sweep hot path allocates nothing
-    /// while every metric is healthy.
+    /// contract enforced — every per-operator time and byte count must be
+    /// finite and non-negative, so a NaN or infinity produced anywhere
+    /// inside the cost models surfaces as a typed [`AcsError::NonFinite`]
+    /// instead of propagating silently — and the plan's node shape and
+    /// dtype checked against this simulator. Guard contexts are built
+    /// lazily, so a healthy layer allocates nothing beyond its breakdown.
     ///
     /// # Errors
     ///
@@ -737,10 +706,6 @@ mod tests {
         let tbt = sim.try_tbt_s(&gpt3(), &work()).unwrap();
         assert_eq!(ttft, sim.ttft_s(&gpt3(), &work()));
         assert_eq!(tbt, sim.tbt_s(&gpt3(), &work()));
-        let lat = sim
-            .try_simulate_layer(&gpt3(), &work(), InferencePhase::Prefill)
-            .unwrap();
-        assert!(lat.total_s().is_finite() && lat.total_s() > 0.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Component-decomposed pricing: dependency keys and per-plan leg tables.
+//! Component-decomposed pricing: dependency keys, per-plan leg vectors,
+//! and the fused combine the lattice sweep engine runs per grid point.
 //!
 //! A DSE sweep walks a dense Cartesian grid, but each priced cost
 //! component reads only a *subset* of the swept axes: matmul compute
@@ -7,10 +8,11 @@
 //! (`max(compute, l2, dram)`) is the only place the legs meet. This
 //! module names each leg's dependency key — the exact tuple of device
 //! parameters the leg's arithmetic reads — so a sweep evaluator can
-//! memoize priced legs in small per-key tables and reduce a grid point
-//! to a few lookups and a fused combine, instead of re-walking the
-//! whole operator graph (the observation LLMCompass makes about
-//! analytical-model sweeps being dominated by redundant re-pricing).
+//! price each distinct leg once, fuse the legs into per-op time vectors
+//! ([`CombineProgram`]), and reduce a grid point to a few dozen
+//! additions instead of re-walking the whole operator graph (the
+//! observation LLMCompass makes about analytical-model sweeps being
+//! dominated by redundant re-pricing).
 //!
 //! The keys are *value-derived* (from the concrete [`DeviceConfig`], not
 //! from the sweep axes), which buys two properties for free: a permuted
@@ -20,14 +22,14 @@
 //!
 //! Leg values are priced by the same functions the per-op API composes
 //! ([`crate::matmul_cost`] is [`crate::matmul_compute_leg`] +
-//! [`crate::matmul_memory_leg`]; same for vector ops), and the combine
-//! loop in [`Simulator::try_ttft_factored`] replays the planned path's
-//! accumulation and guard order exactly — so factored totals are
-//! bit-identical to [`Simulator::try_ttft_planned`], NaN/infinity
-//! propagation included. The guard contract is enforced per point, not
-//! per table entry: a leg table stores whatever the cost model produced
-//! (including non-finite values), and every point that reads it fails
-//! with the same typed error the planned path would have produced.
+//! [`crate::matmul_memory_leg`]; same for vector ops), and the fused
+//! combine replays the planned path's left-to-right accumulation — so
+//! fused totals over clean vectors are bit-identical to
+//! [`Simulator::try_ttft_planned`]. The guard contract is not hoisted
+//! blindly: a fused vector records whether every per-op guard provably
+//! passes ([`FusedLegs::clean`]), and a caller holding an unclean vector
+//! must price that point through the planned path, which fails with the
+//! exact typed error at the exact operator.
 
 use crate::collective::{allreduce_cost, alltoall_cost};
 use crate::latency::{flush_layer_telemetry, op_class, Simulator};
@@ -268,148 +270,9 @@ impl Simulator {
         }
         PlanLegs { compute, memory, comm }
     }
-
-    /// Factored total: combine pre-priced leg vectors into the layer
-    /// total, enforcing the same numeric contract in the same per-op
-    /// guard order as the planned path, with the same left-to-right
-    /// accumulation and inline telemetry class sums — bit-identical to
-    /// `checked_total_planned` by construction, at the cost of a few
-    /// array reads per op instead of a full cost-model walk.
-    fn checked_total_factored(
-        &self,
-        plan: &LayerPlan,
-        compute: &[ComputeLeg],
-        memory: &[MemoryLeg],
-        comm: &[f64],
-    ) -> Result<f64, AcsError> {
-        self.check_plan(plan)?;
-        let ops = plan.graph().ops();
-        if compute.len() != ops.len() || memory.len() != ops.len() || comm.len() != ops.len() {
-            return Err(AcsError::invalid_config(
-                "legs.len",
-                format!(
-                    "leg tables of {}/{}/{} entries cannot price a {}-op plan",
-                    compute.len(),
-                    memory.len(),
-                    comm.len(),
-                    ops.len()
-                ),
-            ));
-        }
-        let overhead_s = self.params().op_overhead_s;
-        let telemetry_on = acs_telemetry::enabled();
-        let mut class_sums = [0.0f64; 4];
-        let mut total = 0.0f64;
-        // Zipping the (length-checked) slices lets the combine run
-        // without per-op bounds checks — this loop is the entire
-        // factored hot path, so even the checks show up.
-        let legs = ops.iter().zip(compute).zip(memory).zip(comm);
-        for (((op, c), d), wire) in legs {
-            // Reconstruct exactly the planned path's per-op metrics: the
-            // overlap combine for on-chip ops, wire time for collectives,
-            // bare launch overhead otherwise.
-            let (time_s, compute_s, dram_s, l2_s, comm_s, dram_bytes) = match op {
-                Operator::Matmul(_) | Operator::Vector(_) => {
-                    let time_s = c.compute_s.max(c.l2_s).max(d.dram_s) + overhead_s;
-                    (time_s, c.compute_s, d.dram_s, c.l2_s, 0.0, d.dram_bytes)
-                }
-                Operator::AllReduce(_) | Operator::AllToAll(_) => {
-                    (*wire + overhead_s, 0.0, 0.0, 0.0, *wire, 0.0)
-                }
-                _ => (overhead_s, 0.0, 0.0, 0.0, 0.0, 0.0),
-            };
-            let ctx = || format!("simulator.{}", op.name());
-            guard::ensure_non_negative_with(ctx, "time_s", time_s)?;
-            guard::ensure_non_negative_with(ctx, "compute_s", compute_s)?;
-            guard::ensure_non_negative_with(ctx, "dram_s", dram_s)?;
-            guard::ensure_non_negative_with(ctx, "l2_s", l2_s)?;
-            guard::ensure_non_negative_with(ctx, "comm_s", comm_s)?;
-            guard::ensure_non_negative_with(ctx, "dram_bytes", dram_bytes)?;
-            if telemetry_on {
-                if let Some(class) = op_class(op) {
-                    class_sums[class] += time_s;
-                }
-            }
-            total += time_s;
-        }
-        if telemetry_on {
-            flush_layer_telemetry(&class_sums, plan.phase());
-        }
-        guard::ensure_finite("simulator.layer", "total_s", total)
-    }
-
-    /// Guarded TTFT from a prebuilt prefill plan and its pre-priced leg
-    /// vectors (built by [`Simulator::price_plan_legs`], possibly via a
-    /// sweep-shared per-key table). The factored counterpart of
-    /// [`Simulator::try_ttft_planned`] — bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcsError::InvalidConfig`] when the plan is not a prefill
-    /// plan for this node or the leg vectors do not match the plan, and
-    /// [`AcsError::NonFinite`] when the latency is NaN, infinite, or
-    /// non-positive.
-    pub fn try_ttft_factored(
-        &self,
-        plan: &LayerPlan,
-        compute: &[ComputeLeg],
-        memory: &[MemoryLeg],
-        comm: &[f64],
-    ) -> Result<f64, AcsError> {
-        if !matches!(plan.phase(), InferencePhase::Prefill) {
-            return Err(AcsError::invalid_config(
-                "plan.phase",
-                "TTFT requires a prefill plan, got a decode plan",
-            ));
-        }
-        let total = self.checked_total_factored(plan, compute, memory, comm)?;
-        guard::ensure_positive("simulator", "ttft_s", total)
-    }
-
-    /// Guarded TBT from a prebuilt decode plan and its pre-priced leg
-    /// vectors (see [`Simulator::try_ttft_factored`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcsError::InvalidConfig`] when the plan is not a decode
-    /// plan for this node or the leg vectors do not match the plan, and
-    /// [`AcsError::NonFinite`] when the latency is NaN, infinite, or
-    /// non-positive.
-    pub fn try_tbt_factored(
-        &self,
-        plan: &LayerPlan,
-        compute: &[ComputeLeg],
-        memory: &[MemoryLeg],
-        comm: &[f64],
-    ) -> Result<f64, AcsError> {
-        if !matches!(plan.phase(), InferencePhase::Decode { .. }) {
-            return Err(AcsError::invalid_config(
-                "plan.phase",
-                "TBT requires a decode plan, got a prefill plan",
-            ));
-        }
-        let total = self.checked_total_factored(plan, compute, memory, comm)?;
-        guard::ensure_positive("simulator", "tbt_s", total)
-    }
-
-    /// Convenience for tests and single-point callers: price the plan's
-    /// legs and immediately combine them.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::try_ttft_factored`] / [`Simulator::try_tbt_factored`].
-    pub fn try_total_factored(&self, plan: &LayerPlan) -> Result<f64, AcsError> {
-        let legs = self.price_plan_legs(plan);
-        match plan.phase() {
-            InferencePhase::Prefill => {
-                self.try_ttft_factored(plan, &legs.compute, &legs.memory, &legs.comm)
-            }
-            _ => self.try_tbt_factored(plan, &legs.compute, &legs.memory, &legs.comm),
-        }
-    }
 }
 
-/// How the factored combine treats one planned operator: the overlap
+/// How the fused combine treats one planned operator: the overlap
 /// `max()` of its compute/memory legs, the collective wire time, or bare
 /// launch overhead. Precompiled once per plan by [`CombineProgram::of`]
 /// so a lattice evaluator never re-matches operator variants per point.
@@ -426,18 +289,17 @@ enum OpKind {
 /// One operator vector of pre-fused per-op times, plus the proof
 /// obligation its construction discharged.
 ///
-/// `clean` records that every per-op guard of
-/// [`Simulator::try_ttft_factored`]'s combine loop provably passes for
-/// these values: each contributing leg component is finite and
-/// non-negative, the launch overhead is finite and non-negative, and no
-/// fused per-op time overflowed to infinity. When `clean` is true, a
-/// combine over these values is bit-identical to the factored combine —
-/// including the only remaining failure modes (a total that overflows to
-/// infinity, or a non-positive total), which the final guards report
-/// with the factored path's exact error shape. When `clean` is false, a
-/// caller that needs bit-identical errors must fall back to the per-op
-/// factored combine, which re-walks the guards and fails at the exact
-/// operator the planned path would have.
+/// `clean` records that every per-op guard of the planned pricing loop
+/// ([`Simulator::try_ttft_planned`]) provably passes for these values:
+/// each contributing leg component is finite and non-negative, the
+/// launch overhead is finite and non-negative, and no fused per-op time
+/// overflowed to infinity. When `clean` is true, a combine over these
+/// values is bit-identical to the planned total — including the only
+/// remaining failure modes (a total that overflows to infinity, or a
+/// non-positive total), which the final guards report with the planned
+/// path's exact error shape. When `clean` is false, a caller that needs
+/// bit-identical errors must price the point through the planned path,
+/// which re-walks the guards and fails at the exact operator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedLegs {
     /// Per-op pre-fused times, index-aligned with the plan's operators.
@@ -451,7 +313,7 @@ pub struct FusedLegs {
 
 /// A plan's combine loop, precompiled: per-op kinds, telemetry classes,
 /// and the phase. Combining a grid point through
-/// [`CombineProgram::try_ttft`] replays the factored path's left-to-right
+/// [`CombineProgram::try_ttft`] replays the planned path's left-to-right
 /// accumulation over two pre-fused vectors — one that depends only on
 /// the (compute, memory) dependency keys and one that depends only on
 /// the comm key — so a sweep lattice can price each vector once per
@@ -461,7 +323,7 @@ pub struct CombineProgram {
     phase: InferencePhase,
     kinds: Vec<OpKind>,
     /// Telemetry class per op (see `op_class`), applied only when
-    /// telemetry is enabled so class sums match the factored path.
+    /// telemetry is enabled so class sums match the planned path.
     class: Vec<Option<usize>>,
 }
 
@@ -516,8 +378,8 @@ impl CombineProgram {
     ) -> FusedLegs {
         let n = self.kinds.len();
         if compute.len() != n || memory.len() != n {
-            // A mismatched table cannot prove anything; the caller's slow
-            // path reports the factored combine's typed length error.
+            // A mismatched table cannot prove anything; the caller's
+            // slow path prices the point without these vectors.
             return FusedLegs { values: vec![0.0; n], clean: false };
         }
         let nonneg = |v: f64| v.is_finite() && v >= 0.0;
@@ -568,12 +430,12 @@ impl CombineProgram {
         FusedLegs { values, clean }
     }
 
-    /// The combine loop over two pre-fused vectors: the factored path's
+    /// The combine loop over two pre-fused vectors: the planned path's
     /// left-to-right accumulation and inline telemetry class sums, with
     /// the per-op guards hoisted into the vectors' `clean` obligation.
-    /// Bit-identical to `checked_total_factored` when both vectors are
-    /// clean, by construction: same additions, same order, same final
-    /// guard.
+    /// Bit-identical to the planned total when both vectors are clean,
+    /// by construction: same per-op times, same additions, same order,
+    /// same final guard.
     fn checked_total(&self, onchip: &[f64], comm: &[f64]) -> Result<f64, AcsError> {
         let n = self.kinds.len();
         if onchip.len() != n || comm.len() != n {
@@ -616,9 +478,9 @@ impl CombineProgram {
 
     /// Guarded TTFT from pre-fused per-op vectors (see
     /// [`CombineProgram::fuse_onchip`] / [`CombineProgram::fuse_comm`]).
-    /// Bit-identical to [`Simulator::try_ttft_factored`] when both
-    /// vectors are `clean`; callers holding unclean vectors must use the
-    /// factored combine instead to reproduce its per-op errors.
+    /// Bit-identical to [`Simulator::try_ttft_planned`] when both
+    /// vectors are `clean`; callers holding unclean vectors must price
+    /// through the planned path instead to reproduce its per-op errors.
     ///
     /// # Errors
     ///
@@ -677,16 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn factored_totals_are_bit_identical_to_planned() {
-        let s = sim();
-        let (prefill, decode) = plans(&s);
-        let ttft = s.try_ttft_planned(&prefill).unwrap();
-        let tbt = s.try_tbt_planned(&decode).unwrap();
-        assert_eq!(s.try_total_factored(&prefill).unwrap().to_bits(), ttft.to_bits());
-        assert_eq!(s.try_total_factored(&decode).unwrap().to_bits(), tbt.to_bits());
-    }
-
-    #[test]
     fn leg_vectors_align_with_the_plan() {
         let s = sim();
         let (prefill, _) = plans(&s);
@@ -717,17 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_leg_lengths_are_typed_errors() {
-        let s = sim();
-        let (prefill, _) = plans(&s);
-        let legs = s.price_plan_legs(&prefill);
-        let err = s
-            .try_ttft_factored(&prefill, &legs.compute[1..], &legs.memory, &legs.comm)
-            .unwrap_err();
-        assert_eq!(err.kind(), "invalid_config");
-    }
-
-    #[test]
     fn keys_read_exactly_the_parameters_the_legs_read() {
         let base = DeviceConfig::a100_like();
         let quad = |d: DeviceConfig| SystemConfig::quad(d).unwrap();
@@ -753,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_combine_is_bit_identical_to_factored() {
+    fn fused_combine_is_bit_identical_to_planned() {
         let s = sim();
         let (prefill, decode) = plans(&s);
         let overhead = s.params().op_overhead_s;
@@ -785,7 +626,7 @@ mod tests {
         let program = CombineProgram::of(&prefill);
         let onchip = program.fuse_onchip(&legs.compute, &legs.memory, overhead);
         let comm = program.fuse_comm(&legs.comm, overhead);
-        // Phase mismatch mirrors the factored path's error.
+        // Phase mismatch mirrors the planned path's error.
         let err = program.try_tbt(&onchip.values, &comm.values).unwrap_err();
         assert!(err.to_string().contains("TBT requires a decode plan"), "{err}");
         let err = CombineProgram::of(&decode)

@@ -211,7 +211,7 @@ pub fn matmul_memory_leg(
 
 /// Price one matmul operator: the composition of
 /// [`matmul_compute_leg`] and [`matmul_memory_leg`] — the legs *are* the
-/// cost model, so the factored sweep path and this per-op API cannot
+/// cost model, so the lattice sweep engine and this per-op API cannot
 /// drift.
 ///
 /// `forward_in` / `forward_out` are the fractions of the `A` operand /

@@ -91,7 +91,7 @@ pub fn vector_memory_leg(
 
 /// Price one vector operator: the composition of [`vector_compute_leg`]
 /// and [`vector_memory_leg`] — the legs *are* the cost model, so the
-/// factored sweep path and this per-op API cannot drift. `forward` is
+/// lattice sweep engine and this per-op API cannot drift. `forward` is
 /// the fraction of its traffic served by the L2 instead of DRAM.
 #[must_use]
 pub fn vector_cost(

@@ -13,9 +13,9 @@
 //! so `scripts/ci.sh` can gate on it directly.
 
 use acs_verify::{
-    check_corpus, default_corpus_path, lattice_screen_front_diff, random_sweep_spec,
-    regressions_dir, replay_dir, run_chaos, run_fuzz, standard_suite, whatif_grid_64,
-    whatif_grid_diff, wire_vs_handler, ChaosConfig, DiffCase, Differential, EvalPath,
+    check_corpus, default_corpus_path, random_sweep_spec, regressions_dir, replay_dir, run_chaos,
+    run_fuzz, standard_suite, whatif_grid_64, whatif_grid_diff, wire_vs_handler, ChaosConfig,
+    DiffCase, Differential, EvalPath,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -155,20 +155,18 @@ fn cmd_diff(_args: &[String]) -> Result<(), String> {
         acs_devices::GpuDatabase::curated_65().iter().map(|r| r.to_metrics()).collect();
     reports.push(whatif_grid_diff(&whatif_grid_64(), &devices));
     // Seeded property cases: random sweeps (odd seeds faulted) through
-    // lattice-vs-factored, plus the pruned-screen front equivalence.
+    // the lattice engine against the reference oracle.
     for seed in 0..4_u64 {
-        let spec = random_sweep_spec(seed);
-        let mut candidates = spec.candidates(4800.0);
+        let mut candidates = random_sweep_spec(seed).candidates(4800.0);
         if seed % 2 == 1 {
             acs_dse::inject_faults(&mut candidates, seed as usize);
         }
         let case = DiffCase::paths(
-            &format!("lattice-vs-factored-seed{seed}"),
+            &format!("lattice-vs-reference-seed{seed}"),
+            EvalPath::Reference,
             EvalPath::Lattice,
-            EvalPath::Factored,
         );
         reports.push(harness.run(&candidates, &case));
-        reports.push(lattice_screen_front_diff(&spec, 4800.0));
     }
     for report in &reports {
         println!(

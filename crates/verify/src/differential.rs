@@ -2,12 +2,12 @@
 //! over one sweep and diff everything — per-point canonical digests,
 //! numeric values under a tolerance class, and the failure ledger.
 //!
-//! The repo carries three coexisting evaluation paths (legacy per-point,
-//! planned, factored) whose equivalence used to be asserted by bespoke
-//! golden tests, each re-rolling the same sweep/digest scaffolding. A
-//! differential case replaces that with data: *which* two arms, *what*
-//! metamorphic transform, *which* tolerance — the comparison machinery
-//! is shared and exhaustive.
+//! The repo prices sweeps with two production engines (the per-point
+//! planned evaluator and the lattice batch engine), both held to the
+//! naive [`crate::reference`] oracle. A differential case states each
+//! such promise as data: *which* two arms, *what* metamorphic transform,
+//! *which* tolerance — the comparison machinery is shared and
+//! exhaustive.
 //!
 //! A **metamorphic transform** is a change to the inputs or the engine
 //! configuration that must not change results: reordering the candidate
@@ -22,10 +22,7 @@
 
 use crate::tolerance::Tolerance;
 use acs_cache::{CacheKey, ShardedCache};
-use acs_dse::{
-    CandidateParams, DseRunner, EvaluatedDesign, LatticeScreen, LatticeScreenOptions, SweepReport,
-    SweepSpec,
-};
+use acs_dse::{CandidateParams, DseRunner, EvaluatedDesign, SweepReport, SweepSpec};
 use acs_errors::json::Value;
 use acs_errors::AcsError;
 use acs_llm::rng::SplitMix64;
@@ -38,13 +35,13 @@ use std::sync::Arc;
 /// Which evaluation pipeline an arm drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalPath {
-    /// Per-point pipeline (`try_evaluate_legacy`): no shared planning.
-    Legacy,
-    /// Plan-then-execute pipeline (`run_report`).
+    /// The naive oracle ([`crate::reference::run_report`]): one point at
+    /// a time, fresh plans, nothing shared between points.
+    Reference,
+    /// The per-point production evaluator (`run_report`): layer plans
+    /// shared across the sweep.
     Planned,
-    /// Dependency-keyed leg-table pipeline (`run_report_factored`).
-    Factored,
-    /// Broadcast lattice pipeline over fused leg vectors
+    /// The lattice batch engine over fused leg vectors
     /// (`run_report_lattice`).
     Lattice,
 }
@@ -52,9 +49,8 @@ pub enum EvalPath {
 impl EvalPath {
     fn run(self, runner: &DseRunner, candidates: &[CandidateParams]) -> SweepReport {
         match self {
-            EvalPath::Legacy => runner.run_report_legacy(candidates),
+            EvalPath::Reference => crate::reference::run_report(runner, candidates),
             EvalPath::Planned => runner.run_report(candidates),
-            EvalPath::Factored => runner.run_report_factored(candidates),
             EvalPath::Lattice => runner.run_report_lattice(candidates),
         }
     }
@@ -63,9 +59,8 @@ impl EvalPath {
 impl fmt::Display for EvalPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            EvalPath::Legacy => "legacy",
+            EvalPath::Reference => "reference",
             EvalPath::Planned => "planned",
-            EvalPath::Factored => "factored",
             EvalPath::Lattice => "lattice",
         })
     }
@@ -226,31 +221,31 @@ impl DiffCase {
     }
 }
 
-/// The built-in pairings: every coexisting path against the planned
-/// reference, plus one case per metamorphic transform. This is the suite
-/// `tests/plan_equivalence.rs` and `tests/factored_equivalence.rs` are
-/// expressed in, and what `acs-verify diff` runs.
+/// The built-in pairings: both production engines against the
+/// reference oracle, plus the metamorphic transforms each engine
+/// promises to be invariant to. This is what `acs-verify diff` runs;
+/// `tests/plan_equivalence.rs` and `tests/lattice_equivalence.rs` run
+/// the same shapes over the golden sweeps.
 #[must_use]
 pub fn standard_suite() -> Vec<DiffCase> {
     vec![
-        DiffCase::paths("planned-vs-legacy", EvalPath::Planned, EvalPath::Legacy),
-        DiffCase::paths("factored-vs-planned", EvalPath::Factored, EvalPath::Planned),
+        DiffCase::paths("planned-vs-reference", EvalPath::Reference, EvalPath::Planned),
+        DiffCase::paths("lattice-vs-reference", EvalPath::Reference, EvalPath::Lattice),
         DiffCase::metamorphic(
-            "factored-permuted",
-            EvalPath::Factored,
+            "planned-permuted",
+            EvalPath::Planned,
             Transform::PermuteOrder { seed: 0x5EED },
         ),
         DiffCase::metamorphic("planned-warm-cache", EvalPath::Planned, Transform::WarmCache),
         DiffCase::metamorphic("planned-threads-1", EvalPath::Planned, Transform::Threads(1)),
         DiffCase::metamorphic("planned-threads-3", EvalPath::Planned, Transform::Threads(3)),
         DiffCase::metamorphic("planned-rescaled", EvalPath::Planned, Transform::RescaleUnits),
-        DiffCase::paths("lattice-vs-factored", EvalPath::Lattice, EvalPath::Factored),
         DiffCase::metamorphic(
             "lattice-permuted",
             EvalPath::Lattice,
             Transform::PermuteOrder { seed: 0xA77 },
         ),
-        DiffCase::metamorphic("lattice-warm-cache", EvalPath::Lattice, Transform::WarmCache),
+        DiffCase::metamorphic("lattice-threads-1", EvalPath::Lattice, Transform::Threads(1)),
     ]
 }
 
@@ -476,11 +471,14 @@ fn compare_failures(
         return;
     }
     if as_set {
-        // Reordered sweeps fail at different indices; the (params, kind)
-        // multiset is the order-free invariant.
+        // Reordered sweeps fail at different indices; the (params, kind,
+        // message) multiset is the order-free invariant.
         let keyed = |report: &SweepReport| {
-            let mut v: Vec<(String, &'static str)> =
-                report.failures.iter().map(|f| (f.params.clone(), f.kind())).collect();
+            let mut v: Vec<(String, &'static str, String)> = report
+                .failures
+                .iter()
+                .map(|f| (f.params.clone(), f.kind(), f.reason.to_string()))
+                .collect();
             v.sort();
             v
         };
@@ -493,20 +491,12 @@ fn compare_failures(
         return;
     }
     for (lf, rf) in left.failures.iter().zip(&right.failures) {
-        if lf.index != rf.index || lf.params != rf.params || lf.kind() != rf.kind() {
-            push(
-                mismatches,
-                format!("failure #{}", lf.index),
-                format!(
-                    "({}, {}, {}) vs ({}, {}, {})",
-                    lf.index,
-                    lf.params,
-                    lf.kind(),
-                    rf.index,
-                    rf.params,
-                    rf.kind()
-                ),
-            );
+        if lf.index != rf.index
+            || lf.params != rf.params
+            || lf.kind() != rf.kind()
+            || lf.reason.to_string() != rf.reason.to_string()
+        {
+            push(mismatches, format!("failure #{}", lf.index), format!("({lf}) vs ({rf})"));
         }
     }
 }
@@ -622,70 +612,26 @@ pub fn dense_vs_degenerate_moe_diff(
     let workload = WorkloadConfig::paper_default();
     let dense = DseRunner::new(ModelConfig::llama3_8b(), workload);
     let moe = DseRunner::new(ModelConfig::llama3_8b().with_moe(1, 1), workload);
-    let left = path.run(&dense, candidates);
-    let right = path.run(&moe, candidates);
+    diff_reports(
+        &format!("dense-vs-degenerate-moe ({path})"),
+        &path.run(&dense, candidates),
+        &path.run(&moe, candidates),
+    )
+}
+
+/// Diff two already-evaluated reports of one candidate list, paired in
+/// candidate order and bit-exact, failure ledger included — for arms
+/// the harness does not build itself, such as a scenario runner or a
+/// datatype override.
+#[must_use]
+pub fn diff_reports(label: &str, left: &SweepReport, right: &SweepReport) -> DiffReport {
     let mut mismatches = Vec::new();
-    compare_reports(&left, &right, Tolerance::Exact, false, &mut mismatches);
+    compare_reports(left, right, Tolerance::Exact, false, &mut mismatches);
     DiffReport {
-        label: format!("dense-vs-degenerate-moe ({path})"),
+        label: label.to_owned(),
         points: left.total(),
         ok: left.designs.len(),
         failed: left.failures.len(),
-        mismatches,
-    }
-}
-
-/// The pruned-screen differential: `screen_lattice` with branch-and-
-/// bound pruning on against the same screen run exact, compared by
-/// Pareto-front *name multiset* and per-front-design digest. Pruning may
-/// leave dominated interior points unpriced, but the front — ties
-/// included — must be exactly the exact mode's, and every front design
-/// must be bit-identical (both modes price through the same lattice
-/// point path).
-#[must_use]
-pub fn lattice_screen_front_diff(spec: &SweepSpec, tpp_target: f64) -> DiffReport {
-    let runner = Differential::paper_default().runner();
-    let exact = runner.screen_lattice(
-        spec,
-        tpp_target,
-        &LatticeScreenOptions { prune: false, ..LatticeScreenOptions::default() },
-    );
-    let pruned = runner.screen_lattice(spec, tpp_target, &LatticeScreenOptions::default());
-    let front = |screen: &LatticeScreen| -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = screen
-            .front
-            .iter()
-            .map(|&i| {
-                let d = &screen.designs[i];
-                (d.name.clone(), design_digest(d).unwrap_or(0))
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    let (le, rp) = (front(&exact), front(&pruned));
-    let mut mismatches = Vec::new();
-    if le.len() != rp.len() {
-        push(
-            &mut mismatches,
-            "front",
-            format!("exact front has {} designs, pruned {}", le.len(), rp.len()),
-        );
-    } else {
-        for ((ln, ld), (rn, rd)) in le.iter().zip(&rp) {
-            if ln != rn {
-                push(&mut mismatches, ln.clone(), format!("front sets differ: {ln} vs {rn}"));
-            } else if ld != rd {
-                push(&mut mismatches, ln.clone(), format!("digest {ld:#018x} vs {rd:#018x}"));
-            }
-        }
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    DiffReport {
-        label: "lattice-screen-pruned-front".to_owned(),
-        points: exact.stats.nominal_points as usize,
-        ok: exact.designs.len(),
-        failed: exact.stats.failed_points as usize,
         mismatches,
     }
 }
@@ -919,7 +865,7 @@ mod tests {
         // same points with the same kinds, not just match on successes.
         let injected = acs_dse::inject_faults(&mut candidates, 2);
         assert!(!injected.is_empty());
-        for path in [EvalPath::Legacy, EvalPath::Planned, EvalPath::Factored] {
+        for path in [EvalPath::Reference, EvalPath::Planned, EvalPath::Lattice] {
             let report = dense_vs_degenerate_moe_diff(&candidates, path);
             assert!(report.ok > 0, "sweep produced no designs on {path}");
             report.assert_clean();
@@ -927,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn random_specs_diff_clean_between_lattice_and_factored() {
+    fn random_specs_diff_clean_between_lattice_and_reference() {
         let harness = Differential::paper_default();
         for seed in 0..6_u64 {
             let spec = random_sweep_spec(seed);
@@ -938,9 +884,9 @@ mod tests {
                 acs_dse::inject_faults(&mut candidates, seed as usize);
             }
             let case = DiffCase::paths(
-                &format!("lattice-vs-factored-seed{seed}"),
+                &format!("lattice-vs-reference-seed{seed}"),
+                EvalPath::Reference,
                 EvalPath::Lattice,
-                EvalPath::Factored,
             );
             harness.run(&candidates, &case).assert_clean();
         }
@@ -956,16 +902,6 @@ mod tests {
             assert!(a.hbm_tb_s.windows(2).all(|w| w[0] < w[1]));
         }
         assert_ne!(random_sweep_spec(1), random_sweep_spec(2), "seeds decorrelate");
-    }
-
-    #[test]
-    fn pruned_screen_front_diff_is_clean_on_random_specs() {
-        for seed in [3_u64, 11] {
-            let spec = random_sweep_spec(seed);
-            let report = lattice_screen_front_diff(&spec, 4800.0);
-            assert_eq!(report.points, spec.cardinality());
-            report.assert_clean();
-        }
     }
 
     #[test]
@@ -986,18 +922,20 @@ mod tests {
         let injected = acs_dse::inject_faults(&mut candidates, 3);
         assert!(!injected.is_empty());
         let harness = Differential::paper_default();
-        harness
-            .run(&candidates, &DiffCase::paths("faulted", EvalPath::Factored, EvalPath::Legacy))
-            .assert_clean();
-        harness
-            .run(
-                &candidates,
-                &DiffCase::metamorphic(
-                    "faulted-permute",
-                    EvalPath::Factored,
-                    Transform::PermuteOrder { seed: 7 },
-                ),
-            )
-            .assert_clean();
+        for path in [EvalPath::Planned, EvalPath::Lattice] {
+            harness
+                .run(&candidates, &DiffCase::paths("faulted", EvalPath::Reference, path))
+                .assert_clean();
+            harness
+                .run(
+                    &candidates,
+                    &DiffCase::metamorphic(
+                        "faulted-permute",
+                        path,
+                        Transform::PermuteOrder { seed: 7 },
+                    ),
+                )
+                .assert_clean();
+        }
     }
 }

@@ -265,7 +265,7 @@ fn http_bases() -> Vec<Vec<u8>> {
         post("/v1/screen", "{\"tpp\":4500,\"device_bw_gb_s\":600,\"die_area_mm2\":814}"),
         // Scenario-axis grids: a registered name and an inline MoE spec.
         // Tiny hardware grids keep each accepted iteration to a few
-        // factored points while the mutation stack attacks the scenario
+        // lattice points while the mutation stack attacks the scenario
         // member (unknown names, expert bombs, zero-stage pipelines —
         // all of which must come back as typed 400s, never panics).
         post(

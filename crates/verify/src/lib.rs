@@ -1,10 +1,13 @@
 //! `acs-verify`: the trust-but-verify harness.
 //!
-//! The reproduction carries three coexisting evaluation paths (legacy,
-//! planned, factored) and a network-facing query tier; every refactor
-//! so far bought its safety with a bespoke golden test. This crate
-//! replaces that with four reusable instruments:
+//! The reproduction prices sweeps with two production engines (the
+//! per-point planned evaluator and the lattice batch engine) and answers
+//! queries through a network-facing tier. This crate holds them to one
+//! deliberately naive oracle and a handful of reusable instruments:
 //!
+//! - [`reference`] — the oracle: a per-point evaluator that shares no
+//!   plans, legs or caches between points, against which both sweep
+//!   engines must agree bit for bit, failure ledger included.
 //! - [`differential`] — a generic runner that evaluates any two
 //!   (path, transform) arms over a sweep and diffs digests, per-point
 //!   values, and failure ledgers under a [`tolerance`] class. The
@@ -29,7 +32,7 @@
 //!   request handler returns in process on a fresh state (chunked
 //!   streams compared after reassembly, `/v1/metrics` on status only).
 //!
-//! The `acs-verify` binary drives all four; `scripts/ci.sh` runs the
+//! The `acs-verify` binary drives them; `scripts/ci.sh` runs the
 //! corpus diff, a fixed-seed fuzz smoke, and one chaos round on every
 //! build.
 
@@ -37,6 +40,7 @@ pub mod chaos;
 pub mod corpus;
 pub mod differential;
 pub mod fuzz;
+pub mod reference;
 pub mod regressions;
 pub mod serve_diff;
 pub mod tolerance;
@@ -46,9 +50,8 @@ pub use corpus::{
     bless_corpus, check_corpus, compute_snapshot, default_corpus_path, regressions_dir, Snapshot,
 };
 pub use differential::{
-    dense_vs_degenerate_moe_diff, design_digest, lattice_screen_front_diff, random_sweep_spec,
-    standard_suite, whatif_grid_64, whatif_grid_diff, Arm, DiffCase, DiffReport, Differential,
-    EvalPath, Transform,
+    dense_vs_degenerate_moe_diff, design_digest, diff_reports, random_sweep_spec, standard_suite,
+    whatif_grid_64, whatif_grid_diff, Arm, DiffCase, DiffReport, Differential, EvalPath, Transform,
 };
 pub use fuzz::{run_fuzz, FuzzReport, FuzzTarget};
 pub use regressions::replay_dir;

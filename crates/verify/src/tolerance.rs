@@ -4,8 +4,9 @@
 //!
 //! - [`Tolerance::Exact`]: the two values must share a bit pattern
 //!   (`to_bits` equality, so `-0.0 != 0.0` and NaN payloads matter).
-//!   This is the contract between the legacy, planned, and factored
-//!   evaluation paths — pure scheduling/caching refactors move nothing.
+//!   This is the contract between the reference oracle and both
+//!   production sweep engines — pure scheduling/caching refactors move
+//!   nothing.
 //! - [`Tolerance::Ulps`]: the values may differ by at most N units in
 //!   the last place. The right class for algebraic identities that are
 //!   exact over the reals but not over `f64` — a unit conversion

@@ -13,8 +13,8 @@
 //! acs-serve streams `/v1/whatif` responses over chunked
 //! transfer-encoding.
 //!
-//! The fleet is priced by the caller (through the factored `DseRunner`
-//! path, whose leg tables persist across requests), so a whole rule
+//! The fleet is priced by the caller (through the lattice `DseRunner`
+//! engine, whose leg tables persist across requests), so a whole rule
 //! grid re-screens the fleet at classification cost, not simulation
 //! cost.
 //!

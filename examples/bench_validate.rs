@@ -13,20 +13,18 @@
 //! object whose members are all finite numbers. Exits non-zero with a
 //! per-file message on the first violation.
 //!
-//! `--min-dse-plan-speedup <ratio>` additionally requires every `dse`
-//! suite artefact to carry a `plan_speedup` metric at or above the given
-//! ratio — the CI floor for the plan-then-execute sweep pipeline against
-//! its legacy reference. `--min-dse-factored-speedup <ratio>` is the
-//! same floor for the `factored_speedup` metric: the dependency-keyed
-//! factored evaluator against the planned pipeline it memoises.
-//! `--min-dse-lattice-speedup <ratio>` floors the `lattice_speedup`
-//! metric of the `lattice` suite: the fused-vector lattice engine
-//! against the factored evaluator it supersedes.
+//! Every floor is an absolute budget, one per production engine:
 //!
-//! `--min-serve-cached-qps <qps>` and `--min-serve-unique-qps <qps>`
-//! floor the `serve` suite's `repeated_qps` and `unique_qps` metrics:
-//! the server's cached and unique-work throughput under the pipelined
-//! load generator.
+//! - `--min-dse-points-per-sec <rate>` floors the `dse` suite's
+//!   `points_per_sec`: the per-point sweep evaluator (`run_report`) over
+//!   the 1536-point reference sweep.
+//! - `--min-lattice-points-per-sec <rate>` floors the `lattice` suite's
+//!   `points_per_sec_lattice`: the warm lattice engine over the same
+//!   sweep.
+//! - `--min-serve-cached-qps <qps>` and `--min-serve-unique-qps <qps>`
+//!   floor the `serve` suite's `repeated_qps` and `unique_qps`: the
+//!   server's cached and unique-work throughput under the pipelined
+//!   load generator.
 
 use acs_errors::json::{parse, Value};
 use std::process::ExitCode;
@@ -64,16 +62,13 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
         }
     }
     if suite == "dse" {
-        if let Some(floor) = floors.plan_speedup {
-            check_floor(metrics, "plan_speedup", floor)?;
-        }
-        if let Some(floor) = floors.factored_speedup {
-            check_floor(metrics, "factored_speedup", floor)?;
+        if let Some(floor) = floors.dse_points_per_sec {
+            check_floor(metrics, "points_per_sec", floor)?;
         }
     }
     if suite == "lattice" {
-        if let Some(floor) = floors.lattice_speedup {
-            check_floor(metrics, "lattice_speedup", floor)?;
+        if let Some(floor) = floors.lattice_points_per_sec {
+            check_floor(metrics, "points_per_sec_lattice", floor)?;
         }
     }
     if suite == "serve" {
@@ -89,9 +84,8 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
 
 #[derive(Default)]
 struct Floors {
-    plan_speedup: Option<f64>,
-    factored_speedup: Option<f64>,
-    lattice_speedup: Option<f64>,
+    dse_points_per_sec: Option<f64>,
+    lattice_points_per_sec: Option<f64>,
     serve_cached_qps: Option<f64>,
     serve_unique_qps: Option<f64>,
 }
@@ -102,35 +96,28 @@ fn main() -> ExitCode {
     let mut floors = Floors::default();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        if arg == "--min-dse-plan-speedup"
-            || arg == "--min-dse-factored-speedup"
-            || arg == "--min-dse-lattice-speedup"
-            || arg == "--min-serve-cached-qps"
-            || arg == "--min-serve-unique-qps"
-        {
-            let slot = match arg.as_str() {
-                "--min-dse-plan-speedup" => &mut floors.plan_speedup,
-                "--min-dse-factored-speedup" => &mut floors.factored_speedup,
-                "--min-serve-cached-qps" => &mut floors.serve_cached_qps,
-                "--min-serve-unique-qps" => &mut floors.serve_unique_qps,
-                _ => &mut floors.lattice_speedup,
-            };
-            match iter.next().as_deref().map(str::parse::<f64>) {
-                Some(Ok(v)) if v.is_finite() && v > 0.0 => *slot = Some(v),
-                _ => {
-                    eprintln!("{arg} requires a positive ratio");
-                    return ExitCode::FAILURE;
-                }
+        let slot = match arg.as_str() {
+            "--min-dse-points-per-sec" => &mut floors.dse_points_per_sec,
+            "--min-lattice-points-per-sec" => &mut floors.lattice_points_per_sec,
+            "--min-serve-cached-qps" => &mut floors.serve_cached_qps,
+            "--min-serve-unique-qps" => &mut floors.serve_unique_qps,
+            _ => {
+                paths.push(arg);
+                continue;
             }
-        } else {
-            paths.push(arg);
+        };
+        match iter.next().as_deref().map(str::parse::<f64>) {
+            Some(Ok(v)) if v.is_finite() && v > 0.0 => *slot = Some(v),
+            _ => {
+                eprintln!("{arg} requires a positive number");
+                return ExitCode::FAILURE;
+            }
         }
     }
     if paths.is_empty() {
         eprintln!(
-            "usage: bench_validate [--min-dse-plan-speedup <ratio>] \
-             [--min-dse-factored-speedup <ratio>] \
-             [--min-dse-lattice-speedup <ratio>] \
+            "usage: bench_validate [--min-dse-points-per-sec <rate>] \
+             [--min-lattice-points-per-sec <rate>] \
              [--min-serve-cached-qps <qps>] [--min-serve-unique-qps <qps>] <BENCH_*.json>..."
         );
         return ExitCode::FAILURE;

@@ -16,11 +16,9 @@ cargo test -q --workspace --locked --offline
 echo "==> fault-injection suite"
 cargo test -q --locked --offline --test fault_injection
 
-echo "==> factored-evaluator golden equivalence (bit-identity vs planned path)"
-cargo test -q --release --locked --offline --test factored_equivalence
-
-echo "==> lattice-engine golden equivalence (bit-identity vs factored path)"
-cargo test -q --release --locked --offline --test lattice_equivalence
+echo "==> sweep-engine golden equivalence (run_report and the lattice vs the reference oracle)"
+cargo test -q --release --locked --offline --test plan_equivalence --test lattice_equivalence \
+  --test factored_equivalence
 
 echo "==> what-if corner-pinning prune (counter-proven skip, byte-identical records)"
 cargo test -q --release --locked --offline --test whatif_prune
@@ -82,11 +80,10 @@ cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh
 
-echo "==> bench artefact schema validation (acs-bench-v1, plan >= 1.5x, factored >= 2x, lattice >= 5x, serve >= 50k/2k qps)"
+echo "==> bench artefact schema validation (acs-bench-v1, run_report >= 250k points/s, lattice >= 1.5M points/s, serve >= 50k/2k qps)"
 cargo run -q --release --locked --offline --example bench_validate -- \
-    --min-dse-plan-speedup 1.5 \
-    --min-dse-factored-speedup 2.0 \
-    --min-dse-lattice-speedup 5.0 \
+    --min-dse-points-per-sec 250000 \
+    --min-lattice-points-per-sec 1500000 \
     --min-serve-cached-qps 50000 \
     --min-serve-unique-qps 2000 \
     "$smokedir/BENCH_dse.json" "$smokedir/BENCH_serve.json" "$smokedir/BENCH_whatif.json" \

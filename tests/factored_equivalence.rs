@@ -1,83 +1,43 @@
-//! Golden equivalence between the factored sweep evaluator and the
-//! planned pipeline it memoises, expressed as differential cases.
+//! Order independence of the factored leg tables.
 //!
-//! The factored evaluator replaces per-point pricing with lookups into
-//! dependency-keyed leg tables plus a `max()` combine. That is a pure
-//! caching change: it must not move a single bit of any result. The
-//! comparison machinery lives in `acs_verify::differential`; these tests
-//! only declare *which* arms over *which* sweep.
+//! A runner keeps one table per cost leg (compute, memory, comm) and
+//! phase, keyed by exactly the device parameters that leg reads. The
+//! lattice engine fuses its per-signature vectors from these tables, so
+//! every design it prices is assembled from their entries. The keys are
+//! derived from the concrete device, never from a point's position in
+//! the sweep: a shuffled sweep must price the same entries and the same
+//! designs.
+//!
+//! Shares the process-global telemetry registry, so this file keeps to
+//! a single `#[test]` (sibling tests in one binary would interleave
+//! their counter traffic; separate test binaries run sequentially).
 
-use acs_dse::{inject_faults, SweepSpec};
-use acs_hw::{DataType, DeviceConfig};
-use acs_verify::{design_digest, DiffCase, Differential, EvalPath, Transform};
+use acs_dse::{SweepReport, SweepSpec};
+use acs_verify::{design_digest, Differential, Transform};
 
-#[test]
-fn factored_sweep_is_bit_identical_to_planned_with_faults() {
-    // 512 points, with a fault injected every 7th: the factored pipeline
-    // must reproduce the planned pipeline's successes bit-for-bit AND
-    // fail at exactly the same indices with the same error kinds.
-    let mut candidates = SweepSpec::table3_fig6().candidates(4800.0);
-    assert!(candidates.len() >= 200, "need a representative sweep, got {}", candidates.len());
-    let injected = inject_faults(&mut candidates, 7);
-    assert!(!injected.is_empty());
-
-    let case = DiffCase::paths("factored-vs-planned-faulted", EvalPath::Factored, EvalPath::Planned);
-    let report = Differential::paper_default().run(&candidates, &case);
-    assert_eq!(report.points, candidates.len());
-    assert!(report.ok > 0, "the sweep must produce successes");
-    assert!(report.failed > 0, "the injected faults must reach the ledger");
-    report.assert_clean();
+fn counter(reg: &acs_telemetry::Registry, name: &str) -> u64 {
+    reg.counter_values().iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_default()
 }
 
-#[test]
-fn factored_sweep_is_bit_identical_across_mixed_dtypes() {
-    // A sweep whose devices alternate int8 / fp16 / fp32 exercises one
-    // leg-table key set per datatype in a single run: the compute and
-    // memory keys carry the dtype, and — because allreduce payloads scale
-    // with operand width — so does the comm key. Datatype lives on the
-    // DeviceConfig rather than the swept candidate axes, so this
-    // comparison runs config-by-config.
-    let base = SweepSpec::table3_fig6().configs(4800.0);
-    let configs: Vec<DeviceConfig> = base
-        .iter()
-        .take(48)
-        .enumerate()
-        .map(|(i, cfg)| {
-            let dtype = match i % 3 {
-                0 => DataType::Int8,
-                1 => DataType::Fp16,
-                _ => DataType::Fp32,
-            };
-            cfg.to_builder().datatype(dtype).build().expect("datatype swap keeps configs valid")
-        })
+/// The report's designs as a sorted (name, digest) multiset.
+fn design_set(report: &SweepReport) -> Vec<(String, u64)> {
+    let mut set: Vec<(String, u64)> = report
+        .successes()
+        .map(|d| (d.name.clone(), design_digest(d).expect("designs serialise")))
         .collect();
-    assert_eq!(configs.len(), 48);
-
-    let r = acs_dse::DseRunner::new(
-        acs_llm::ModelConfig::llama3_8b(),
-        acs_llm::WorkloadConfig::paper_default(),
-    );
-    let factored = r.run_configs_factored(&configs);
-    let planned = r.run_configs(&configs);
-    for ((cfg, f), p) in configs.iter().zip(&factored).zip(&planned) {
-        let f = f.as_ref().expect("healthy configs evaluate on the factored path");
-        let p = p.as_ref().expect("healthy configs evaluate on the planned path");
-        assert_eq!(
-            design_digest(f).expect("designs serialise"),
-            design_digest(p).expect("designs serialise"),
-            "dtype {:?} diverged between factored and planned pipelines",
-            cfg.datatype()
-        );
-    }
+    set.sort();
+    set
 }
 
 #[test]
 fn candidate_permutation_does_not_move_factored_results() {
-    // The same candidates in any order must produce the same per-design
-    // results: leg keys derive from parameter values, not lattice
-    // positions, so a shuffled sweep hits the same table entries. The
-    // differential runner switches to set discipline automatically for
-    // reordering transforms — (name, digest) multisets, bit for bit.
+    // Each order runs on a cold runner. One compute key per (systolic
+    // dim, lanes, L1) — the core count is solved from the first two —
+    // one memory key per (L2, HBM) and one comm key per bandwidth, each
+    // priced once for prefill and once for decode, whatever the order.
+    let reg = acs_telemetry::global();
+    reg.enable();
+    reg.reset();
     let spec = SweepSpec {
         systolic_dims: vec![16, 32],
         lanes_per_core: vec![2, 4, 8],
@@ -88,13 +48,26 @@ fn candidate_permutation_does_not_move_factored_results() {
     };
     let candidates = spec.candidates(4800.0);
     assert_eq!(candidates.len(), spec.cardinality());
+    let compute = spec.systolic_dims.len() * spec.lanes_per_core.len() * spec.l1_kib.len();
+    let memory = spec.l2_mib.len() * spec.hbm_tb_s.len();
+    let distinct_legs = 2 * (compute + memory + spec.device_bw_gb_s.len()) as u64;
 
-    let case = DiffCase::metamorphic(
-        "factored-shuffled",
-        EvalPath::Factored,
-        Transform::PermuteOrder { seed: 0xACE5 },
-    );
-    let report = Differential::paper_default().run(&candidates, &case);
-    assert_eq!(report.points, candidates.len());
-    report.assert_clean();
+    let shuffled = Transform::PermuteOrder { seed: 0xACE5 }.apply(&candidates);
+    assert_ne!(shuffled, candidates, "the shuffle must move candidates");
+    let mut sets = Vec::new();
+    for order in [&candidates, &shuffled] {
+        let before = counter(reg, "dse.factored.leg_miss");
+        let report = Differential::paper_default().runner().run_report_lattice(order);
+        assert_eq!(report.total(), candidates.len());
+        assert_eq!(
+            counter(reg, "dse.factored.leg_miss") - before,
+            distinct_legs,
+            "a cold sweep must price each distinct leg key exactly once"
+        );
+        sets.push(design_set(&report));
+    }
+    assert_eq!(counter(reg, "dse.lattice.fallback_points"), 0, "every point takes the broadcast");
+    assert!(!sets[0].is_empty(), "the sweep must produce designs");
+    assert_eq!(sets[0], sets[1], "a shuffled sweep must price the same designs, bit for bit");
+    reg.disable();
 }

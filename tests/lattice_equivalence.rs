@@ -1,31 +1,41 @@
-//! Golden equivalence between the lattice sweep evaluator and the
-//! factored pipeline it vectorises, expressed as differential cases.
+//! Golden equivalence between the lattice sweep engine and the naive
+//! reference evaluator, expressed as differential cases.
 //!
 //! The lattice engine prices each cost leg as a structure-of-arrays
 //! vector over only the axes in its dependency key and combines per
 //! point with a precompiled program. In exact mode that is a pure
 //! evaluation-order change: it must not move a single bit of any
-//! result, successes and failure ledger alike. The comparison machinery
+//! result, successes and failure ledger (index, kind, message) alike.
+//! The oracle is `acs_verify::reference`, which prices one point at a
+//! time and shares no plans, legs or caches. The comparison machinery
 //! lives in `acs_verify::differential`; these tests only declare
 //! *which* arms over *which* sweep.
 
-use acs_dse::{inject_faults, SweepSpec};
-use acs_hw::{DataType, DeviceConfig};
-use acs_verify::{design_digest, DiffCase, Differential, EvalPath, Transform};
+use acs_dse::{inject_faults, CandidateParams, SweepSpec};
+use acs_hw::DataType;
+use acs_scenarios::ScenarioRegistry;
+use acs_verify::{diff_reports, reference, DiffCase, Differential, EvalPath, Transform};
+
+/// The 512-point Table-3 sweep with a fault injected every `stride`th
+/// point.
+fn faulted_table3(stride: usize) -> Vec<CandidateParams> {
+    let mut candidates = SweepSpec::table3_fig6().candidates(4800.0);
+    assert_eq!(candidates.len(), 512, "Table-3 sweep size");
+    assert!(!inject_faults(&mut candidates, stride).is_empty());
+    candidates
+}
 
 #[test]
-fn lattice_sweep_is_bit_identical_to_factored_with_faults() {
+fn lattice_sweep_is_bit_identical_to_reference_with_faults() {
     // 512 points, with a fault injected every 7th: the lattice pipeline
-    // must reproduce the factored pipeline's successes bit-for-bit AND
-    // fail at exactly the same indices with the same error kinds — a
-    // faulted candidate demotes itself off the fused fast path and is
-    // evaluated point-wise, so the ledger entry is the factored one.
-    let mut candidates = SweepSpec::table3_fig6().candidates(4800.0);
-    assert!(candidates.len() >= 200, "need a representative sweep, got {}", candidates.len());
-    let injected = inject_faults(&mut candidates, 7);
-    assert!(!injected.is_empty());
-
-    let case = DiffCase::paths("lattice-vs-factored-faulted", EvalPath::Lattice, EvalPath::Factored);
+    // must reproduce the reference's successes bit-for-bit AND fail at
+    // exactly the same indices with the same error kinds and messages —
+    // a faulted candidate demotes itself off the fused fast path and is
+    // evaluated point-wise, so its ledger entry must still be the
+    // oracle's.
+    let candidates = faulted_table3(7);
+    let case =
+        DiffCase::paths("lattice-vs-reference-faulted", EvalPath::Reference, EvalPath::Lattice);
     let report = Differential::paper_default().run(&candidates, &case);
     assert_eq!(report.points, candidates.len());
     assert!(report.ok > 0, "the sweep must produce successes");
@@ -34,44 +44,39 @@ fn lattice_sweep_is_bit_identical_to_factored_with_faults() {
 }
 
 #[test]
-fn lattice_sweep_is_bit_identical_across_mixed_dtypes() {
-    // A sweep whose devices alternate int8 / fp16 / fp32 exercises one
-    // fused-table key set and one combine program per datatype in a
-    // single run: dtype sits in every leg key and selects the program.
-    // Datatype lives on the DeviceConfig rather than the swept candidate
-    // axes, so this comparison runs config-by-config.
-    let base = SweepSpec::table3_fig6().configs(4800.0);
-    let configs: Vec<DeviceConfig> = base
-        .iter()
-        .take(48)
-        .enumerate()
-        .map(|(i, cfg)| {
-            let dtype = match i % 3 {
-                0 => DataType::Int8,
-                1 => DataType::Fp16,
-                _ => DataType::Fp32,
-            };
-            cfg.to_builder().datatype(dtype).build().expect("datatype swap keeps configs valid")
-        })
-        .collect();
-    assert_eq!(configs.len(), 48);
-
-    let r = acs_dse::DseRunner::new(
-        acs_llm::ModelConfig::llama3_8b(),
-        acs_llm::WorkloadConfig::paper_default(),
-    );
-    let lattice = r.run_configs_lattice(&configs);
-    let factored = r.run_configs_factored(&configs);
-    for ((cfg, l), f) in configs.iter().zip(&lattice).zip(&factored) {
-        let l = l.as_ref().expect("healthy configs evaluate on the lattice path");
-        let f = f.as_ref().expect("healthy configs evaluate on the factored path");
-        assert_eq!(
-            design_digest(l).expect("designs serialise"),
-            design_digest(f).expect("designs serialise"),
-            "dtype {:?} diverged between lattice and factored pipelines",
-            cfg.datatype()
-        );
+fn lattice_sweep_is_unmoved_by_threads_and_order() {
+    // The lattice's single-worker branch assembles the report in place
+    // instead of merging chunks, and a shuffle moves the faulted sweep's
+    // demoted points between chunks: neither may move a result.
+    let candidates = faulted_table3(7);
+    let harness = Differential::paper_default();
+    for transform in [Transform::Threads(1), Transform::PermuteOrder { seed: 0x51AB }] {
+        let label = format!("lattice-{transform}");
+        let case = DiffCase::metamorphic(&label, EvalPath::Lattice, transform);
+        harness.run(&candidates, &case).assert_clean();
     }
+}
+
+#[test]
+fn lattice_sweep_is_bit_identical_across_mixed_dtypes() {
+    // Datatype sits in every leg key and selects the combine program, so
+    // each operand format prices its own fused-table key set. The
+    // lattice sweeps candidate axes only; a runner-level datatype
+    // override retypes every point, so this comparison runs one sweep
+    // per format.
+    let candidates: Vec<CandidateParams> =
+        SweepSpec::table3_fig6().candidates(4800.0).into_iter().take(48).collect();
+    let mut seen = Vec::new();
+    for dtype in [DataType::Int8, DataType::Fp16, DataType::Fp32] {
+        let runner = Differential::paper_default().runner().with_datatype(dtype);
+        let want = reference::run_report(&runner, &candidates);
+        assert_eq!(want.designs.len(), candidates.len(), "healthy candidates evaluate");
+        let got = runner.run_report_lattice(&candidates);
+        diff_reports(&format!("lattice-vs-reference-{dtype:?}"), &want, &got).assert_clean();
+        seen.push(got.designs[0].1.ttft_s.to_bits());
+    }
+    seen.dedup();
+    assert_eq!(seen.len(), 3, "each datatype must price its own designs");
 }
 
 #[test]
@@ -100,4 +105,23 @@ fn candidate_permutation_does_not_move_lattice_results() {
     let report = Differential::paper_default().run(&candidates, &case);
     assert_eq!(report.points, candidates.len());
     report.assert_clean();
+}
+
+#[test]
+fn expert_parallel_sweep_is_bit_identical_to_reference() {
+    // The Mixtral-shaped tp4/ep4 scenario prices its dispatch/combine
+    // all-to-alls in the comm leg. The reference lowers that graph
+    // itself, point by point, so this checks the broadcast's
+    // expert-parallel comm vectors against an independent evaluator.
+    let runner = ScenarioRegistry::builtin()
+        .get("moe-mixtral-fp16-tp4-ep4")
+        .expect("builtin scenario")
+        .runner();
+    assert_eq!(runner.expert_parallel(), 4, "scenario must carry its ep degree");
+    let candidates = faulted_table3(11);
+    let want = reference::run_report(&runner, &candidates);
+    assert!(want.designs.len() > 400, "the MoE sweep must price, got {}", want.designs.len());
+    assert!(!want.failures.is_empty(), "the injected faults must reach the ledger");
+    diff_reports("lattice-vs-reference-ep4", &want, &runner.run_report_lattice(&candidates))
+        .assert_clean();
 }

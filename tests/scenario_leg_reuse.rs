@@ -1,8 +1,9 @@
-//! Acceptance proof for the scenario frontend's factored economics: a
-//! MoE scenario sweep pays its leg pricing once, and every later sweep
-//! against the same runner re-prices entirely from the persistent leg
-//! tables — zero new `dse.factored.leg_miss`, a full complement of
-//! `dse.factored.leg_hit` — while a dense scenario reproduces the plain
+//! Acceptance proof for the scenario frontend's lattice economics: a
+//! cold MoE scenario sweep takes the broadcast at every point
+//! (`dse.lattice.fallback_points` stays 0, the expert all-to-all legs
+//! included), and every later sweep against the same runner re-prices
+//! entirely from the persistent leg tables — zero new
+//! `dse.factored.leg_miss` — while a dense scenario reproduces the plain
 //! runner's designs digest for digest, bit-identically.
 //!
 //! Shares the process-global telemetry registry, so this file keeps to
@@ -15,17 +16,10 @@ use acs_scenarios::ScenarioRegistry;
 use acs_verify::design_digest;
 
 /// Points in [`SweepSpec::table3_fig6`].
-const POINTS: u64 = 512;
-/// Leg-table lookups per evaluated point: three legs (compute, memory,
-/// collective) for each of the two phases (prefill, decode).
-const LOOKUPS_PER_POINT: u64 = 6;
+const POINTS: usize = 512;
 
-fn leg_counters(reg: &acs_telemetry::Registry) -> (u64, u64) {
-    let counters = reg.counter_values();
-    let get = |name: &str| {
-        counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_default()
-    };
-    (get("dse.factored.leg_hit"), get("dse.factored.leg_miss"))
+fn counter(reg: &acs_telemetry::Registry, name: &str) -> u64 {
+    reg.counter_values().iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_default()
 }
 
 #[test]
@@ -36,48 +30,42 @@ fn moe_scenario_sweeps_reprice_from_persistent_leg_tables() {
     let registry = ScenarioRegistry::builtin();
     let spec = SweepSpec::table3_fig6();
 
-    // Cold pass under the expert-parallel scenario: every point does its
-    // six lookups, and the sweep lattice shares legs between sibling
-    // points — but some lookups must miss to fill the tables, including
-    // the expert all-to-all legs the ep=4 communication key introduces.
+    // Cold pass under the expert-parallel scenario: some leg lookups
+    // must miss to fill the tables, including the expert all-to-all
+    // legs the ep=4 communication key introduces, yet every point takes
+    // the fused broadcast — none demotes to the per-point evaluator.
     let moe = registry.get("moe-mixtral-fp16-tp4-ep4").expect("builtin scenario");
     let runner = moe.runner();
     assert_eq!(runner.expert_parallel(), 4, "scenario must carry its ep degree");
-    let cold = runner.run_factored(&spec, 4800.0);
-    assert_eq!(cold.total() as u64, POINTS);
+    let cold = runner.run_lattice(&spec, 4800.0);
+    assert_eq!(cold.total(), POINTS);
     assert!(cold.failures.is_empty(), "the Table-3 sweep has no infeasible points");
-    let (hits_1, misses_1) = leg_counters(reg);
     assert_eq!(
-        hits_1 + misses_1,
-        POINTS * LOOKUPS_PER_POINT,
-        "six leg lookups per point on the cold pass"
+        counter(reg, "dse.lattice.fallback_points"),
+        0,
+        "every cold MoE point must take the broadcast"
     );
+    let misses_1 = counter(reg, "dse.factored.leg_miss");
     assert!(misses_1 > 0, "a cold pass must price at least one leg");
-    assert!(
-        misses_1 < POINTS * LOOKUPS_PER_POINT,
-        "the sweep lattice should share legs even within one pass"
-    );
 
-    // Warm pass: the same sweep re-prices wholly from the runner's leg
-    // tables — the factored contract the scenario axis inherits. Designs
-    // must come back bit-identical to the cold pass.
-    let warm = runner.run_factored(&spec, 4800.0);
-    let (hits_2, misses_2) = leg_counters(reg);
-    assert_eq!(misses_2, misses_1, "a warm sweep must not price any new legs");
+    // Warm pass: the same sweep re-prices wholly from the runner's
+    // tables. Designs must come back bit-identical to the cold pass.
+    let warm = runner.run_lattice(&spec, 4800.0);
     assert_eq!(
-        hits_2 - hits_1,
-        POINTS * LOOKUPS_PER_POINT,
-        "the warm sweep should have re-read every leg from the tables"
+        counter(reg, "dse.factored.leg_miss"),
+        misses_1,
+        "a warm sweep must not price any new legs"
     );
+    assert_eq!(counter(reg, "dse.lattice.fallback_points"), 0);
     assert_eq!(warm.designs, cold.designs, "warm designs must be bit-identical");
 
     // The dense scenario is the historical default spelled as a
     // scenario: its sweep must reproduce the plain runner's designs
     // digest for digest, so registering the frontend changed nothing.
     let dense = registry.get("dense-llama3-fp16-tp4").expect("builtin scenario");
-    let via_scenario = dense.runner().run_factored(&spec, 4800.0);
+    let via_scenario = dense.runner().run_lattice(&spec, 4800.0);
     let plain = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default())
-        .run_factored(&spec, 4800.0);
+        .run_lattice(&spec, 4800.0);
     assert_eq!(via_scenario.designs.len(), plain.designs.len());
     assert_eq!(via_scenario.failures.len(), plain.failures.len());
     for ((si, sd), (pi, pd)) in via_scenario.designs.iter().zip(&plain.designs) {

@@ -146,22 +146,24 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --- factored leg-table economics are observable ---
+    // --- lattice leg-table economics are observable ---
     reg.reset();
-    let factored = runner().run_factored(&small_spec(), 4800.0);
-    assert_eq!(factored.total() as u64, n);
-    assert!(factored.failures.is_empty());
-    let leg_counters = reg.counter_values();
+    // No evaluation cache: a cached runner prices per point.
+    let lattice_runner = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
+    let cold = lattice_runner.run_lattice(&small_spec(), 4800.0);
+    assert_eq!(cold.total() as u64, n);
+    assert!(cold.failures.is_empty());
     let leg = |name: &str| {
-        leg_counters.iter().find(|(c, _)| c == name).map(|(_, v)| *v).unwrap_or_default()
+        reg.counter_values().iter().find(|(c, _)| c == name).map(|(_, v)| *v).unwrap_or_default()
     };
-    let (hits, misses) = (leg("dse.factored.leg_hit"), leg("dse.factored.leg_miss"));
-    assert_eq!(hits + misses, 6 * n, "three leg lookups per phase per point");
+    assert_eq!(leg("dse.lattice.fallback_points"), 0, "every point takes the broadcast");
     // small_spec has 4 compute + 2 memory + 1 comm distinct keys per
-    // phase; racing workers may each price a key once, so the exact
-    // split is scheduler-dependent, but every key must miss at least
-    // once and the counters must cover every lookup.
+    // phase: every key must miss once while the tables fill.
+    let misses = leg("dse.factored.leg_miss");
     assert!(misses >= 14, "at least one miss per distinct leg key, got {misses}");
+    let warm = lattice_runner.run_lattice(&small_spec(), 4800.0);
+    assert_eq!(warm.designs, cold.designs);
+    assert_eq!(leg("dse.factored.leg_miss"), misses, "a warm sweep prices no new leg");
 
     reg.disable();
 }

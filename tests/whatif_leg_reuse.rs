@@ -4,7 +4,7 @@
 //! with the fleet's *signature* counts, not its point count — and every
 //! later request against the same server state re-prices it entirely
 //! from the runner's persistent lattice tables (probe caches, fused
-//! vectors, evaluated cells): the factored leg counters do not move at
+//! vectors, evaluated cells): the leg-table counters do not move at
 //! all.
 //!
 //! Shares the process-global telemetry registry, so this file keeps to
@@ -16,8 +16,8 @@ use acs_serve::{handle_lane, AppState};
 
 /// Points in [`acs_dse::SweepSpec::synthetic_fleet`].
 const FLEET: u64 = 4096;
-/// Leg-table lookups per evaluated point in the per-point factored
-/// path: three legs (compute, memory, collective) for each of the two
+/// Leg-table lookups a point-by-point walk of the leg tables would
+/// make: three legs (compute, memory, collective) for each of the two
 /// phases (prefill, decode). The lattice engine's whole claim is that
 /// its traffic stays far below this.
 const LOOKUPS_PER_POINT: u64 = 6;
@@ -46,8 +46,8 @@ fn second_whatif_request_reprices_the_fleet_from_lattice_tables() {
     // First request prices the fleet. The lattice engine probes and
     // prices one representative point per signature instead of walking
     // every point through the leg tables, so total leg traffic must
-    // come in far under the factored path's six lookups per point —
-    // while still paying at least one miss to fill the tables.
+    // come in far under six lookups per point — while still paying at
+    // least one miss to fill the tables.
     let (status, body) = whatif(&state, "{}");
     assert_eq!(status, 200, "baseline what-if failed: {body}");
     assert!(body.contains("\"fleet_designs\":4096"), "fleet missing from summary: {body}");
