@@ -100,10 +100,10 @@ impl CacheKey {
 /// shards `{i : i % of == worker}`.
 ///
 /// The event-loop serve tier hashes connections to workers by digest, so
-/// each worker's traffic lands on a private slice of every cache and the
-/// shard mutexes are never contended across workers. `None` (no lane)
-/// keeps the historical digest-low-bits placement used by the worker
-/// pool and the sweep engines.
+/// each worker's traffic lands on a private slice of a lane-aware cache
+/// and the shard mutexes are never contended across workers. `None` (no
+/// lane) uses the whole shard space, placed by the digest's low bits, as
+/// every in-process caller and the sweep engines do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLane {
     worker: usize,
@@ -252,16 +252,6 @@ impl<V: Clone> ShardedCache<V> {
                 None
             }
         }
-    }
-
-    /// Stats-neutral lookup: no hit/miss accounting and no LRU refresh.
-    /// The admission controller uses this to classify a queued request as
-    /// cheap (cache-resident) or expensive without skewing the counters
-    /// that `/v1/metrics` and the cache-behavior tests observe.
-    #[must_use]
-    pub fn peek(&self, key: &CacheKey, lane: Option<CacheLane>) -> Option<V> {
-        let shard = self.lock(self.shard_in(key, lane));
-        shard.get(key.canonical()).map(|entry| entry.value.clone())
     }
 
     /// Store a value, evicting the shard's least-recently-used entry when
@@ -570,17 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_stats_neutral_and_does_not_refresh_lru() {
-        let cache: ShardedCache<u64> = ShardedCache::new(64);
-        let k = key(3);
-        assert_eq!(cache.peek(&k, None), None);
-        cache.insert(&k, 9);
-        assert_eq!(cache.peek(&k, None), Some(9));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-    }
-
-    #[test]
     fn distinct_lanes_are_disjoint_keyspaces() {
         // An entry inserted through worker 0's lane is invisible through
         // worker 1's: shard affinity replaces cross-worker sharing.
@@ -589,8 +568,8 @@ mod tests {
         let b = Some(CacheLane::new(1, 2));
         let k = key(5);
         cache.insert_in(&k, 7, a);
-        assert_eq!(cache.peek(&k, a), Some(7));
-        assert_eq!(cache.peek(&k, b), None);
+        assert_eq!(cache.get_in(&k, a), Some(7));
+        assert_eq!(cache.get_in(&k, b), None);
     }
 
     #[test]

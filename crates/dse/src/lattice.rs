@@ -21,6 +21,12 @@
 //! Healthy points take the broadcast; the result is bit-identical either
 //! way, a guarantee `tests/lattice_equivalence.rs` pins against the
 //! naive reference evaluator in `acs-verify`.
+//!
+//! What persists across sweeps is keyed by dependency signature, never
+//! by point: the runner's leg tables, the three probe caches, the fused
+//! vectors and the combine programs. Each point is re-assembled from
+//! them on every sweep, first visit or not — a few dozen additions cost
+//! less than a lookup in a table of every point ever priced.
 
 use crate::evaluate::{DseRunner, EvaluatedDesign, SweptParams};
 use crate::factored::FxMap;
@@ -96,37 +102,6 @@ pub(crate) struct LatticeSlot {
     csig_cache: RwLock<FxMap<(u32, u32, u32, u32), ComputeSigData>>,
     msig_cache: RwLock<FxMap<(u32, u64), MemorySigData>>,
     wsig_cache: RwLock<FxMap<u64, CommSigData>>,
-    /// Evaluated grid cells, cached across sweeps: every numeric output
-    /// of the fast point path is a pure function of the (compute,
-    /// memory, comm) key triple for a fixed runner (plans, programs,
-    /// calibration, cost and area models are all frozen at construction,
-    /// and this slot resets whenever any of them changes). A hit replays
-    /// the stored bits; only the candidate's name is per-point. Cells
-    /// are recorded only for points that passed every guard — a point
-    /// that demotes to the per-point fallback is never cached, so the
-    /// unclean corner re-prices (and re-reports) exactly every time.
-    cells: RwLock<FxMap<CellKey, CellNumbers>>,
-}
-
-/// The full dependency signature of one grid cell.
-type CellKey = (ComputeKey, MemoryKey, CommKey);
-
-/// Every field of an [`EvaluatedDesign`] that is a function of the cell
-/// key alone — everything except the candidate's name and the swept
-/// integer parameters (which equal the key's own axes).
-#[derive(Debug, Clone, Copy)]
-struct CellNumbers {
-    hbm_tb_s: f64,
-    device_bw_gb_s: f64,
-    tpp: f64,
-    die_area_mm2: f64,
-    perf_density: f64,
-    die_cost_usd: f64,
-    good_die_cost_usd: f64,
-    ttft_s: f64,
-    tbt_s: f64,
-    within_reticle: bool,
-    pd_unregulated_2023: bool,
 }
 
 /// The compiled combine loops of one dtype's plan pair.
@@ -201,10 +176,6 @@ static FAST_POINTS: acs_telemetry::GlobalCounter =
     acs_telemetry::GlobalCounter::new("dse.lattice.fast_points");
 static FALLBACK_POINTS: acs_telemetry::GlobalCounter =
     acs_telemetry::GlobalCounter::new("dse.lattice.fallback_points");
-static CELL_HIT: acs_telemetry::GlobalCounter =
-    acs_telemetry::GlobalCounter::new("dse.lattice.cell_hit");
-static CELL_BUILT: acs_telemetry::GlobalCounter =
-    acs_telemetry::GlobalCounter::new("dse.lattice.cell_built");
 
 /// One compute signature's probe-derived constants: the dependency key,
 /// the area components that depend only on compute axes (assembled in
@@ -243,7 +214,7 @@ struct CommSigData {
 /// and fused vectors, shared read-only by the point workers. The fused
 /// tables are dense — a pair lives at `ci * n_msigs + mi`, a comm at
 /// `wi` — so the per-point path is two indexed loads, no hashing.
-struct SweepCtx<'a> {
+struct SweepCtx {
     plans: Arc<EvalPlans>,
     programs: Arc<ProgramPair>,
     csig_data: Vec<Option<ComputeSigData>>,
@@ -257,10 +228,6 @@ struct SweepCtx<'a> {
     pairs: Vec<Option<Arc<PairFused>>>,
     /// Fused comm vectors, dense over comm signatures.
     comms: Vec<Option<Arc<PairFused>>>,
-    /// The runner's persistent cell table, read-locked for the whole
-    /// point stage (fresh cells are published after the stage, so the
-    /// guard never blocks a writer it waits on).
-    cells: &'a FxMap<CellKey, CellNumbers>,
 }
 
 impl DseRunner {
@@ -634,7 +601,6 @@ impl DseRunner {
             ));
         }
 
-        let cells_guard = self.lattice.cells.read().unwrap_or_else(PoisonError::into_inner);
         let ctx = SweepCtx {
             plans,
             programs,
@@ -645,7 +611,6 @@ impl DseRunner {
             n_msigs,
             pairs,
             comms,
-            cells: &cells_guard,
         };
         let _ = &ctx.plans; // plans kept alive for the programs' lifetime
         // Evaluate in contiguous point chunks: the harness cost (panic
@@ -656,21 +621,19 @@ impl DseRunner {
         const LATTICE_CHUNK: usize = 64;
         let mut report = SweepReport::default();
         report.designs.reserve(candidates.len());
-        let mut fresh_cells: Vec<(CellKey, CellNumbers)> = Vec::new();
         if self.worker_count() == 1 {
             // A single worker assembles the report in place — no
             // per-chunk buffers, no merge pass. A panicking chunk is
             // rewound by truncating to the pre-chunk marks, then demoted.
             for (k, chunk) in candidates.chunks(LATTICE_CHUNK).enumerate() {
                 let start = k * LATTICE_CHUNK;
-                let marks = (report.designs.len(), report.failures.len(), fresh_cells.len());
+                let marks = (report.designs.len(), report.failures.len());
                 let contained = catch_unwind(AssertUnwindSafe(|| {
-                    self.lattice_chunk(start, chunk, &ctx, &mut report, &mut fresh_cells);
+                    self.lattice_chunk(start, chunk, &ctx, &mut report);
                 }));
                 if contained.is_err() {
                     report.designs.truncate(marks.0);
                     report.failures.truncate(marks.1);
-                    fresh_cells.truncate(marks.2);
                     self.demote_chunk(start, chunk, &mut report);
                 }
             }
@@ -685,51 +648,38 @@ impl DseRunner {
                 |c| c.1[0].name.as_str(),
                 |&(start, chunk)| {
                     let mut part = SweepReport::default();
-                    let mut fresh = Vec::new();
-                    self.lattice_chunk(start, chunk, &ctx, &mut part, &mut fresh);
-                    Ok((part, fresh))
+                    self.lattice_chunk(start, chunk, &ctx, &mut part);
+                    Ok(part)
                 },
             );
             for (res, &(start, chunk)) in chunk_outcomes.into_iter().zip(&chunks) {
                 match res {
-                    Ok((part, fresh)) => {
+                    Ok(part) => {
                         report.designs.extend(part.designs);
                         report.failures.extend(part.failures);
-                        fresh_cells.extend(fresh);
                     }
                     Err(_) => self.demote_chunk(start, chunk, &mut report),
                 }
-            }
-        }
-        drop(ctx);
-        drop(cells_guard);
-        if !fresh_cells.is_empty() {
-            let mut map = self.lattice.cells.write().unwrap_or_else(PoisonError::into_inner);
-            for (key, cell) in fresh_cells {
-                map.entry(key).or_insert(cell);
             }
         }
         self.report_telemetry(&report);
         Some(report)
     }
 
-    /// Evaluate one contiguous chunk of the sweep into `report`,
-    /// recording freshly built cells for post-stage publication.
+    /// Evaluate one contiguous chunk of the sweep into `report`.
     fn lattice_chunk(
         &self,
         start: usize,
         chunk: &[CandidateParams],
         ctx: &SweepCtx,
         report: &mut SweepReport,
-        fresh: &mut Vec<(CellKey, CellNumbers)>,
     ) {
         let mut fast = 0u64;
         let mut fallback = 0u64;
-        let fresh_mark = fresh.len();
         for (off, cand) in chunk.iter().enumerate() {
             let index = start + off;
             let sigs = ctx.point_sigs[index];
-            match sigs.and_then(|sigs| self.lattice_point(cand, sigs, ctx, fresh)) {
+            match sigs.and_then(|sigs| self.lattice_point(cand, sigs, ctx)) {
                 Some(design) => {
                     fast += 1;
                     report.designs.push((index, design));
@@ -747,11 +697,8 @@ impl DseRunner {
                 }
             }
         }
-        let built = (fresh.len() - fresh_mark) as u64;
         FAST_POINTS.add(fast);
         FALLBACK_POINTS.add(fallback);
-        CELL_BUILT.add(built);
-        CELL_HIT.add(fast - built);
     }
 
     /// Price every point of a chunk whose harness panicked through the
@@ -773,25 +720,18 @@ impl DseRunner {
     /// The broadcast fast path for one point. `None` demotes the point
     /// to the per-point evaluator — taken on any validity, cleanliness,
     /// or guard-check failure, so errors always carry the per-point
-    /// path's exact shape. A cell-table hit replays the stored bits; a
-    /// miss computes them and records the cell for publication (only on
-    /// full success, so cached cells always passed every guard).
+    /// path's exact shape.
     fn lattice_point(
         &self,
         cand: &CandidateParams,
         sigs: (u32, u32, u32),
         ctx: &SweepCtx,
-        fresh: &mut Vec<(CellKey, CellNumbers)>,
     ) -> Option<EvaluatedDesign> {
         let (ci, mi, wi) = sigs;
         let (ci, mi, wi) = (ci as usize, mi as usize, wi as usize);
         let cs = ctx.csig_data[ci].as_ref()?;
         let ms = ctx.msig_data[mi].as_ref()?;
         let ws = ctx.wsig_data[wi].as_ref()?;
-        let key = (cs.key, ms.key, ws.key);
-        if let Some(cell) = ctx.cells.get(&key) {
-            return Some(cell_design(cand, cell));
-        }
         let pair = ctx.pairs[ci * ctx.n_msigs + mi].as_ref()?;
         let comm = ctx.comms[wi].as_ref()?;
         if !(pair.clean && comm.clean) {
@@ -829,9 +769,17 @@ impl DseRunner {
         }
         let ttft_s = ctx.programs.prefill.try_ttft(&pair.prefill.values, &comm.prefill.values).ok()?;
         let tbt_s = ctx.programs.decode.try_tbt(&pair.decode.values, &comm.decode.values).ok()?;
-        let cell = CellNumbers {
-            hbm_tb_s: ms.hbm_tb_s,
-            device_bw_gb_s: ws.device_bw_gb_s,
+        Some(EvaluatedDesign {
+            name: cand.name.clone(),
+            params: SweptParams {
+                systolic_dim: cand.systolic_dim,
+                lanes_per_core: cand.lanes_per_core,
+                core_count: cand.core_count,
+                l1_kib: cand.l1_kib,
+                l2_mib: cand.l2_mib,
+                hbm_tb_s: ms.hbm_tb_s,
+                device_bw_gb_s: ws.device_bw_gb_s,
+            },
             tpp,
             die_area_mm2: area,
             perf_density: pd,
@@ -841,36 +789,7 @@ impl DseRunner {
             tbt_s,
             within_reticle: area <= RETICLE_LIMIT_MM2,
             pd_unregulated_2023: self.rule_2023.is_unregulated_dc(tpp, pd),
-        };
-        fresh.push((key, cell));
-        Some(cell_design(cand, &cell))
-    }
-}
-
-/// Materialize one candidate's [`EvaluatedDesign`] from its grid cell:
-/// the name and the swept integers come from the candidate (the
-/// integers equal the cell key's own axes), every number from the cell.
-fn cell_design(cand: &CandidateParams, cell: &CellNumbers) -> EvaluatedDesign {
-    EvaluatedDesign {
-        name: cand.name.clone(),
-        params: SweptParams {
-            systolic_dim: cand.systolic_dim,
-            lanes_per_core: cand.lanes_per_core,
-            core_count: cand.core_count,
-            l1_kib: cand.l1_kib,
-            l2_mib: cand.l2_mib,
-            hbm_tb_s: cell.hbm_tb_s,
-            device_bw_gb_s: cell.device_bw_gb_s,
-        },
-        tpp: cell.tpp,
-        die_area_mm2: cell.die_area_mm2,
-        perf_density: cell.perf_density,
-        die_cost_usd: cell.die_cost_usd,
-        good_die_cost_usd: cell.good_die_cost_usd,
-        ttft_s: cell.ttft_s,
-        tbt_s: cell.tbt_s,
-        within_reticle: cell.within_reticle,
-        pd_unregulated_2023: cell.pd_unregulated_2023,
+        })
     }
 }
 

@@ -1,10 +1,10 @@
-//! The serve tier: N shard workers, each owning a readiness loop, a
-//! private slice of the response caches, and a raw front cache of
-//! byte-identical repeats.
+//! The serve tier: N shard workers, each owning a readiness loop, a raw
+//! front cache of byte-identical `/v1/screen` and `/v1/simulate`
+//! repeats, and a private slice of the what-if response cache.
 //!
 //! Connections are hashed to workers by a digest of their peer address,
 //! so a client's keep-alive session stays on one worker and its repeated
-//! queries hit that worker's cache lane without any cross-shard locking.
+//! queries hit that worker's caches without any cross-shard locking.
 //! Each connection is a small state machine: bytes accumulate in an
 //! input buffer, complete requests are peeled off by the incremental
 //! parser ([`crate::http::parse_request_bytes`]) — several per readiness
@@ -50,8 +50,8 @@ const WAKE: u64 = u64::MAX;
 const POLL_MS: i32 = 50;
 
 /// Per-worker raw front-cache entry ceiling; at capacity the map is
-/// cleared wholesale (the entries are cheap to rebuild from the
-/// semantic caches underneath).
+/// cleared wholesale, and a cleared entry's next request recomputes
+/// its answer from the lattice, plan and step-cost tables.
 const RAW_CACHE_CAP: usize = 4096;
 
 /// Backpressure high-water mark: while a connection has this much

@@ -5,10 +5,15 @@
 //! HTTP status derived from the error taxonomy's stable `kind()` tag, so
 //! clients can switch on `error.kind` without parsing prose.
 //!
-//! `POST /v1/screen` and `POST /v1/simulate` are memoised through
-//! content-addressed caches keyed on a *normalised* form of the request
-//! (defaults filled in, members in fixed order), so two JSON bodies that
-//! mean the same thing share one cache entry.
+//! Each result has one memo. A byte-identical repeat of `POST
+//! /v1/screen` or `POST /v1/simulate` is answered by its worker's raw
+//! front cache before it reaches this module; everything else is
+//! computed here from the persistent lower layers — the lattice runners'
+//! leg tables and fused vectors, the plan store, the step-cost cache.
+//! `POST /v1/whatif` streams its answer and is never raw-cached, so it
+//! keeps a response cache of its own, keyed on a *normalised* form of
+//! the request (defaults filled in, members in fixed order): two JSON
+//! bodies that mean the same thing share one entry.
 
 use crate::http::{percent_decode, HttpRequest};
 use acs_cache::{CacheKey, CacheLane, CacheStats, ShardedCache};
@@ -38,15 +43,14 @@ const ENDPOINTS: [&str; 6] = ["screen", "simulate", "devices", "metrics", "whati
 /// point, which bypasses [`handle_lane`]'s routing).
 const WHATIF_ENDPOINT: usize = 4;
 
-/// Shared service state: the device database, the response caches, and
-/// the service's own always-enabled telemetry [`Registry`] — the single
-/// source of truth behind `GET /v1/metrics` (request counters,
-/// per-endpoint latency histograms, shed counts).
+/// Shared service state: the device database, the what-if response
+/// cache, the lower-layer memos, and the service's own always-enabled
+/// telemetry [`Registry`] — the single source of truth behind
+/// `GET /v1/metrics` (request counters, per-endpoint latency
+/// histograms, shed counts).
 #[derive(Debug)]
 pub struct AppState {
     db: GpuDatabase,
-    screen_cache: ShardedCache<String>,
-    simulate_cache: ShardedCache<String>,
     step_cache: StepCostCache,
     whatif_cache: ShardedCache<String>,
     plan_store: PlanStore,
@@ -84,8 +88,9 @@ pub struct AppState {
 }
 
 impl AppState {
-    /// State with the curated device database and caches bounded to
-    /// `cache_capacity` entries each.
+    /// State with the curated device database, the what-if response
+    /// cache bounded to `cache_capacity` entries and the step-cost cache
+    /// to at least 1024.
     #[must_use]
     pub fn new(cache_capacity: usize) -> Self {
         // The service registry is always on: /v1/metrics must report real
@@ -97,8 +102,6 @@ impl AppState {
             .map(|endpoint| telemetry.histogram(&format!("serve.latency_us.{endpoint}")));
         AppState {
             db: GpuDatabase::curated_65(),
-            screen_cache: ShardedCache::new(cache_capacity),
-            simulate_cache: ShardedCache::new(cache_capacity),
             step_cache: StepCostCache::new(cache_capacity.max(1024)),
             whatif_cache: ShardedCache::new(cache_capacity),
             // Plans are tiny (one operator graph pair per distinct
@@ -126,16 +129,11 @@ impl AppState {
         }
     }
 
-    /// Counters of the response caches, in `/v1/metrics` order
-    /// (screen, simulate, sim-steps, whatif).
+    /// Counters of the service's caches, in `/v1/metrics` order
+    /// (sim-steps, whatif).
     #[must_use]
-    pub fn cache_stats(&self) -> [CacheStats; 4] {
-        [
-            self.screen_cache.stats(),
-            self.simulate_cache.stats(),
-            self.step_cache.stats(),
-            self.whatif_cache.stats(),
-        ]
+    pub fn cache_stats(&self) -> [CacheStats; 2] {
+        [self.step_cache.stats(), self.whatif_cache.stats()]
     }
 
     /// The service's telemetry registry (always enabled).
@@ -180,8 +178,8 @@ impl AppState {
     }
 
     /// Count one raw front-cache hit: a byte-identical repeated request
-    /// answered from a worker-private response buffer without touching
-    /// the semantic caches. The endpoint's request counter and latency
+    /// answered from a worker-private response buffer without reaching
+    /// the handlers. The endpoint's request counter and latency
     /// histogram record it like any other request.
     pub fn record_raw_hit(&self, endpoint: usize, micros: f64) {
         match endpoint {
@@ -233,8 +231,6 @@ impl AppState {
     /// service registry carries the cache picture too.
     fn sync_cache_telemetry(&self) {
         let caches = [
-            ("screen", self.screen_cache.stats(), self.screen_cache.len()),
-            ("simulate", self.simulate_cache.stats(), self.simulate_cache.len()),
             ("sim_steps", self.step_cache.stats(), self.step_cache.len()),
             ("whatif", self.whatif_cache.stats(), self.whatif_cache.len()),
         ];
@@ -291,9 +287,9 @@ pub(crate) fn endpoint_index(path: &str) -> usize {
 /// Route one request. Always returns a complete `(status, JSON body)`
 /// pair; this function never panics on untrusted input.
 ///
-/// `lane` pins every response-cache access to the shards one worker
-/// owns, so workers never contend on shard mutexes. `lane: None` (the
-/// in-process callers: tests, the fuzzer, the oracles) uses the
+/// `lane` pins every what-if response-cache access to the shards one
+/// worker owns, so workers never contend on shard mutexes. `lane: None`
+/// (the in-process callers: tests, the fuzzer, the oracles) uses the
 /// whole-cache placement.
 pub fn handle_lane(
     state: &AppState,
@@ -306,11 +302,11 @@ pub fn handle_lane(
     let outcome: Result<String, (u16, String)> = match (request.method.as_str(), path) {
         ("POST", "/v1/screen") => {
             state.screen_requests.add(1);
-            screen(state, &request.body, lane).map_err(|e| err(&e))
+            screen(state, &request.body).map_err(|e| err(&e))
         }
         ("POST", "/v1/simulate") => {
             state.simulate_requests.add(1);
-            simulate(state, &request.body, lane).map_err(|e| err(&e))
+            simulate(state, &request.body).map_err(|e| err(&e))
         }
         ("POST", "/v1/whatif") => {
             state.whatif_requests.add(1);
@@ -457,27 +453,6 @@ fn config_from_json(spec: &Value) -> Result<DeviceConfig, AcsError> {
     Ok(builder.build()?)
 }
 
-/// Normalised canonical form of a config for cache keys: every
-/// load-bearing parameter, fixed member order.
-fn config_fingerprint(c: &DeviceConfig) -> Value {
-    let u = |x: u64| Value::Number(x as f64);
-    object(vec![
-        ("name", Value::String(c.name().to_owned())),
-        ("cores", u(u64::from(c.core_count()))),
-        ("lanes", u(u64::from(c.lanes_per_core()))),
-        ("sys_x", u(u64::from(c.systolic().x))),
-        ("sys_y", u(u64::from(c.systolic().y))),
-        ("vec", u(u64::from(c.vector_width()))),
-        ("ghz", Value::Number(c.frequency_ghz())),
-        ("l1_kib", u(u64::from(c.l1_kib_per_core()))),
-        ("l2_mib", u(u64::from(c.l2_mib()))),
-        ("hbm_gb_s", Value::Number(c.hbm().bandwidth_gb_s)),
-        ("hbm_gib", Value::Number(c.hbm().capacity_gib)),
-        ("phy_gb_s", Value::Number(c.phy().total_gb_s())),
-        ("dtype_bits", u(u64::from(c.datatype().bit_width()))),
-    ])
-}
-
 fn screening_value(
     metrics: &DeviceMetrics,
     hbm: Option<(&str, f64, f64)>, // (name, mem bandwidth GB/s, package area mm²)
@@ -618,24 +593,6 @@ fn parse_grid(
     Ok((sweep, tpp_target, scenarios))
 }
 
-/// Normalised canonical form of a grid for cache keys: axis values in
-/// request order (the lattice engine is order-insensitive, but two
-/// orderings are two requests — correctness never depends on collapsing
-/// them).
-fn grid_fingerprint(s: &SweepSpec) -> Value {
-    let u32s =
-        |xs: &[u32]| Value::Array(xs.iter().map(|&x| Value::Number(f64::from(x))).collect());
-    let f64s = |xs: &[f64]| Value::Array(xs.iter().copied().map(Value::Number).collect());
-    object(vec![
-        ("systolic_dims", u32s(&s.systolic_dims)),
-        ("lanes_per_core", u32s(&s.lanes_per_core)),
-        ("l1_kib", u32s(&s.l1_kib)),
-        ("l2_mib", u32s(&s.l2_mib)),
-        ("hbm_tb_s", f64s(&s.hbm_tb_s)),
-        ("device_bw_gb_s", f64s(&s.device_bw_gb_s)),
-    ])
-}
-
 /// Serialise one sweep report as `(designs, failures)` member arrays.
 fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value>), AcsError> {
     let mut designs = Vec::with_capacity(report.designs.len());
@@ -665,98 +622,69 @@ fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value
 /// ledger. A `scenario` member evaluates the same hardware lattice once
 /// per scenario (model x dtype x parallelism), grouping the results per
 /// scenario; without one the state's historical dense default runner
-/// answers, byte-identically to pre-scenario responses. Responses are
-/// cached like scalar screens; on a cache miss the evaluation still
-/// reuses every cost leg any earlier grid priced under the same
-/// scenario, because each runner's leg tables persist in the
-/// [`AppState`].
-fn screen_grid(
-    state: &AppState,
-    spec: &Value,
-    lane: Option<CacheLane>,
-) -> Result<String, AcsError> {
+/// answers, byte-identically to pre-scenario responses. Every grid
+/// reuses each cost leg and fused vector any earlier grid priced under
+/// the same scenario, because each runner's lattice tables persist in
+/// the [`AppState`].
+fn screen_grid(state: &AppState, spec: &Value) -> Result<String, AcsError> {
     let (sweep, tpp_target, scenarios) = parse_grid(&state.scenarios, spec)?;
-    let mut key_members = vec![
-        ("v", Value::String("screen-grid-v1".to_owned())),
-        ("grid", grid_fingerprint(&sweep)),
-        ("tpp", Value::Number(tpp_target)),
-    ];
-    if !scenarios.is_empty() {
-        // Keyed on canonical scenario content, not names: an inline spec
-        // and the equivalent registered scenario share a cache entry.
-        key_members.push((
-            "scenarios",
-            Value::Array(
-                scenarios.iter().map(|s| Value::String(s.canonical())).collect(),
-            ),
-        ));
-    }
-    let key = CacheKey::from_value(&object(key_members));
-    let (response, _) = state.screen_cache.get_or_try_insert_in(&key, lane, || {
-        if scenarios.is_empty() {
-            let report = state.dse.run_lattice(&sweep, tpp_target);
-            let (designs, failures) = report_values(&report)?;
-            return Ok::<_, AcsError>(
-                object(vec![
-                    (
-                        "grid",
-                        object(vec![
-                            ("points", Value::Number(sweep.cardinality() as f64)),
-                            ("tpp_target", Value::Number(tpp_target)),
-                            ("evaluated", Value::Number(report.designs.len() as f64)),
-                            ("failed", Value::Number(report.failures.len() as f64)),
-                        ]),
-                    ),
-                    ("designs", Value::Array(designs)),
-                    ("failures", Value::Array(failures)),
-                ])
-                .to_json(),
-            );
-        }
-        let mut groups = Vec::with_capacity(scenarios.len());
-        let (mut evaluated, mut failed) = (0usize, 0usize);
-        for scenario in &scenarios {
-            let report = state.runner_for(scenario).run_lattice(&sweep, tpp_target);
-            evaluated += report.designs.len();
-            failed += report.failures.len();
-            let (designs, failures) = report_values(&report)?;
-            groups.push(object(vec![
-                ("scenario", Value::String(scenario.name().to_owned())),
-                ("model", Value::String(scenario.model().name().to_owned())),
-                ("dtype", Value::String(scenario.dtype().to_string())),
-                ("parallelism", Value::String(scenario.parallelism().to_string())),
-                ("devices", Value::Number(scenario.parallelism().devices() as f64)),
-                ("evaluated", Value::Number(designs.len() as f64)),
-                ("failed", Value::Number(failures.len() as f64)),
-                ("designs", Value::Array(designs)),
-                ("failures", Value::Array(failures)),
-            ]));
-        }
-        Ok(object(vec![
+    if scenarios.is_empty() {
+        let report = state.dse.run_lattice(&sweep, tpp_target);
+        let (designs, failures) = report_values(&report)?;
+        return Ok(object(vec![
             (
                 "grid",
                 object(vec![
-                    (
-                        "points",
-                        Value::Number((sweep.cardinality() * scenarios.len()) as f64),
-                    ),
+                    ("points", Value::Number(sweep.cardinality() as f64)),
                     ("tpp_target", Value::Number(tpp_target)),
-                    ("evaluated", Value::Number(evaluated as f64)),
-                    ("failed", Value::Number(failed as f64)),
-                    ("scenario_count", Value::Number(scenarios.len() as f64)),
+                    ("evaluated", Value::Number(report.designs.len() as f64)),
+                    ("failed", Value::Number(report.failures.len() as f64)),
                 ]),
             ),
-            ("scenarios", Value::Array(groups)),
+            ("designs", Value::Array(designs)),
+            ("failures", Value::Array(failures)),
         ])
-        .to_json())
-    })?;
-    Ok(response)
+        .to_json());
+    }
+    let mut groups = Vec::with_capacity(scenarios.len());
+    let (mut evaluated, mut failed) = (0usize, 0usize);
+    for scenario in &scenarios {
+        let report = state.runner_for(scenario).run_lattice(&sweep, tpp_target);
+        evaluated += report.designs.len();
+        failed += report.failures.len();
+        let (designs, failures) = report_values(&report)?;
+        groups.push(object(vec![
+            ("scenario", Value::String(scenario.name().to_owned())),
+            ("model", Value::String(scenario.model().name().to_owned())),
+            ("dtype", Value::String(scenario.dtype().to_string())),
+            ("parallelism", Value::String(scenario.parallelism().to_string())),
+            ("devices", Value::Number(scenario.parallelism().devices() as f64)),
+            ("evaluated", Value::Number(designs.len() as f64)),
+            ("failed", Value::Number(failures.len() as f64)),
+            ("designs", Value::Array(designs)),
+            ("failures", Value::Array(failures)),
+        ]));
+    }
+    Ok(object(vec![
+        (
+            "grid",
+            object(vec![
+                ("points", Value::Number((sweep.cardinality() * scenarios.len()) as f64)),
+                ("tpp_target", Value::Number(tpp_target)),
+                ("evaluated", Value::Number(evaluated as f64)),
+                ("failed", Value::Number(failed as f64)),
+                ("scenario_count", Value::Number(scenarios.len() as f64)),
+            ]),
+        ),
+        ("scenarios", Value::Array(groups)),
+    ])
+    .to_json())
 }
 
 /// `POST /v1/screen` — classify a device (by database name) or a custom
 /// accelerator config under each ACR vintage, or evaluate a `grid` of
 /// swept configurations with the lattice DSE engine.
-fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<String, AcsError> {
+fn screen(state: &AppState, body: &str) -> Result<String, AcsError> {
     let request = parse(body)?;
     if let Some(grid) = request.get("grid") {
         if request.get("device").is_some() || request.get("config").is_some() {
@@ -764,7 +692,7 @@ fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<Strin
                 reason: "supply \"grid\" alone, without \"device\" or \"config\"".to_owned(),
             });
         }
-        return screen_grid(state, grid, lane);
+        return screen_grid(state, grid);
     }
     let hbm_area = match request.get("hbm_package_area_mm2") {
         None => None,
@@ -773,9 +701,8 @@ fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<Strin
         })?),
     };
 
-    // Resolve to (display name, policy metrics, HBM bandwidth) and a
-    // normalised identity for the cache key.
-    let (name, metrics, mem_bw, identity) = match (request.get("device"), request.get("config")) {
+    // Resolve to (display name, policy metrics, HBM bandwidth).
+    let (name, metrics, mem_bw) = match (request.get("device"), request.get("config")) {
         (Some(_), Some(_)) => {
             return Err(AcsError::Json {
                 reason: "supply either \"device\" or \"config\", not both".to_owned(),
@@ -787,22 +714,13 @@ fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<Strin
             })?;
             let record = state.db.get(query)?;
             let metrics = record.to_metrics();
-            let mem_bw = record.mem_bw_gb_s;
-            let name = record.name.to_string();
-            let identity = object(vec![("device", Value::String(name.clone()))]);
-            (name, metrics, mem_bw, identity)
+            (record.name.to_string(), metrics, record.mem_bw_gb_s)
         }
         (None, Some(spec)) => {
             let config = config_from_json(spec)?;
             let market = parse_market(&request)?;
             let metrics = DeviceMetrics::from_config_with_model(&config, market);
-            let mem_bw = config.hbm().bandwidth_gb_s;
-            let name = config.name().to_owned();
-            let identity = object(vec![
-                ("config", config_fingerprint(&config)),
-                ("market", Value::String(market_tag(market).to_owned())),
-            ]);
-            (name, metrics, mem_bw, identity)
+            (config.name().to_owned(), metrics, config.hbm().bandwidth_gb_s)
         }
         (None, None) => {
             return Err(AcsError::Json {
@@ -811,23 +729,13 @@ fn screen(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<Strin
         }
     };
 
-    let key = CacheKey::from_value(&object(vec![
-        ("v", Value::String("screen-v1".to_owned())),
-        ("subject", identity),
-        ("hbm_area", hbm_area.map_or(Value::Null, Value::Number)),
-    ]));
-    let (response, _) = state.screen_cache.get_or_try_insert_in(&key, lane, || {
-        let hbm = hbm_area.map(|area| (name.as_str(), mem_bw, area));
-        Ok::<_, AcsError>(
-            object(vec![
-                ("device", Value::String(name.clone())),
-                ("metrics", metrics_value(&metrics)),
-                ("screening", screening_value(&metrics, hbm)),
-            ])
-            .to_json(),
-        )
-    })?;
-    Ok(response)
+    let hbm = hbm_area.map(|area| (name.as_str(), mem_bw, area));
+    Ok(object(vec![
+        ("device", Value::String(name.clone())),
+        ("metrics", metrics_value(&metrics)),
+        ("screening", screening_value(&metrics, hbm)),
+    ])
+    .to_json())
 }
 
 /// Normalised canonical form of a rule grid for cache keys: every axis
@@ -1149,89 +1057,57 @@ fn parse_simulate(body: &str) -> Result<SimulateRequest, AcsError> {
 
 /// `POST /v1/simulate` — per-phase latency plus serving-level percentiles
 /// for one accelerator configuration.
-fn simulate(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<String, AcsError> {
+fn simulate(state: &AppState, body: &str) -> Result<String, AcsError> {
     let req = parse_simulate(body)?;
-    // One plan pair serves both the cache key (via its digests: the
-    // model, workload, and node shape are content-addressed) and, on a
-    // miss, the simulation itself.
+    // The plan store shares one plan pair per model, workload and node
+    // shape; the step-cost cache shares priced scheduler steps.
     let plans = state.plan_store.get_or_build(
         &req.model,
         &req.workload,
         req.device_count,
         req.config.datatype().bytes(),
     )?;
+    let system = acs_hw::SystemConfig::new(req.config.clone(), req.device_count)?;
+    let sim = Simulator::new(system);
+    let ttft_s = sim.try_ttft_planned(&plans.prefill)?;
+    let tbt_s = sim.try_tbt_planned(&plans.decode)?;
+    let trace = RequestTrace::synthetic(
+        req.rate_rps,
+        req.duration_s,
+        LengthDistribution::chat_prompts(),
+        LengthDistribution::chat_outputs(),
+        req.seed,
+    )?;
+    let serving = simulate_serving_cached(
+        &sim,
+        &req.model,
+        &trace,
+        ServingConfig { max_batch: req.max_batch },
+        &state.step_cache,
+    );
     let u = |x: u64| Value::Number(x as f64);
-    let key = CacheKey::from_value(&object(vec![
-        ("v", Value::String("simulate-v2".to_owned())),
-        ("config", config_fingerprint(&req.config)),
+    Ok(object(vec![
+        ("device", Value::String(req.config.name().to_owned())),
+        ("model", Value::String(req.model.name().to_owned())),
         (
-            "plans",
-            object(vec![
-                ("prefill", Value::String(CacheKey::digest_hex(plans.prefill_digest()))),
-                ("decode", Value::String(CacheKey::digest_hex(plans.decode_digest()))),
-            ]),
+            "per_layer",
+            object(vec![("ttft_s", Value::Number(ttft_s)), ("tbt_s", Value::Number(tbt_s))]),
         ),
         (
-            "trace",
+            "serving",
             object(vec![
-                ("rate_rps", Value::Number(req.rate_rps)),
-                ("duration_s", Value::Number(req.duration_s)),
-                ("seed", u(req.seed)),
+                ("requests", u(trace.len() as u64)),
+                ("completed", u(serving.completed as u64)),
+                ("mean_ttft_s", Value::Number(serving.mean_ttft_s)),
+                ("p50_ttft_s", Value::Number(serving.p50_ttft_s)),
+                ("p99_ttft_s", Value::Number(serving.p99_ttft_s)),
+                ("mean_tbt_s", Value::Number(serving.mean_tbt_s)),
+                ("throughput_tokens_per_s", Value::Number(serving.throughput_tokens_per_s)),
+                ("makespan_s", Value::Number(serving.makespan_s)),
             ]),
         ),
-        ("max_batch", u(req.max_batch as u64)),
-    ]));
-    let (response, _) = state.simulate_cache.get_or_try_insert_in(&key, lane, || {
-        let system = acs_hw::SystemConfig::new(req.config.clone(), req.device_count)?;
-        let sim = Simulator::new(system);
-        let ttft_s = sim.try_ttft_planned(&plans.prefill)?;
-        let tbt_s = sim.try_tbt_planned(&plans.decode)?;
-        let trace = RequestTrace::synthetic(
-            req.rate_rps,
-            req.duration_s,
-            LengthDistribution::chat_prompts(),
-            LengthDistribution::chat_outputs(),
-            req.seed,
-        )?;
-        let serving = simulate_serving_cached(
-            &sim,
-            &req.model,
-            &trace,
-            ServingConfig { max_batch: req.max_batch },
-            &state.step_cache,
-        );
-        Ok::<_, AcsError>(
-            object(vec![
-                ("device", Value::String(req.config.name().to_owned())),
-                ("model", Value::String(req.model.name().to_owned())),
-                (
-                    "per_layer",
-                    object(vec![
-                        ("ttft_s", Value::Number(ttft_s)),
-                        ("tbt_s", Value::Number(tbt_s)),
-                    ]),
-                ),
-                (
-                    "serving",
-                    object(vec![
-                        ("requests", u(trace.len() as u64)),
-                        ("completed", u(serving.completed as u64)),
-                        ("mean_ttft_s", Value::Number(serving.mean_ttft_s)),
-                        ("p50_ttft_s", Value::Number(serving.p50_ttft_s)),
-                        ("p99_ttft_s", Value::Number(serving.p99_ttft_s)),
-                        ("mean_tbt_s", Value::Number(serving.mean_tbt_s)),
-                        (
-                            "throughput_tokens_per_s",
-                            Value::Number(serving.throughput_tokens_per_s),
-                        ),
-                        ("makespan_s", Value::Number(serving.makespan_s)),
-                    ]),
-                ),
-            ])
-            .to_json(),
-        )
-    })?;
-    Ok(response)
+    ])
+    .to_json())
 }
 
 /// `GET /v1/devices` — names in the curated database.
@@ -1343,16 +1219,11 @@ fn metrics(state: &AppState) -> String {
         (
             "caches",
             object(vec![
-                ("screen", stats_value(state.screen_cache.stats(), state.screen_cache.len())),
-                (
-                    "simulate",
-                    stats_value(state.simulate_cache.stats(), state.simulate_cache.len()),
-                ),
                 ("sim_steps", stats_value(state.step_cache.stats(), state.step_cache.len())),
                 ("whatif", stats_value(state.whatif_cache.stats(), state.whatif_cache.len())),
-                // The workers' private raw response buffers:
-                // byte-identical repeats short-circuit here before the
-                // semantic caches are consulted.
+                // The workers' private raw response buffers: the only
+                // memo of /v1/screen and /v1/simulate answers, where
+                // byte-identical repeats short-circuit before any handler.
                 ("raw", object(vec![("hits", u(&state.raw_hits))])),
             ]),
         ),
@@ -1413,8 +1284,6 @@ mod tests {
         let (s2, r2) = post(&state, "/v1/screen", body);
         assert_eq!((s1, s2), (200, 200));
         assert_eq!(r1.to_json(), r2.to_json());
-        let stats = state.screen_cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -1451,10 +1320,10 @@ mod tests {
             assert_eq!(d.get("ttft_s").unwrap().as_f64(), Some(design.ttft_s));
             assert_eq!(d.get("tbt_s").unwrap().as_f64(), Some(design.tbt_s));
         }
-        // Repeats are response-cache hits (same cache as scalar screens).
+        // A repeat re-assembles every point from the warm lattice tables
+        // and must answer the same bytes.
         let (_, r2) = post(&state, "/v1/screen", body);
         assert_eq!(r1.to_json(), r2.to_json());
-        assert_eq!(state.screen_cache.stats().hits, 1);
     }
 
     #[test]
@@ -1496,10 +1365,9 @@ mod tests {
         let moe_designs = moe.get("designs").unwrap().as_array().unwrap();
         let dense_designs = dense_designs.as_array().unwrap();
         assert!(ttft(&moe_designs[0]) != ttft(&dense_designs[0]));
-        // Repeats hit the response cache.
+        // Repeats answer the same bytes.
         let (_, r2) = post(&state, "/v1/screen", body);
         assert_eq!(r1.to_json(), r2.to_json());
-        assert!(state.screen_cache.stats().hits >= 1);
     }
 
     #[test]
@@ -1546,7 +1414,10 @@ mod tests {
             response.get("error").unwrap().get("kind").unwrap().as_str(),
             Some("invalid_config")
         );
-        assert_eq!(state.screen_cache.stats().misses, 0, "rejected before touching the cache");
+        // Rejected by the parser's point ceiling, before any scenario
+        // runner was built or any point priced.
+        assert!(response.to_json().contains("request ceiling"), "{}", response.to_json());
+        assert!(state.scenario_runners.read().unwrap().is_empty(), "rejected before evaluation");
     }
 
     #[test]
@@ -1610,7 +1481,8 @@ mod tests {
             response.get("error").unwrap().get("kind").unwrap().as_str(),
             Some("invalid_config")
         );
-        assert_eq!(state.screen_cache.stats().misses, 0, "rejected before touching the cache");
+        // The parser's point ceiling rejected it, before evaluation.
+        assert!(response.to_json().contains("request ceiling"), "{}", response.to_json());
     }
 
     #[test]
@@ -1663,7 +1535,6 @@ mod tests {
         assert!(r1.get("per_layer").unwrap().get("ttft_s").unwrap().as_f64().unwrap() > 0.0);
         let (_, r2) = post(&state, "/v1/simulate", body);
         assert_eq!(r1.to_json(), r2.to_json());
-        assert_eq!(state.simulate_cache.stats().hits, 1);
     }
 
     #[test]
@@ -1711,7 +1582,6 @@ mod tests {
             r.get("per_layer").unwrap().get("tbt_s").unwrap().as_f64().unwrap()
         };
         assert!(tbt(&r_fast) < tbt(&r_slow), "more bandwidth must decode faster");
-        assert_eq!(state.simulate_cache.stats().misses, 2);
     }
 
     #[test]
@@ -1742,9 +1612,13 @@ mod tests {
         assert_eq!(status, 200);
         let requests = m.get("requests").unwrap();
         assert_eq!(requests.get("screen").unwrap().as_u64(), Some(2));
-        let screen_cache = m.get("caches").unwrap().get("screen").unwrap();
-        assert_eq!(screen_cache.get("hits").unwrap().as_u64(), Some(1));
-        assert_eq!(screen_cache.get("misses").unwrap().as_u64(), Some(1));
+        // Screens have no response cache of their own: the raw front
+        // cache is their memo, and in-process calls never reach it.
+        let caches = m.get("caches").unwrap();
+        let Value::Object(members) = caches else { panic!("caches must be an object") };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["sim_steps", "whatif", "raw"]);
+        assert_eq!(caches.get("raw").unwrap().get("hits").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -1779,7 +1653,7 @@ mod tests {
         );
         // Mirrored cache gauges landed in the registry.
         let gauges = state.telemetry().gauge_values();
-        assert!(gauges.iter().any(|(n, v)| n == "serve.cache.screen.misses" && *v == 1));
+        assert!(gauges.iter().any(|(n, v)| n == "serve.cache.whatif.misses" && *v == 0));
     }
 
     #[test]
@@ -1845,7 +1719,7 @@ mod tests {
         // share the entry.
         let (_, r2) = post(&state, "/v1/whatif", body);
         assert_eq!(r1.to_json(), r2.to_json());
-        let stats = state.cache_stats()[3];
+        let stats = state.cache_stats()[1];
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
@@ -1865,7 +1739,7 @@ mod tests {
         // separate cache entry.
         let (_, r_plain) = post(&state, "/v1/whatif", "{\"rule\":{\"tpp_license\":2400}}");
         assert!(r_plain.get("summary").unwrap().get("scenario").is_none());
-        assert_eq!(state.cache_stats()[3].misses, 2);
+        assert_eq!(state.cache_stats()[1].misses, 2);
         // Unknown scenarios are typed 400s before the fleet is priced.
         let (status, response) =
             post(&state, "/v1/whatif", "{\"scenario\":\"dense-gpt5\"}");
@@ -1877,7 +1751,7 @@ mod tests {
         // Repeats of the scenario request are cache hits.
         let (_, r2) = post(&state, "/v1/whatif", body);
         assert_eq!(r1.to_json(), r2.to_json());
-        assert_eq!(state.cache_stats()[3].hits, 1);
+        assert_eq!(state.cache_stats()[1].hits, 1);
     }
 
     #[test]
@@ -1887,7 +1761,7 @@ mod tests {
         let (s2, r2) = post(&state, "/v1/whatif", "{\"grid\":{\"tpp_license\":[2400]}}");
         assert_eq!((s1, s2), (200, 200));
         assert_eq!(r1.to_json(), r2.to_json());
-        let stats = state.cache_stats()[3];
+        let stats = state.cache_stats()[1];
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
@@ -1907,7 +1781,7 @@ mod tests {
             assert_eq!(status, 400, "body {body:?} -> {}", response.to_json());
         }
         // Rejected before the fleet was priced or anything was cached.
-        assert_eq!(state.cache_stats()[3].misses, 0);
+        assert_eq!(state.cache_stats()[1].misses, 0);
         let (status, _) = handle_lane(
             &state,
             &HttpRequest { method: "GET".into(), path: "/v1/whatif".into(), body: String::new() },

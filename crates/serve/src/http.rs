@@ -12,9 +12,10 @@
 //! client sends `Connection: close` (HTTP/1.0 defaults to close unless
 //! it asks for `keep-alive`), so the load generator and the examples
 //! reuse one socket per thread instead of paying a TCP handshake per
-//! request ([`HttpClient`]). Framing violations surface as
-//! [`AcsError::Protocol`] so the handler layer can map them to a 400
-//! with the standard error envelope.
+//! request ([`HttpClient`]). One response reader serves every client
+//! here: [`HttpClient`], [`http_request`] and the load generator.
+//! Framing violations surface as [`AcsError::Protocol`] so the handler
+//! layer can map them to a 400 with the standard error envelope.
 
 use crate::chaos::{FaultPlan, FaultStream};
 use acs_errors::AcsError;
@@ -300,15 +301,14 @@ impl<'a> ChunkedWriter<'a> {
     }
 }
 
-/// One-shot HTTP client: connect, send `method path` with `body`, return
-/// `(status, response body)`. Used by the load generator, the CI smoke
-/// test, and the examples; kept symmetric with the server so both ends
-/// exercise the same framing rules.
+/// One-shot HTTP client: connect, send `method path` with `body` and
+/// `Connection: close`, return `(status, response body)`. The response
+/// is read by the same framing code as [`HttpClient`]'s.
 ///
 /// # Errors
 ///
-/// [`AcsError::Io`] on connect/read/write failures and
-/// [`AcsError::Protocol`] on an unparsable status line.
+/// [`AcsError::Io`] on connect/write failures and [`AcsError::Protocol`]
+/// on a response that ends early or is not well framed.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -325,16 +325,7 @@ pub fn http_request(
         body.len(),
     );
     stream.write_all(request.as_bytes()).map_err(io_err)?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(io_err)?;
-
-    let status = response
-        .strip_prefix("HTTP/1.1 ")
-        .or_else(|| response.strip_prefix("HTTP/1.0 "))
-        .and_then(|rest| rest.get(..3))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| protocol(format!("unparsable status line in {:?}", response.lines().next())))?;
-    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b).to_owned();
+    let (status, body, _) = read_framed_response(&mut BufReader::new(stream))?;
     Ok((status, body))
 }
 
@@ -390,7 +381,9 @@ fn read_chunked_body(reader: &mut impl BufRead) -> Result<String, AcsError> {
 /// `Content-Length` or `Transfer-Encoding: chunked` (the streaming
 /// `/v1/whatif` endpoint); a response with neither is read to EOF and
 /// marks the connection closed.
-fn read_framed_response(reader: &mut impl BufRead) -> Result<(u16, String, bool), AcsError> {
+pub(crate) fn read_framed_response(
+    reader: &mut impl BufRead,
+) -> Result<(u16, String, bool), AcsError> {
     let status_line = read_line(reader)?;
     let status = status_line
         .strip_prefix("HTTP/1.1 ")

@@ -5,11 +5,10 @@
 //! analyst posts an accelerator description and gets back its export
 //! classification under each Advanced Computing Rule vintage
 //! (`POST /v1/screen`) or its simulated per-phase latency and serving
-//! percentiles (`POST /v1/simulate`), without writing Rust. Results are
-//! memoised through `acs-cache`'s content-addressed cache — repeated
+//! percentiles (`POST /v1/simulate`), without writing Rust. Repeated
 //! queries, the common case when a dashboard polls a fixed set of
-//! designs, are served from memory; `GET /v1/metrics` exposes the hit
-//! counters that prove it.
+//! designs, are answered byte for byte from each worker's raw front
+//! cache; `GET /v1/metrics` exposes the hit counter that proves it.
 //!
 //! Built entirely on `std::net`: no async runtime, no HTTP framework.
 //! One acceptor thread routes connections to shard workers, each a
@@ -85,8 +84,8 @@ pub struct ServeConfig {
     /// reads, partial writes, stalls, and mid-message disconnects are
     /// injected server-side. Chaos-testing only; `None` in production.
     pub chaos_seed: Option<u64>,
-    /// Capacity of each response cache (screen, simulate, sim-steps,
-    /// whatif).
+    /// Capacity of the what-if response cache; the step-cost cache holds
+    /// at least 1024 entries.
     pub cache_capacity: usize,
 }
 
@@ -252,10 +251,45 @@ mod tests {
         let (_, second) = request(addr, "POST", "/v1/simulate", body);
         assert_eq!(first, second, "cached response must be byte-identical");
         // The byte-identical repeat short-circuits in the worker's raw
-        // front cache; the semantic cache saw only the first request.
-        let stats = state.cache_stats()[1];
-        assert_eq!((stats.hits, stats.misses), (0, 1));
+        // front cache.
         assert_eq!(state.raw_hit_count(), 1);
+        handle.shutdown();
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn repeated_screens_are_raw_hits_and_reordered_bodies_recompute() {
+        // One worker and one keep-alive connection: every repeat meets
+        // the same raw front cache, so the hit count is exact.
+        let server =
+            Server::bind(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+        let (addr, state) = (server.local_addr(), server.state());
+        let (handle, thread) = server.spawn();
+        let mut client = http::HttpClient::new(addr, Duration::from_secs(10));
+        let mut screen = |body: &str| {
+            let (status, response) = client.request("POST", "/v1/screen", body).unwrap();
+            assert_eq!(status, 200, "{response}");
+            response
+        };
+        let grid = "{\"grid\":{\"systolic_dims\":[16],\"lanes_per_core\":[4],\
+                    \"l1_kib\":[192,1024],\"l2_mib\":[40],\"hbm_tb_s\":[2.0,3.2],\
+                    \"device_bw_gb_s\":[600.0],\"tpp_target\":4800}}";
+        let config = "{\"config\":{\"core_count\":96,\"hbm_tb_s\":3.2}}";
+        let first_grid = screen(grid);
+        assert_eq!(screen(grid), first_grid);
+        let first_config = screen(config);
+        assert_eq!(screen(config), first_config);
+        assert_eq!(state.raw_hit_count(), 2, "each byte-identical repeat is a raw hit");
+        // The same members in another order mean the same request: the
+        // answers are byte-identical, but the bodies differ, so the raw
+        // cache misses and the handler recomputes.
+        let grid_reordered = "{\"grid\":{\"tpp_target\":4800,\"device_bw_gb_s\":[600.0],\
+                              \"hbm_tb_s\":[2.0,3.2],\"l2_mib\":[40],\"l1_kib\":[192,1024],\
+                              \"lanes_per_core\":[4],\"systolic_dims\":[16]}}";
+        let config_reordered = "{\"config\":{\"hbm_tb_s\":3.2,\"core_count\":96}}";
+        assert_eq!(screen(grid_reordered), first_grid);
+        assert_eq!(screen(config_reordered), first_config);
+        assert_eq!(state.raw_hit_count(), 2, "a reordered body is not a raw hit");
         handle.shutdown();
         thread.join().unwrap();
     }
@@ -602,7 +636,8 @@ mod tests {
     #[test]
     fn whatif_streams_chunked_ndjson_the_client_decodes() {
         // One worker: both connections share a cache lane, so the
-        // second what-if is a semantic-cache hit with exact counts.
+        // second what-if is a what-if response-cache hit with exact
+        // counts.
         let server =
             Server::bind(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
         let (addr, state) = (server.local_addr(), server.state());

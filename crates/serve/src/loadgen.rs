@@ -10,9 +10,10 @@
 //! unique), since under priority shedding the two classes see very
 //! different service.
 
+use crate::http::read_framed_response;
 use acs_errors::AcsError;
 use acs_telemetry::Histogram;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -25,8 +26,6 @@ pub enum LoadMode {
     Unique,
     /// Every body is identical: all hits after the first.
     Repeated,
-    /// Alternate unique and repeated bodies.
-    Mixed,
     /// Every `/v1/screen` body is a distinct config: all misses, but
     /// each miss is a cheap policy screening rather than a simulation —
     /// the server's cheap unique-throughput shape.
@@ -43,12 +42,11 @@ impl LoadMode {
         match s {
             "unique" => Ok(LoadMode::Unique),
             "repeated" => Ok(LoadMode::Repeated),
-            "mixed" => Ok(LoadMode::Mixed),
             "unique-screen" | "unique_screen" => Ok(LoadMode::UniqueScreen),
             other => Err(AcsError::InvalidConfig {
                 field: "mode".to_owned(),
                 reason: format!(
-                    "unknown mode {other:?} (expected unique, repeated, mixed, or unique-screen)"
+                    "unknown mode {other:?} (expected unique, repeated, or unique-screen)"
                 ),
             }),
         }
@@ -60,11 +58,8 @@ impl LoadMode {
 pub struct LoadgenConfig {
     /// Total requests to issue.
     pub requests: usize,
-    /// Concurrent client threads (one connection each when
-    /// `connections` is zero).
-    pub concurrency: usize,
-    /// Client connections to open; zero means one per `concurrency`
-    /// thread. Each connection runs on its own thread.
+    /// Client connections to open, each on its own thread (at least one,
+    /// at most one per request).
     pub connections: usize,
     /// Requests in flight per connection (HTTP/1.1 pipelining depth);
     /// values below one mean a single request in flight.
@@ -79,8 +74,7 @@ impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
             requests: 200,
-            concurrency: 4,
-            connections: 0,
+            connections: 4,
             pipeline: 1,
             mode: LoadMode::Repeated,
             timeout: Duration::from_secs(30),
@@ -126,15 +120,6 @@ pub struct LoadgenReport {
     pub per_class: Vec<ClassLatency>,
 }
 
-/// Whether request `i` of `mode` repeats an earlier body.
-fn is_repeat(mode: LoadMode, i: usize) -> bool {
-    match mode {
-        LoadMode::Repeated => true,
-        LoadMode::Unique | LoadMode::UniqueScreen => false,
-        LoadMode::Mixed => i.is_multiple_of(2),
-    }
-}
-
 /// The request path for `mode` (`/v1/screen` for the cheap unique-work
 /// stream, `/v1/simulate` otherwise).
 #[must_use]
@@ -155,96 +140,14 @@ pub fn request_body(mode: LoadMode, i: usize) -> String {
     if mode == LoadMode::UniqueScreen {
         return format!("{{\"config\":{{\"name\":\"loadgen-{i}\"}}}}");
     }
-    let seed = match mode {
-        LoadMode::Repeated => 7,
-        LoadMode::Unique | LoadMode::UniqueScreen => 1000 + i as u64,
-        LoadMode::Mixed => {
-            if i.is_multiple_of(2) {
-                7
-            } else {
-                1000 + i as u64
-            }
-        }
-    };
+    let seed = if mode == LoadMode::Repeated { 7 } else { 1000 + i as u64 };
     format!(
         "{{\"model\":\"llama3-8b\",\"workload\":{{\"batch\":8,\"input_len\":512,\"output_len\":64}},\
          \"trace\":{{\"rate_rps\":4,\"duration_s\":5,\"seed\":{seed}}}}}"
     )
 }
 
-/// Read one `Content-Length`-framed (or chunked) response off `reader`,
-/// discarding the body. Returns the status code.
-fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<u16> {
-    let eof = || std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed");
-    let bad = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_owned());
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(eof());
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(eof());
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length =
-                    value.trim().parse().map_err(|_| bad("bad Content-Length"))?;
-            } else if name.eq_ignore_ascii_case("transfer-encoding")
-                && value.trim().eq_ignore_ascii_case("chunked")
-            {
-                chunked = true;
-            }
-        }
-    }
-    let mut sink = [0u8; 8192];
-    if chunked {
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(eof());
-            }
-            let size = usize::from_str_radix(line.trim_end(), 16)
-                .map_err(|_| bad("bad chunk size"))?;
-            let mut left = size + 2; // chunk data + CRLF
-            while left > 0 {
-                let take = left.min(sink.len());
-                let n = reader.read(&mut sink[..take])?;
-                if n == 0 {
-                    return Err(eof());
-                }
-                left -= n;
-            }
-            if size == 0 {
-                break;
-            }
-        }
-    } else {
-        let mut left = content_length;
-        while left > 0 {
-            let take = left.min(sink.len());
-            let n = reader.read(&mut sink[..take])?;
-            if n == 0 {
-                return Err(eof());
-            }
-            left -= n;
-        }
-    }
-    Ok(status)
-}
-
-/// One connection's worth of the drive: claim burst indices from the
+/// One connection's worth of the drive: claim request indices from the
 /// shared counter, pipeline each burst in one write, read the responses
 /// back in order. Returns the number of failed requests.
 #[allow(clippy::too_many_arguments)]
@@ -258,6 +161,8 @@ fn drive_connection(
 ) -> usize {
     let depth = config.pipeline.max(1);
     let path = request_path(config.mode);
+    // A stream's bodies are all repeats or all unique.
+    let class = if config.mode == LoadMode::Repeated { repeated } else { unique };
     let mut failures = 0usize;
     let mut redials = 0usize;
     'reconnect: loop {
@@ -277,10 +182,9 @@ fn drive_connection(
             Err(_) => return failures,
         };
         let mut reader = BufReader::new(stream);
-        let mut burst = Vec::with_capacity(depth);
         let mut wire = Vec::with_capacity(depth * 256);
         loop {
-            burst.clear();
+            let mut burst = 0usize;
             wire.clear();
             for _ in 0..depth {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -295,30 +199,26 @@ fn drive_connection(
                     )
                     .as_bytes(),
                 );
-                burst.push(i);
+                burst += 1;
             }
-            if burst.is_empty() {
+            if burst == 0 {
                 return failures;
             }
             let sent = Instant::now();
             if writer.write_all(&wire).is_err() {
-                failures += burst.len();
+                failures += burst;
                 redials += 1;
                 if redials > 3 {
                     return failures;
                 }
                 continue 'reconnect;
             }
-            for &i in &burst {
-                match read_response(&mut reader) {
-                    Ok(200) => {
+            for _ in 0..burst {
+                match read_framed_response(&mut reader) {
+                    Ok((200, _, _)) => {
                         let ms = sent.elapsed().as_secs_f64() * 1e3;
                         overall.record(ms);
-                        if is_repeat(config.mode, i) {
-                            repeated.record(ms);
-                        } else {
-                            unique.record(ms);
-                        }
+                        class.record(ms);
                     }
                     Ok(_) => failures += 1,
                     Err(_) => {
@@ -348,9 +248,7 @@ pub fn run_loadgen(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadgenRe
             reason: "loadgen needs at least one request".to_owned(),
         });
     }
-    let conns = if config.connections > 0 { config.connections } else { config.concurrency }
-        .max(1)
-        .min(config.requests);
+    let conns = config.connections.max(1).min(config.requests);
     let next = AtomicUsize::new(0);
     let started = Instant::now();
     // Merge-safe telemetry histograms shared by every connection
@@ -408,8 +306,6 @@ mod tests {
     fn bodies_repeat_or_differ_as_the_mode_demands() {
         assert_eq!(request_body(LoadMode::Repeated, 0), request_body(LoadMode::Repeated, 9));
         assert_ne!(request_body(LoadMode::Unique, 0), request_body(LoadMode::Unique, 1));
-        assert_eq!(request_body(LoadMode::Mixed, 0), request_body(LoadMode::Mixed, 2));
-        assert_ne!(request_body(LoadMode::Mixed, 1), request_body(LoadMode::Mixed, 3));
         assert_ne!(
             request_body(LoadMode::UniqueScreen, 0),
             request_body(LoadMode::UniqueScreen, 1)
@@ -422,7 +318,7 @@ mod tests {
     fn mode_parsing_accepts_the_cli_spellings() {
         assert_eq!(LoadMode::parse("unique").unwrap(), LoadMode::Unique);
         assert_eq!(LoadMode::parse("repeated").unwrap(), LoadMode::Repeated);
-        assert_eq!(LoadMode::parse("mixed").unwrap(), LoadMode::Mixed);
+        assert_eq!(LoadMode::parse("mixed").unwrap_err().kind(), "invalid_config");
         assert_eq!(LoadMode::parse("unique-screen").unwrap(), LoadMode::UniqueScreen);
         assert_eq!(LoadMode::parse("chaos").unwrap_err().kind(), "invalid_config");
     }
@@ -456,14 +352,11 @@ mod tests {
         assert!(report.p50_ms > 0.0 && report.p50_ms <= report.p99_ms);
         assert_eq!(report.per_class.len(), 1, "all-repeated stream has one class");
         assert_eq!(report.per_class[0].class, "repeated");
-        // Repeats land in the workers' raw front caches or the semantic
-        // cache; between them all but the first identical request is a
-        // hit.
-        let stats = state.cache_stats()[1];
+        // Repeats land in the workers' raw front caches: all but each
+        // connection's first identical request is a hit.
         assert!(
-            stats.hits + state.raw_hit_count() >= 18,
-            "all but the first identical request should hit: semantic {} raw {}",
-            stats.hits,
+            state.raw_hit_count() >= 18,
+            "all but the first identical request should hit: raw {}",
             state.raw_hit_count(),
         );
         handle.shutdown();
@@ -489,8 +382,9 @@ mod tests {
         .unwrap();
         assert_eq!(report.succeeded, 24, "{report:?}");
         assert_eq!(report.per_class[0].class, "unique");
-        assert_eq!(state.cache_stats()[0].misses, 24, "every unique screen is a miss");
         assert_eq!(state.raw_hit_count(), 0);
+        let handled = state.telemetry().counter("serve.requests.screen").get();
+        assert_eq!(handled, 24, "every unique screen reaches the handler");
         handle.shutdown();
         thread.join().unwrap();
     }

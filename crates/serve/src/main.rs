@@ -22,7 +22,7 @@
 //! ```text
 //! acs-serve --loadgen [--addr HOST:PORT] [--requests 200] \
 //!           [--connections 4] [--pipeline 1] \
-//!           [--mode unique|repeated|mixed|unique-screen|compare] \
+//!           [--mode unique|repeated|unique-screen|compare] \
 //!           [--min-unique-qps 2000]
 //! ```
 //!
@@ -42,7 +42,6 @@ struct Args {
     addr: Option<String>,
     workers: usize,
     requests: usize,
-    concurrency: usize,
     connections: usize,
     pipeline: usize,
     mode: String,
@@ -55,8 +54,7 @@ fn parse_args() -> Result<Args, String> {
         addr: None,
         workers: 4,
         requests: 200,
-        concurrency: 4,
-        connections: 0,
+        connections: 4,
         pipeline: 1,
         mode: "repeated".to_owned(),
         min_unique_qps: None,
@@ -79,11 +77,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--requests: {e}"))?;
             }
-            "--concurrency" => {
-                args.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|e| format!("--concurrency: {e}"))?;
-            }
             "--connections" => {
                 args.connections = value("--connections")?
                     .parse()
@@ -104,9 +97,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: acs-serve [--addr HOST:PORT] [--workers N] | \
-                     acs-serve --loadgen [--addr HOST:PORT] [--requests N] [--concurrency N] \
+                     acs-serve --loadgen [--addr HOST:PORT] [--requests N] \
                      [--connections N] [--pipeline N] \
-                     [--mode unique|repeated|mixed|unique-screen|compare] [--min-unique-qps X]"
+                     [--mode unique|repeated|unique-screen|compare] [--min-unique-qps X]"
                     .to_owned())
             }
             other => return Err(format!("unknown flag {other}")),
@@ -179,7 +172,6 @@ fn loadgen(args: &Args) -> Result<(), String> {
 
     let base = LoadgenConfig {
         requests: args.requests,
-        concurrency: args.concurrency,
         connections: args.connections,
         pipeline: args.pipeline,
         ..LoadgenConfig::default()

@@ -9,7 +9,7 @@
 //! lowers fresh layer plans for both phases at every point
 //! ([`LayerPlan::build_parallel`]), and prices them through the full
 //! per-operator breakdown ([`Simulator::try_simulate_planned`]). No plan
-//! slot, leg table, fused vector, cell table or evaluation cache is
+//! slot, leg table, probe cache, fused vector or evaluation cache is
 //! consulted, so a bug in any of them cannot hide here. Because it
 //! lowers the expert-parallel graph itself, it covers expert-parallel
 //! scenario runners as well as dense ones.

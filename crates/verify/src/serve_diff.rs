@@ -10,9 +10,9 @@
 //!
 //! Two deliberate exclusions:
 //!
-//! - `/v1/metrics` is compared on status only: the server's raw front
-//!   cache shifts hits between the `raw` and semantic counters, so the
-//!   bodies legitimately diverge.
+//! - `/v1/metrics` is compared on status only: the server counts its
+//!   raw front-cache hits, which never happen in process, so the bodies
+//!   legitimately diverge.
 //! - `/v1/whatif` streams arrive as chunked NDJSON (the [`HttpClient`]
 //!   decodes the framing); the buffered `{"summary":..,"records":[..]}`
 //!   document is rebuilt from the lines before comparing.
@@ -63,7 +63,7 @@ fn corpus() -> Vec<(&'static str, String, String)> {
         ("POST", "/v1/screen".into(), "not json at all".into()),
         ("POST", "/v1/simulate".into(), sim(7)),
         // The byte-identical repeat: a raw front-cache hit on the wire,
-        // a semantic hit in process — same bytes back either way.
+        // recomputed in process — same bytes back either way.
         ("POST", "/v1/simulate".into(), sim(7)),
         ("POST", "/v1/simulate".into(), sim(11)),
         ("POST", "/v1/whatif".into(), "{\"grid\":{\"tpp_license\":[2400,4800]}}".into()),

@@ -42,6 +42,16 @@ cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- diff
 cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- fuzz --iters 10000 --seed 1
 cargo run -q --release --locked --offline -p acs-verify --bin acs-verify -- chaos --rounds 1 --seed 1
 
+echo "==> checked-in results match what acs-repro writes"
+# Every paper artefact and extension CSV, regenerated into a temp dir,
+# must equal results/ byte for byte.
+resultsdir=$(mktemp -d)
+ACS_RESULTS_DIR="$resultsdir" cargo run -q --release --locked --offline -p acs-repro -- all >/dev/null
+ACS_RESULTS_DIR="$resultsdir" cargo run -q --release --locked --offline -p acs-repro -- ext >/dev/null
+diff -r "$resultsdir" results
+rm -rf "$resultsdir"
+echo "ok"
+
 echo "==> quickstart example"
 cargo run -q --release --locked --offline --example quickstart >/dev/null
 echo "ok"
@@ -49,7 +59,7 @@ echo "ok"
 echo "==> serve loopback smoke test"
 # Boot the real binary with a fifo as its stdin (the signal pipe), find
 # the ephemeral port from its startup log, run the end-to-end client
-# against it — which asserts a /v1/simulate cache hit and a chunked
+# against it — which asserts a /v1/simulate raw-cache hit and a chunked
 # /v1/whatif rule-grid stream (with its cache hit) via /v1/metrics —
 # then stop it with a graceful 'shutdown' line and require a clean exit.
 smokedir=$(mktemp -d)
@@ -75,7 +85,7 @@ echo "ok (served on $addr, graceful shutdown)"
 
 echo "==> loadgen throughput floor (unique /v1/simulate >= 2000 QPS, no failures)"
 cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
-    --loadgen --mode compare --requests 60 --concurrency 4 --min-unique-qps 2000
+    --loadgen --mode compare --requests 60 --connections 4 --min-unique-qps 2000
 
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh

@@ -4,7 +4,7 @@
 //! with the fleet's *signature* counts, not its point count — and every
 //! later request against the same server state re-prices it entirely
 //! from the runner's persistent lattice tables (probe caches, fused
-//! vectors, evaluated cells): the leg-table counters do not move at
+//! vectors, combine programs): the leg-table counters do not move at
 //! all.
 //!
 //! Shares the process-global telemetry registry, so this file keeps to
@@ -62,8 +62,8 @@ fn second_whatif_request_reprices_the_fleet_from_lattice_tables() {
     );
 
     // A different grid misses the response cache, so the handler runs
-    // the fleet sweep again — and finds every probe, fused vector, and
-    // evaluated cell already in the runner's persistent lattice tables.
+    // the fleet sweep again — and finds every probe and fused vector
+    // already in the runner's persistent lattice tables.
     // This is the interactive what-if contract: rule iteration costs
     // classification, not simulation — the leg tables are not even
     // consulted.
@@ -72,7 +72,7 @@ fn second_whatif_request_reprices_the_fleet_from_lattice_tables() {
     assert_eq!(status, 200, "grid what-if failed: {body}");
     let (hits_2, misses_2) = leg_counters(reg);
     assert_eq!(misses_2, misses_1, "a warm fleet sweep must not price any new legs");
-    assert_eq!(hits_2, hits_1, "a warm fleet sweep must re-read cells, not legs");
+    assert_eq!(hits_2, hits_1, "a warm fleet sweep must re-read fused vectors, not legs");
 
     // And an identical repeat never reaches the runner at all: the
     // response cache replays the stream, leg counters stay frozen.
