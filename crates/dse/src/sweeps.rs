@@ -166,8 +166,20 @@ impl SweepSpec {
     ///
     /// Ordering is the deterministic row-major cartesian order of the
     /// spec's lists; checkpoints rely on it.
+    ///
+    /// Each name is
+    /// `dse-{tpp_target:.0}-{dim}x{dim}-{lanes}l-{l1}k-{l2}m-{hbm}t-{bw:.0}g`.
+    /// Float formatting dominates a per-point `format!` of it, so each
+    /// axis value's fragment is rendered once per sweep and a point's
+    /// name is the concatenation of its fragments.
     #[must_use]
     pub fn candidates(&self, tpp_target: f64) -> Vec<CandidateParams> {
+        let prefix = format!("dse-{tpp_target:.0}-");
+        let l1_names: Vec<String> = self.l1_kib.iter().map(|l1| format!("{l1}k-")).collect();
+        let l2_names: Vec<String> = self.l2_mib.iter().map(|l2| format!("{l2}m-")).collect();
+        let hbm_names: Vec<String> = self.hbm_tb_s.iter().map(|hbm| format!("{hbm}t-")).collect();
+        let bw_names: Vec<String> =
+            self.device_bw_gb_s.iter().map(|bw| format!("{bw:.0}g")).collect();
         let mut out = Vec::with_capacity(self.cardinality());
         for &dim in &self.systolic_dims {
             for &lanes in &self.lanes_per_core {
@@ -176,14 +188,16 @@ impl SweepSpec {
                 else {
                     continue;
                 };
-                for &l1 in &self.l1_kib {
-                    for &l2 in &self.l2_mib {
-                        for &hbm in &self.hbm_tb_s {
-                            for &dev_bw in &self.device_bw_gb_s {
+                let core_name = format!("{prefix}{dim}x{dim}-{lanes}l-");
+                for (&l1, l1_name) in self.l1_kib.iter().zip(&l1_names) {
+                    for (&l2, l2_name) in self.l2_mib.iter().zip(&l2_names) {
+                        for (&hbm, hbm_name) in self.hbm_tb_s.iter().zip(&hbm_names) {
+                            for (&dev_bw, bw_name) in self.device_bw_gb_s.iter().zip(&bw_names) {
                                 out.push(CandidateParams {
-                                    name: format!(
-                                        "dse-{tpp_target:.0}-{dim}x{dim}-{lanes}l-{l1}k-{l2}m-{hbm}t-{dev_bw:.0}g"
-                                    ),
+                                    // `concat` allocates the exact length.
+                                    name: [&core_name, l1_name, l2_name, hbm_name, bw_name]
+                                        .map(String::as_str)
+                                        .concat(),
                                     systolic_dim: dim,
                                     lanes_per_core: lanes,
                                     core_count: cores,
@@ -227,6 +241,67 @@ mod tests {
         let spec = SweepSpec::synthetic_fleet();
         assert_eq!(spec.cardinality(), 4096);
         assert_eq!(spec.candidates(4800.0).len(), 4096);
+    }
+
+    /// The names `candidates` emits, built the way it once built them:
+    /// one `format!` per feasible point.
+    fn formatted_names(spec: &SweepSpec, tpp_target: f64) -> Vec<String> {
+        let mut out = Vec::new();
+        for &dim in &spec.systolic_dims {
+            for &lanes in &spec.lanes_per_core {
+                let dims = SystolicDims::square(dim);
+                if cores_for_tpp(tpp_target, 1.41, DataType::Fp16, dims, lanes).is_err() {
+                    continue;
+                }
+                for &l1 in &spec.l1_kib {
+                    for &l2 in &spec.l2_mib {
+                        for &hbm in &spec.hbm_tb_s {
+                            for &dev_bw in &spec.device_bw_gb_s {
+                                out.push(format!(
+                                    "dse-{tpp_target:.0}-{dim}x{dim}-{lanes}l-{l1}k-{l2}m-{hbm}t-{dev_bw:.0}g"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fragment_names_equal_the_per_point_format() {
+        // Awkward values: half-way TPP targets and bandwidths under
+        // `:.0`, and HBM values whose shortest round-trip form is long.
+        // At these targets the 128x128 array fits one lane but not
+        // eight, so one (dim, lanes) pair is skipped.
+        let awkward = SweepSpec {
+            systolic_dims: vec![16, 128],
+            lanes_per_core: vec![1, 8],
+            l1_kib: vec![192],
+            l2_mib: vec![40, 80],
+            hbm_tb_s: vec![0.1 + 0.2, 1e-3, 2.0],
+            device_bw_gb_s: vec![599.5, 600.0],
+        };
+        let cases = [
+            (SweepSpec::table3_fig6(), 4800.0),
+            (SweepSpec::table3_fig7(), 4800.0),
+            (SweepSpec::table3_fig7(), 2400.0),
+            (SweepSpec::table5(), 4800.0),
+            (SweepSpec::synthetic_fleet(), 4800.0),
+            (SweepSpec::synthetic_fleet(), 1600.0),
+            (awkward.clone(), 2400.5),
+            (awkward.clone(), 1599.5),
+        ];
+        for (spec, tpp_target) in &cases {
+            let names: Vec<String> =
+                spec.candidates(*tpp_target).into_iter().map(|c| c.name).collect();
+            assert!(!names.is_empty(), "{tpp_target}");
+            assert_eq!(names, formatted_names(spec, *tpp_target), "{tpp_target}");
+        }
+        let partial = awkward.candidates(2400.5);
+        assert!(partial.len() < awkward.cardinality(), "some (dim, lanes) pair is infeasible");
+        assert!(partial[0].name.starts_with("dse-2400-16x16-1l-192k-40m-0.30000000000000004t-"));
     }
 
     #[test]

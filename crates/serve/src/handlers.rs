@@ -64,7 +64,8 @@ pub struct AppState {
     // the service has priced under (keyed by scenario digest). Each
     // runner owns its own leg tables, so a moe-mixtral grid warms the
     // MoE legs without ever touching the dense default's tables — and
-    // every later request under the same scenario hits them.
+    // every later request under the same scenario hits them. Only
+    // registered scenarios keep one.
     scenarios: ScenarioRegistry,
     scenario_runners: RwLock<HashMap<u64, Arc<DseRunner>>>,
     // The what-if screener: the curated portfolio, the reference HBM
@@ -148,12 +149,17 @@ impl AppState {
         &self.scenarios
     }
 
-    /// The persistent runner for one scenario, created on first use and
-    /// kept for the service's lifetime: its lattice leg tables are what
-    /// turn repeated grids under the same scenario into table hits.
-    /// Inline (unnamed) scenario specs share runners too — the key is
-    /// the scenario's content digest, not its name.
+    /// The persistent runner for one registered scenario, created on
+    /// first use and kept for the service's lifetime: its lattice leg
+    /// tables are what turn repeated grids under the same scenario into
+    /// table hits. An inline spec equal to a registered scenario shares
+    /// its runner. Any other inline spec prices on a fresh runner that is
+    /// dropped with its request: its digest covers a free-form name and
+    /// workload integers, so clients could mint runners without limit.
     fn runner_for(&self, scenario: &Scenario) -> Arc<DseRunner> {
+        if !self.scenarios.iter().any(|r| r == scenario) {
+            return Arc::new(scenario.runner());
+        }
         let digest = scenario.digest();
         if let Some(runner) = self
             .scenario_runners
@@ -805,9 +811,10 @@ where
         // The fleet prices through a persistent lattice runner — the
         // scenario's when one was named, the state's dense default
         // otherwise — so its cost legs and fused vectors persist across
-        // requests: the first what-if pays for the fleet, every later
-        // one (any grid, same target and scenario) re-screens it at
-        // classification cost.
+        // requests: the first what-if pays for the fleet's legs, and
+        // every later one (any grid, same target and scenario)
+        // re-assembles the designs from them, then re-screens the fleet
+        // at classification cost.
         let report = match &scenario {
             Some(s) => state
                 .runner_for(s)
@@ -1418,6 +1425,33 @@ mod tests {
         // runner was built or any point priced.
         assert!(response.to_json().contains("request ceiling"), "{}", response.to_json());
         assert!(state.scenario_runners.read().unwrap().is_empty(), "rejected before evaluation");
+    }
+
+    #[test]
+    fn inline_scenario_specs_keep_no_runner_and_answer_like_a_fresh_state() {
+        let state = AppState::new(64);
+        let screen = |state: &AppState, scenario: &str| {
+            let body = format!(
+                "{{\"grid\":{{\"systolic_dims\":[16],\"lanes_per_core\":[4],\"l1_kib\":[192],\
+                 \"l2_mib\":[40],\"hbm_tb_s\":[2.0],\"device_bw_gb_s\":[600.0],\
+                 \"tpp_target\":4800,\"scenario\":{scenario}}}}}"
+            );
+            let request = HttpRequest { method: "POST".into(), path: "/v1/screen".into(), body };
+            handle_lane(state, &request, None)
+        };
+        // Specs that differ only in their free-form name digest apart.
+        let inline = |i: usize| format!("{{\"name\":\"inline-{i}\",\"model\":\"llama3_8b\"}}");
+        for i in 0..40 {
+            let (status, answer) = screen(&state, &inline(i));
+            assert_eq!(status, 200, "{answer}");
+            assert_eq!(answer, screen(&AppState::new(64), &inline(i)).1, "spec {i}");
+        }
+        assert!(state.scenario_runners.read().unwrap().is_empty(), "no inline spec kept a runner");
+        // A repeated spec still answers the same; a registered scenario
+        // keeps its runner.
+        assert_eq!(screen(&state, &inline(0)), screen(&AppState::new(64), &inline(0)));
+        assert_eq!(screen(&state, "\"dense-gpt3-fp16-tp4\"").0, 200);
+        assert_eq!(state.scenario_runners.read().unwrap().len(), 1);
     }
 
     #[test]

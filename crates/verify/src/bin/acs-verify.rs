@@ -13,9 +13,9 @@
 //! so `scripts/ci.sh` can gate on it directly.
 
 use acs_verify::{
-    check_corpus, default_corpus_path, random_sweep_spec, regressions_dir, replay_dir, run_chaos,
-    run_fuzz, standard_suite, whatif_grid_64, whatif_grid_diff, wire_vs_handler, ChaosConfig,
-    DiffCase, Differential, EvalPath,
+    check_corpus, default_corpus_path, random_rule_grid, random_sweep_spec, regressions_dir,
+    replay_dir, run_chaos, run_fuzz, standard_suite, whatif_engine_vs_reference, whatif_grid_64,
+    whatif_grid_diff, wire_vs_handler, ChaosConfig, DiffCase, Differential, EvalPath,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -154,6 +154,22 @@ fn cmd_diff(_args: &[String]) -> Result<(), String> {
     let devices: Vec<acs_policy::DeviceMetrics> =
         acs_devices::GpuDatabase::curated_65().iter().map(|r| r.to_metrics()).collect();
     reports.push(whatif_grid_diff(&whatif_grid_64(), &devices));
+    // The what-if engine's records against the naive record oracle, over
+    // two fleets in which many variants restrict some designs but not
+    // all, so the fleet statistics are compared too.
+    let runner = acs_dse::DseRunner::new(
+        acs_llm::ModelConfig::llama3_8b(),
+        acs_llm::WorkloadConfig::paper_default(),
+    );
+    let price = |spec: acs_dse::SweepSpec, tpp_target: f64| -> Vec<acs_dse::EvaluatedDesign> {
+        runner.run_lattice(&spec, tpp_target).designs.into_iter().map(|(_, d)| d).collect()
+    };
+    let synthetic = price(acs_dse::SweepSpec::synthetic_fleet(), 4800.0);
+    let table5 = price(acs_dse::SweepSpec::table5(), 1600.0);
+    reports.push(whatif_engine_vs_reference(
+        &[whatif_grid_64(), random_rule_grid(1), random_rule_grid(2)],
+        &[("synthetic-4800", &synthetic), ("table5-1600", &table5)],
+    ));
     // Seeded property cases: random sweeps (odd seeds faulted) through
     // the lattice engine against the reference oracle.
     for seed in 0..4_u64 {

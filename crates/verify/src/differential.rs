@@ -18,7 +18,9 @@
 //!
 //! The what-if subsystem gets the same treatment: [`whatif_grid_diff`]
 //! compares the batch rule-grid screening path against a naive
-//! one-rule-at-a-time loop over the [`whatif_grid_64`] grid.
+//! one-rule-at-a-time loop over the [`whatif_grid_64`] grid, and
+//! [`whatif_engine_vs_reference`] compares every record the engine
+//! streams against the naive record oracle.
 
 use crate::tolerance::Tolerance;
 use acs_cache::{CacheKey, ShardedCache};
@@ -28,7 +30,7 @@ use acs_errors::AcsError;
 use acs_llm::rng::SplitMix64;
 use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::{Acr2022, Acr2023, DeviceMetrics, HbmRule2024, MemBwRule};
-use acs_whatif::{ClassificationLedger, RuleGrid, RuleSpec};
+use acs_whatif::{ClassificationLedger, RuleGrid, RuleSpec, WhatIfEngine};
 use std::fmt;
 use std::sync::Arc;
 
@@ -687,11 +689,11 @@ fn naive_whatif_ledgers(grid: &RuleGrid, devices: &[DeviceMetrics]) -> Vec<Class
             mem_bw: (pick(8) > 0.0).then(|| MemBwRule { license_threshold_gb_s: pick(8) }),
             hbm: HbmRule2024 { control_density: pick(9), exception_density: pick(10) },
         };
-        let mut entries = Vec::with_capacity(devices.len());
+        let mut classes = Vec::with_capacity(devices.len());
         for metrics in devices {
-            entries.push((metrics.name().to_owned(), spec.classify(metrics)));
+            classes.push(spec.classify(metrics));
         }
-        ledgers.push(ClassificationLedger { entries });
+        ledgers.push(ClassificationLedger { classes });
         for axis in (0..axes.len()).rev() {
             idx[axis] += 1;
             if idx[axis] < axes[axis].len() {
@@ -705,10 +707,10 @@ fn naive_whatif_ledgers(grid: &RuleGrid, devices: &[DeviceMetrics]) -> Vec<Class
 
 /// The what-if differential: the batch rule-grid path
 /// (`RuleGrid::variants` + `ClassificationLedger::screen`) against a
-/// naive one-rule-at-a-time loop, compared ledger digest for ledger
-/// digest across every variant. This is what proves a `/v1/whatif` grid
-/// response means the same thing as issuing its variants as individual
-/// requests.
+/// naive one-rule-at-a-time loop, compared ledger for ledger across
+/// every variant; a mismatch names the first device whose class
+/// differs. This is what proves a `/v1/whatif` grid response means the
+/// same thing as issuing its variants as individual requests.
 #[must_use]
 pub fn whatif_grid_diff(grid: &RuleGrid, devices: &[DeviceMetrics]) -> DiffReport {
     let batch: Vec<ClassificationLedger> =
@@ -723,13 +725,22 @@ pub fn whatif_grid_diff(grid: &RuleGrid, devices: &[DeviceMetrics]) -> DiffRepor
         );
     } else {
         for (index, (b, n)) in batch.iter().zip(&naive).enumerate() {
-            let (bd, nd) = (b.digest(), n.digest());
-            if bd != nd {
-                push(
-                    &mut mismatches,
-                    format!("variant {index}"),
-                    format!("ledger digest {bd:#018x} vs naive {nd:#018x}"),
-                );
+            if b != n {
+                let at = b.classes.iter().zip(&n.classes).position(|(x, y)| x != y);
+                let detail = match at {
+                    Some(i) => format!(
+                        "device {i} ({}): {} vs naive {}",
+                        devices[i].name(),
+                        b.classes[i],
+                        n.classes[i]
+                    ),
+                    None => format!(
+                        "ledger of {} devices vs naive {}",
+                        b.classes.len(),
+                        n.classes.len()
+                    ),
+                };
+                push(&mut mismatches, format!("variant {index}"), detail);
             }
         }
     }
@@ -739,6 +750,115 @@ pub fn whatif_grid_diff(grid: &RuleGrid, devices: &[DeviceMetrics]) -> DiffRepor
         ok: batch.len(),
         failed: 0,
         mismatches,
+    }
+}
+
+const TPP_RULE_POOL: [f64; 5] = [1600.0, 2400.0, 3600.0, 4800.0, 6000.0];
+const PD_RULE_POOL: [f64; 4] = [1.6, 3.0, 4.0, 5.92];
+const MEM_BW_RULE_POOL: [f64; 5] = [0.0, 600.0, 800.0, 1000.0, 1500.0];
+
+/// Draw a random [`RuleGrid`] of at most 36 variants, deterministically
+/// in `seed`: one to three values on the 2022 and 2023 TPP lines and the
+/// memory-bandwidth rule, one or two on the 2023 licence PD threshold,
+/// the published values elsewhere.
+#[must_use]
+pub fn random_rule_grid(seed: u64) -> RuleGrid {
+    let mut rng = SplitMix64::new(seed);
+    let mut grid = RuleGrid::baseline();
+    grid.tpp_threshold_2022 = sample_f64(&mut rng, &TPP_RULE_POOL, 2);
+    grid.tpp_license = sample_f64(&mut rng, &TPP_RULE_POOL, 3);
+    grid.pd_license = sample_f64(&mut rng, &PD_RULE_POOL, 2);
+    grid.mem_bw_license = sample_f64(&mut rng, &MEM_BW_RULE_POOL, 3);
+    grid
+}
+
+/// The what-if engine against the naive record oracle
+/// ([`crate::reference::whatif_records`]): every record
+/// `WhatIfEngine::paper_default().run_streaming` emits for each grid
+/// over each fleet must equal the rebuilt record in canonical bytes.
+///
+/// A fleet that every variant restricts in full, or in no part, never
+/// reaches the fleet statistics, so the case is also dirty unless some
+/// compared record has `0 < restricted_share < 1`, a non-null
+/// `compliance_overhead` and a device flip.
+#[must_use]
+pub fn whatif_engine_vs_reference(
+    grids: &[RuleGrid],
+    fleets: &[(&str, &[EvaluatedDesign])],
+) -> DiffReport {
+    let engine = WhatIfEngine::paper_default();
+    let mut mismatches = Vec::new();
+    let (mut points, mut covered) = (0, false);
+    for (fleet_label, fleet) in fleets {
+        for (g, grid) in grids.iter().enumerate() {
+            let at = |index: usize| format!("{fleet_label} grid {g} variant {index}");
+            let expected = match crate::reference::whatif_records(grid, fleet) {
+                Ok(records) => records,
+                Err(e) => {
+                    push(&mut mismatches, at(0), format!("reference failed: {e}"));
+                    continue;
+                }
+            };
+            points += expected.len();
+            let mut emitted = 0;
+            let run = engine.run_streaming(grid, fleet, |index, record| {
+                emitted += 1;
+                match expected.get(index) {
+                    Some(want) if want.to_json() == record.to_json() => {
+                        covered |= exercises_fleet_statistics(record);
+                    }
+                    Some(want) => push(&mut mismatches, at(index), first_difference(record, want)),
+                    None => push(&mut mismatches, at(index), "record past the grid".to_owned()),
+                }
+                Ok(())
+            });
+            if let Err(e) = run {
+                push(&mut mismatches, at(emitted), format!("engine failed: {e}"));
+            } else if emitted != expected.len() {
+                let detail =
+                    format!("engine emitted {emitted} records, reference {}", expected.len());
+                push(&mut mismatches, at(emitted), detail);
+            }
+        }
+    }
+    if !covered {
+        let detail = "no compared record had 0 < restricted_share < 1, a compliance overhead \
+                      and a device flip"
+            .to_owned();
+        push(&mut mismatches, "coverage", detail);
+    }
+    DiffReport {
+        label: "whatif-engine-vs-reference".to_owned(),
+        points,
+        ok: points,
+        failed: 0,
+        mismatches,
+    }
+}
+
+/// Whether a what-if record reaches every statistic of its fleet block:
+/// a mixed restricted share, a compliance overhead between the fastest
+/// compliant and restricted designs, and a flipped portfolio device.
+fn exercises_fleet_statistics(record: &Value) -> bool {
+    let member = |block: &str, key: &str| record.get(block).and_then(|b| b.get(key));
+    let flipped = |key: &str| {
+        member("devices", key).and_then(Value::as_array).is_some_and(|names| !names.is_empty())
+    };
+    member("fleet", "restricted_share")
+        .and_then(Value::as_f64)
+        .is_some_and(|share| share > 0.0 && share < 1.0)
+        && member("externality", "compliance_overhead").is_some_and(|o| *o != Value::Null)
+        && (flipped("newly_restricted") || flipped("newly_freed"))
+}
+
+/// The first leaf at which two records differ, for a readable mismatch.
+fn first_difference(engine: &Value, reference: &Value) -> String {
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    flatten("", engine, &mut left);
+    flatten("", reference, &mut right);
+    match left.iter().zip(&right).find(|(l, r)| l != r) {
+        Some(((path, l), (_, r))) => format!("{path}: engine {l:?} vs reference {r:?}"),
+        None => format!("engine has {} leaves, reference {}", left.len(), right.len()),
     }
 }
 
@@ -772,7 +892,6 @@ fn flatten(path: &str, value: &Value, out: &mut Vec<(String, Leaf)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acs_dse::SweepSpec;
 
     fn small_candidates() -> Vec<CandidateParams> {
         SweepSpec {
@@ -847,15 +966,57 @@ mod tests {
     fn whatif_diff_catches_a_genuinely_different_expansion() {
         // The naive arm walks the grid's own axis lists, so a divergence
         // can only come from the comparison machinery being wired wrong;
-        // prove the digests it compares are discriminating by checking
-        // two different regimes really hash apart.
+        // prove the ledgers it compares are discriminating by checking
+        // two different regimes really classify apart.
         let devices: Vec<DeviceMetrics> =
             acs_devices::GpuDatabase::curated_65().iter().map(|r| r.to_metrics()).collect();
         let base = ClassificationLedger::screen(&RuleSpec::baseline(), &devices);
         let mut strict = RuleSpec::baseline();
         strict.acr_2023.tpp_license = 1600.0;
         let tightened = ClassificationLedger::screen(&strict, &devices);
-        assert_ne!(base.digest(), tightened.digest());
+        assert_ne!(base, tightened);
+    }
+
+    #[test]
+    fn whatif_engine_matches_the_reference_record_for_record() {
+        // A down-scaled Table 5 at 1600 TPP: the grid's variants restrict
+        // some of these designs but not all.
+        let spec = SweepSpec {
+            systolic_dims: vec![4, 8, 16],
+            lanes_per_core: vec![1, 8],
+            l1_kib: vec![32, 192],
+            l2_mib: vec![8, 40],
+            hbm_tb_s: vec![0.8, 2.0],
+            device_bw_gb_s: vec![400.0, 600.0],
+        };
+        let runner = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
+        let fleet: Vec<EvaluatedDesign> =
+            runner.run_lattice(&spec, 1600.0).designs.into_iter().map(|(_, d)| d).collect();
+        assert_eq!(fleet.len(), 96);
+        let grids = [whatif_grid_64(), random_rule_grid(1)];
+        let report = whatif_engine_vs_reference(&grids, &[("table5-96", &fleet)]);
+        assert_eq!(report.points, 64 + random_rule_grid(1).cardinality());
+        report.assert_clean();
+    }
+
+    #[test]
+    fn whatif_arm_is_dirty_when_no_record_reaches_the_fleet_statistics() {
+        // An empty fleet agrees record for record but restricts nothing.
+        let report = whatif_engine_vs_reference(&[whatif_grid_64()], &[("empty", &[])]);
+        assert_eq!(report.points, 64);
+        assert!(!report.is_clean());
+        assert_eq!(report.mismatches.len(), 1);
+        assert_eq!(report.mismatches[0].at, "coverage");
+    }
+
+    #[test]
+    fn random_rule_grids_are_deterministic_and_small() {
+        for seed in [0_u64, 1, 2, 0xDEAD_BEEF] {
+            let grid = random_rule_grid(seed);
+            assert_eq!(grid, random_rule_grid(seed), "same seed, same grid");
+            assert!(grid.cardinality() >= 1 && grid.cardinality() <= 36);
+        }
+        assert_ne!(random_rule_grid(1), random_rule_grid(2), "seeds decorrelate");
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! The reproduction prices sweeps with two production engines (the
 //! per-point planned evaluator and the lattice batch engine) and answers
-//! queries through a network-facing tier. This crate holds them to one
-//! deliberately naive oracle and a handful of reusable instruments:
+//! queries through a network-facing tier. This crate holds them to
+//! deliberately naive oracles and a handful of reusable instruments:
 //!
-//! - [`reference`] — the oracle: a per-point evaluator that shares no
+//! - [`reference`] — the oracles: a per-point evaluator that shares no
 //!   plans, legs or caches between points, against which both sweep
-//!   engines must agree bit for bit, failure ledger included.
+//!   engines must agree bit for bit, failure ledger included; and
+//!   [`reference::whatif_records`], which rebuilds every what-if record
+//!   without corner pins, ledgers or memo.
 //! - [`differential`] — a generic runner that evaluates any two
 //!   (path, transform) arms over a sweep and diffs digests, per-point
 //!   values, and failure ledgers under a [`tolerance`] class. The
@@ -16,7 +18,9 @@
 //!   moved nothing" into one declarative [`differential::DiffCase`];
 //!   [`differential::whatif_grid_diff`] extends the same discipline to
 //!   the what-if subsystem, diffing batch rule-grid screening against a
-//!   naive one-rule-at-a-time loop.
+//!   naive one-rule-at-a-time loop, and
+//!   [`differential::whatif_engine_vs_reference`] diffs every streamed
+//!   what-if record against [`reference::whatif_records`].
 //! - [`corpus`] — a blessed snapshot of sweep digests and anchor values
 //!   (`crates/verify/corpus/golden.json`) every PR is diffed against,
 //!   regenerated with `acs-verify corpus --bless`.
@@ -50,8 +54,9 @@ pub use corpus::{
     bless_corpus, check_corpus, compute_snapshot, default_corpus_path, regressions_dir, Snapshot,
 };
 pub use differential::{
-    dense_vs_degenerate_moe_diff, design_digest, diff_reports, random_sweep_spec, standard_suite,
-    whatif_grid_64, whatif_grid_diff, Arm, DiffCase, DiffReport, Differential, EvalPath, Transform,
+    dense_vs_degenerate_moe_diff, design_digest, diff_reports, random_rule_grid, random_sweep_spec,
+    standard_suite, whatif_engine_vs_reference, whatif_grid_64, whatif_grid_diff, Arm, DiffCase,
+    DiffReport, Differential, EvalPath, Transform,
 };
 pub use fuzz::{run_fuzz, FuzzReport, FuzzTarget};
 pub use regressions::replay_dir;

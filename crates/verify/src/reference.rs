@@ -19,15 +19,24 @@
 //! and applies the guard contract in the production order — area, TPP,
 //! perf density, system, plans, die costs, TTFT, TBT — so designs match
 //! bit for bit and failures match in index, kind and message.
+//!
+//! [`whatif_records`] is the what-if engine's oracle in the same spirit:
+//! it rebuilds every record of a rule grid one variant at a time, with
+//! no corner pins, no classification ledgers and no memo.
 
+use acs_core::{deadweight_loss, indicator_report, ComplianceOverhead, LatencyMetric};
+use acs_devices::GpuDatabase;
 use acs_dse::{
-    CandidateParams, DesignFailure, DseRunner, EvaluatedDesign, SweepReport, SweptParams,
+    CandidateParams, DesignFailure, Distribution, DseRunner, EvaluatedDesign, SweepReport,
+    SweptParams,
 };
+use acs_errors::json::{object, Value};
 use acs_errors::{guard, AcsError};
 use acs_hw::{AreaModel, CostModel, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_llm::InferencePhase;
-use acs_policy::Acr2023;
+use acs_policy::{Acr2023, Classification, DeviceMetrics, MarketSegment};
 use acs_sim::{LayerPlan, Simulator};
+use acs_whatif::{RuleGrid, RuleSpec, WhatIfConfig, WhatIfEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Evaluate one configuration under `runner`'s configuration. Every
@@ -136,6 +145,181 @@ fn contained(
             .unwrap_or_else(|| "non-string panic payload".to_owned());
         Err(AcsError::EvaluationPanic { design: label.to_owned(), message })
     })
+}
+
+/// Rebuild every record `WhatIfEngine::paper_default().run_streaming`
+/// emits for `grid` over `fleet`, the naive way. Each variant classifies
+/// every device of the curated portfolio and every fleet design afresh,
+/// through named metrics, under the variant's rule and the published
+/// baseline; then it builds every block of the record from scratch. No
+/// corner pin, classification ledger or memo is consulted, so a bug in
+/// any of them cannot hide here.
+///
+/// # Errors
+///
+/// [`AcsError::Json`] if a rule fails to serialise.
+pub fn whatif_records(grid: &RuleGrid, fleet: &[EvaluatedDesign]) -> Result<Vec<Value>, AcsError> {
+    let devices: Vec<DeviceMetrics> =
+        GpuDatabase::curated_65().iter().map(|r| r.to_metrics()).collect();
+    let designs: Vec<DeviceMetrics> = fleet
+        .iter()
+        .map(|d| {
+            DeviceMetrics::new(
+                d.name.clone(),
+                d.tpp,
+                d.params.device_bw_gb_s,
+                d.die_area_mm2,
+                true,
+                MarketSegment::DataCenter,
+            )
+            .with_memory(80.0, d.params.hbm_tb_s * 1000.0)
+        })
+        .collect();
+    let config = WhatIfConfig::paper_default();
+    let baseline = RuleSpec::baseline();
+    let mut records = Vec::new();
+    for (index, spec) in grid.variants().iter().enumerate() {
+        let mut device_classes = Vec::new();
+        let (mut newly_restricted, mut newly_freed) = (Vec::new(), Vec::new());
+        for metrics in &devices {
+            let class = spec.classify(metrics);
+            device_classes.push(class);
+            match (baseline.classify(metrics).is_restricted(), class.is_restricted()) {
+                (false, true) => newly_restricted.push(Value::String(metrics.name().to_owned())),
+                (true, false) => newly_freed.push(Value::String(metrics.name().to_owned())),
+                _ => {}
+            }
+        }
+
+        let mut fleet_classes = Vec::new();
+        let (mut restricted, mut unrestricted) = (Vec::new(), Vec::new());
+        for (design, metrics) in fleet.iter().zip(&designs) {
+            let class = spec.classify(metrics);
+            fleet_classes.push(class);
+            if class.is_restricted() {
+                restricted.push(design.clone());
+            } else {
+                unrestricted.push(design.clone());
+            }
+        }
+        let restricted_share =
+            if fleet.is_empty() { 0.0 } else { count(restricted.len()) / count(fleet.len()) };
+        let columns = &config.indicator_columns;
+        let indicators = indicator_report(&unrestricted, LatencyMetric::Tbt, columns)
+            .iter()
+            .map(|col| {
+                object(vec![
+                    ("label", Value::String(col.label.clone())),
+                    ("median_s", num(col.distribution.median)),
+                    ("range_s", num(col.distribution.range())),
+                    ("narrowing", num(col.narrowing)),
+                ])
+            })
+            .collect();
+        let tbt: Vec<f64> = unrestricted.iter().map(|d| d.tbt_s).collect();
+        let cost: Vec<f64> = unrestricted.iter().map(|d| d.good_die_cost_usd).collect();
+        let fastest = |designs: &[EvaluatedDesign]| {
+            designs.iter().min_by(|a, b| a.tbt_s.total_cmp(&b.tbt_s)).cloned()
+        };
+        let overhead = match (fastest(&unrestricted), fastest(&restricted)) {
+            (Some(compliant), Some(frontier)) => {
+                let o = ComplianceOverhead::between(&compliant, &frontier);
+                object(vec![
+                    ("area_ratio", num(o.area_ratio)),
+                    ("die_cost_ratio", num(o.die_cost_ratio)),
+                    ("good_die_cost_ratio", num(o.good_die_cost_ratio)),
+                    ("ttft_ratio", num(o.ttft_ratio)),
+                    ("tbt_ratio", num(o.tbt_ratio)),
+                ])
+            }
+            _ => Value::Null,
+        };
+        let dwl = deadweight_loss(
+            config.market_quantity,
+            config.market_price_usd,
+            restricted_share,
+            config.demand_elasticity,
+            config.supply_elasticity,
+        );
+        let hbm = WhatIfEngine::reference_hbm_packages()
+            .iter()
+            .map(|p| {
+                object(vec![
+                    ("name", Value::String(p.name.clone())),
+                    ("density_gb_s_mm2", num(p.bandwidth_density())),
+                    ("classification", Value::String(spec.classify_hbm(p).to_string())),
+                ])
+            })
+            .collect();
+
+        records.push(object(vec![
+            ("variant", num(count(index))),
+            ("rule", spec.to_json_value()?),
+            (
+                "devices",
+                object(vec![
+                    ("counts", class_counts(&device_classes)),
+                    ("newly_restricted", Value::Array(newly_restricted)),
+                    ("newly_freed", Value::Array(newly_freed)),
+                ]),
+            ),
+            (
+                "fleet",
+                object(vec![
+                    ("total", num(count(fleet.len()))),
+                    ("counts", class_counts(&fleet_classes)),
+                    ("restricted_share", num(restricted_share)),
+                    ("tbt_unrestricted_s", distribution(&tbt)),
+                    ("good_die_cost_unrestricted_usd", distribution(&cost)),
+                    ("indicators", Value::Array(indicators)),
+                ]),
+            ),
+            ("hbm", Value::Array(hbm)),
+            (
+                "externality",
+                object(vec![
+                    ("deadweight_loss_usd", num(dwl)),
+                    ("compliance_overhead", overhead),
+                ]),
+            ),
+        ]));
+    }
+    Ok(records)
+}
+
+/// A finite number, or `null` (the records' encoding of a non-finite
+/// value).
+fn num(x: f64) -> Value {
+    Value::from_f64(x).unwrap_or(Value::Null)
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn count(n: usize) -> f64 {
+    n as f64
+}
+
+fn class_counts(classes: &[Classification]) -> Value {
+    let tally = |class| num(count(classes.iter().filter(|&&c| c == class).count()));
+    object(vec![
+        ("not_applicable", tally(Classification::NotApplicable)),
+        ("nac_eligible", tally(Classification::NacEligible)),
+        ("license_required", tally(Classification::LicenseRequired)),
+    ])
+}
+
+fn distribution(samples: &[f64]) -> Value {
+    match Distribution::from_samples(samples) {
+        None => Value::Null,
+        Some(d) => object(vec![
+            ("count", num(count(d.count))),
+            ("min", num(d.min)),
+            ("q1", num(d.q1)),
+            ("median", num(d.median)),
+            ("q3", num(d.q3)),
+            ("max", num(d.max)),
+            ("mean", num(d.mean)),
+        ]),
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,15 @@
 //! The what-if engine: screen a device portfolio and a priced design
 //! fleet against every variant of a rule grid, emitting one
 //! canonical-JSON record per variant as it completes.
+//!
+//! A variant costs two name-free ledgers: one class per portfolio
+//! device and one per fleet design ([`ClassificationLedger`]). The fleet
+//! is screened through unnamed [`DeviceMetrics`], because no rule reads
+//! a name and no record prints a fleet design's name; the only names a
+//! record carries are the portfolio devices in its `newly_restricted`
+//! and `newly_freed` lists. The two expensive record blocks are memoised
+//! per run by their ledger's class bytes, so a grid whose variants
+//! collapse to a few distinct ledgers builds each block once.
 
 use crate::grid::RuleGrid;
 use crate::ledger::{ClassificationLedger, LedgerCounts};
@@ -22,9 +31,10 @@ static DEVICE_MEMO_HITS: GlobalCounter = GlobalCounter::new("whatif.prune.device
 static FLEET_MEMO_HITS: GlobalCounter = GlobalCounter::new("whatif.prune.fleet_memo_hits");
 
 /// Per-run memo of the two expensive record blocks, each a pure
-/// function of its ledger. Ledger *names* are fixed for the run
-/// (portfolio order never changes), so the classification ordinals
-/// alone identify a ledger — no digesting, no collision risk.
+/// function of its ledger. Portfolio and fleet order are fixed for the
+/// run, so the classification ordinals alone identify a ledger — no
+/// digesting, no collision risk. One byte per entry hashes as one slice;
+/// a `Vec<Classification>` key would hash element by element.
 #[derive(Debug, Default)]
 struct VariantMemo {
     /// `devices` block (counts + baseline delta) by device-ledger key.
@@ -34,7 +44,7 @@ struct VariantMemo {
 }
 
 fn class_key(ledger: &ClassificationLedger) -> Vec<u8> {
-    ledger.entries.iter().map(|&(_, c)| c as u8).collect()
+    ledger.classes.iter().map(|&c| c as u8).collect()
 }
 
 /// Reference economics and reporting knobs for the externality block of
@@ -137,11 +147,13 @@ impl WhatIfEngine {
 
     /// Datasheet metrics of a priced design, as the rules read them: its
     /// swept device bandwidth, its HBM bandwidth as memory bandwidth
-    /// (nominal 80 GiB capacity), marketed as a data-center part.
+    /// (nominal 80 GiB capacity), marketed as a data-center part. The
+    /// metrics are unnamed: no rule reads a name, and no record prints a
+    /// fleet design's name, so the screen copies none.
     #[must_use]
     pub fn fleet_metrics(design: &EvaluatedDesign) -> DeviceMetrics {
         DeviceMetrics::new(
-            design.name.clone(),
+            String::new(),
             design.tpp,
             design.params.device_bw_gb_s,
             design.die_area_mm2,
@@ -254,7 +266,7 @@ impl WhatIfEngine {
                 block.clone()
             }
             None => {
-                let delta = ledger.delta_from(baseline);
+                let delta = ledger.delta_from(baseline, &self.devices);
                 let block = object(vec![
                     ("counts", counts_value(&ledger.counts())),
                     ("newly_restricted", names_value(&delta.newly_restricted)),
@@ -312,7 +324,7 @@ impl WhatIfEngine {
 
         let mut restricted: Vec<&EvaluatedDesign> = Vec::new();
         let mut unrestricted: Vec<&EvaluatedDesign> = Vec::new();
-        for (design, (_, class)) in fleet.iter().zip(&fleet_ledger.entries) {
+        for (design, class) in fleet.iter().zip(&fleet_ledger.classes) {
             if class.is_restricted() {
                 restricted.push(design);
             } else {

@@ -1,9 +1,16 @@
 //! Classification ledgers: the per-device outcome of screening a
 //! portfolio under one rule regime, plus deltas between regimes.
+//!
+//! A ledger is a class vector indexed like the portfolio it screened,
+//! with no names in it. Screening a 4096-design fleet under one rule
+//! variant then fills 4096 one-byte classes instead of copying 4096
+//! names, and two ledgers of one portfolio compare index by index. The
+//! few callers that print devices — [`ClassificationLedger::delta_from`],
+//! [`ClassificationLedger::restricted_names`] and
+//! [`ClassificationLedger::classification_of`] — read the names from the
+//! portfolio they pass in.
 
 use crate::rules::RuleSpec;
-use acs_errors::hash::canonical_digest;
-use acs_errors::json::Value;
 use acs_policy::{Classification, DeviceMetrics};
 
 /// Per-class tallies of a ledger.
@@ -42,10 +49,14 @@ pub struct LedgerDelta {
 
 /// The classification of every device in a portfolio under one regime,
 /// in portfolio order.
+///
+/// A ledger holds no names: entry `i` classifies device `i` of the
+/// screened portfolio, so two ledgers of one portfolio line up index by
+/// index. The methods that report devices by name take that portfolio.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassificationLedger {
-    /// `(device name, classification)` in screening order.
-    pub entries: Vec<(String, Classification)>,
+    /// One classification per screened device, in portfolio order.
+    pub classes: Vec<Classification>,
 }
 
 impl ClassificationLedger {
@@ -55,9 +66,7 @@ impl ClassificationLedger {
     where
         F: Fn(&DeviceMetrics) -> Classification,
     {
-        ClassificationLedger {
-            entries: devices.iter().map(|m| (m.name().to_owned(), classify(m))).collect(),
-        }
+        ClassificationLedger { classes: devices.iter().map(classify).collect() }
     }
 
     /// Screen a portfolio under a full rule regime.
@@ -100,28 +109,25 @@ impl ClassificationLedger {
         pins: &[Option<Classification>],
     ) -> (Self, usize) {
         let mut skipped = 0_usize;
-        let entries = devices
+        let classes = devices
             .iter()
             .enumerate()
-            .map(|(i, m)| {
-                let class = match pins.get(i).copied().flatten() {
-                    Some(pinned) => {
-                        skipped += 1;
-                        pinned
-                    }
-                    None => spec.classify(m),
-                };
-                (m.name().to_owned(), class)
+            .map(|(i, m)| match pins.get(i).copied().flatten() {
+                Some(pinned) => {
+                    skipped += 1;
+                    pinned
+                }
+                None => spec.classify(m),
             })
             .collect();
-        (ClassificationLedger { entries }, skipped)
+        (ClassificationLedger { classes }, skipped)
     }
 
     /// Per-class tallies.
     #[must_use]
     pub fn counts(&self) -> LedgerCounts {
         let mut c = LedgerCounts::default();
-        for (_, class) in &self.entries {
+        for class in &self.classes {
             match class {
                 Classification::NotApplicable => c.not_applicable += 1,
                 Classification::NacEligible => c.nac_eligible += 1,
@@ -131,60 +137,47 @@ impl ClassificationLedger {
         c
     }
 
-    /// Look up a device's classification by name.
+    /// Look up a device's classification by name in the screened
+    /// portfolio `devices`.
     #[must_use]
-    pub fn classification_of(&self, name: &str) -> Option<Classification> {
-        self.entries.iter().find(|(n, _)| n == name).map(|&(_, c)| c)
+    pub fn classification_of(
+        &self,
+        devices: &[DeviceMetrics],
+        name: &str,
+    ) -> Option<Classification> {
+        let i = devices.iter().position(|m| m.name() == name)?;
+        self.classes.get(i).copied()
     }
 
-    /// Names of every restricted device, in ledger order.
+    /// Names of every restricted device of the screened portfolio
+    /// `devices`, in ledger order.
     #[must_use]
-    pub fn restricted_names(&self) -> Vec<&str> {
-        self.entries
+    pub fn restricted_names<'a>(&self, devices: &'a [DeviceMetrics]) -> Vec<&'a str> {
+        debug_assert_eq!(devices.len(), self.classes.len(), "not the screened portfolio");
+        devices
             .iter()
+            .zip(&self.classes)
             .filter(|(_, c)| c.is_restricted())
-            .map(|(n, _)| n.as_str())
+            .map(|(m, _)| m.name())
             .collect()
     }
 
-    /// Restriction-status flips relative to a baseline ledger over the
-    /// same portfolio. Devices absent from the baseline are treated as
-    /// previously unrestricted.
+    /// Restriction-status flips relative to a baseline ledger of the
+    /// same portfolio `devices`, named from it. A device past the end of
+    /// a shorter baseline counts as previously unrestricted.
     #[must_use]
-    pub fn delta_from(&self, baseline: &Self) -> LedgerDelta {
+    pub fn delta_from(&self, baseline: &Self, devices: &[DeviceMetrics]) -> LedgerDelta {
+        debug_assert_eq!(devices.len(), self.classes.len(), "not the screened portfolio");
         let mut delta = LedgerDelta::default();
-        for (i, (name, class)) in self.entries.iter().enumerate() {
-            // The two ledgers normally share portfolio order; fall back
-            // to a name search so the delta stays correct either way.
-            let base = match baseline.entries.get(i) {
-                Some((n, c)) if n == name => Some(*c),
-                _ => baseline.classification_of(name),
-            };
-            let was = base.is_some_and(Classification::is_restricted);
+        for (i, (metrics, class)) in devices.iter().zip(&self.classes).enumerate() {
+            let was = baseline.classes.get(i).is_some_and(|c| c.is_restricted());
             match (was, class.is_restricted()) {
-                (false, true) => delta.newly_restricted.push(name.clone()),
-                (true, false) => delta.newly_freed.push(name.clone()),
+                (false, true) => delta.newly_restricted.push(metrics.name().to_owned()),
+                (true, false) => delta.newly_freed.push(metrics.name().to_owned()),
                 _ => {}
             }
         }
         delta
-    }
-
-    /// Order-sensitive canonical digest of the ledger (the
-    /// batch-vs-naive differential compares these).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let rows = self
-            .entries
-            .iter()
-            .map(|(name, class)| {
-                Value::Array(vec![
-                    Value::String(name.clone()),
-                    Value::String(class.to_string()),
-                ])
-            })
-            .collect();
-        canonical_digest(&Value::Array(rows))
     }
 }
 
@@ -209,7 +202,12 @@ mod tests {
         assert_eq!(counts.license_required, 1);
         assert_eq!(counts.not_applicable, 1);
         assert_eq!(counts.total(), 2);
-        assert_eq!(ledger.restricted_names(), vec!["big"]);
+        assert_eq!(ledger.restricted_names(&portfolio()), vec!["big"]);
+        assert_eq!(
+            ledger.classification_of(&portfolio(), "small"),
+            Some(Classification::NotApplicable)
+        );
+        assert_eq!(ledger.classification_of(&portfolio(), "absent"), None);
     }
 
     #[test]
@@ -220,7 +218,7 @@ mod tests {
         let mut strict = RuleSpec::baseline();
         strict.acr_2022.tpp_threshold = 100.0;
         strict.acr_2022.device_bw_threshold_gb_s = 0.0;
-        let delta = ClassificationLedger::screen(&strict, &devices).delta_from(&base);
+        let delta = ClassificationLedger::screen(&strict, &devices).delta_from(&base, &devices);
         assert_eq!(delta.newly_restricted, vec!["small"]);
         assert!(delta.newly_freed.is_empty());
         // And an unreachable rule frees everything.
@@ -229,18 +227,8 @@ mod tests {
         lax.acr_2023.tpp_license = f64::MAX;
         lax.acr_2023.tpp_floor = f64::MAX;
         lax.acr_2023.tpp_nac = f64::MAX;
-        let delta = ClassificationLedger::screen(&lax, &devices).delta_from(&base);
+        let delta = ClassificationLedger::screen(&lax, &devices).delta_from(&base, &devices);
         assert_eq!(delta.newly_freed, vec!["big"]);
         assert!(delta.newly_restricted.is_empty());
-    }
-
-    #[test]
-    fn digest_is_order_sensitive() {
-        let devices = portfolio();
-        let ledger = ClassificationLedger::screen(&RuleSpec::baseline(), &devices);
-        let mut reversed = ledger.clone();
-        reversed.entries.reverse();
-        assert_ne!(ledger.digest(), reversed.digest());
-        assert_eq!(ledger.digest(), ledger.clone().digest());
     }
 }

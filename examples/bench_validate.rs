@@ -21,6 +21,9 @@
 //! - `--min-lattice-points-per-sec <rate>` floors the `lattice` suite's
 //!   `points_per_sec_lattice`: the warm lattice engine over the same
 //!   sweep.
+//! - `--min-whatif-variants-per-sec <rate>` floors the `whatif` suite's
+//!   `variants_per_sec_warm`: the what-if engine screening a 64-variant
+//!   rule grid over the 4096-design fleet, warm fleet pricing included.
 //! - `--min-serve-cached-qps <qps>` and `--min-serve-unique-qps <qps>`
 //!   floor the `serve` suite's `repeated_qps` and `unique_qps`: the
 //!   server's cached and unique-work throughput under the pipelined
@@ -71,6 +74,11 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
             check_floor(metrics, "points_per_sec_lattice", floor)?;
         }
     }
+    if suite == "whatif" {
+        if let Some(floor) = floors.whatif_variants_per_sec {
+            check_floor(metrics, "variants_per_sec_warm", floor)?;
+        }
+    }
     if suite == "serve" {
         if let Some(floor) = floors.serve_cached_qps {
             check_floor(metrics, "repeated_qps", floor)?;
@@ -86,6 +94,7 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
 struct Floors {
     dse_points_per_sec: Option<f64>,
     lattice_points_per_sec: Option<f64>,
+    whatif_variants_per_sec: Option<f64>,
     serve_cached_qps: Option<f64>,
     serve_unique_qps: Option<f64>,
 }
@@ -99,6 +108,7 @@ fn main() -> ExitCode {
         let slot = match arg.as_str() {
             "--min-dse-points-per-sec" => &mut floors.dse_points_per_sec,
             "--min-lattice-points-per-sec" => &mut floors.lattice_points_per_sec,
+            "--min-whatif-variants-per-sec" => &mut floors.whatif_variants_per_sec,
             "--min-serve-cached-qps" => &mut floors.serve_cached_qps,
             "--min-serve-unique-qps" => &mut floors.serve_unique_qps,
             _ => {
@@ -118,6 +128,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: bench_validate [--min-dse-points-per-sec <rate>] \
              [--min-lattice-points-per-sec <rate>] \
+             [--min-whatif-variants-per-sec <rate>] \
              [--min-serve-cached-qps <qps>] [--min-serve-unique-qps <qps>] <BENCH_*.json>..."
         );
         return ExitCode::FAILURE;

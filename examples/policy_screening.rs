@@ -44,10 +44,10 @@ fn main() {
 
     // Devices whose status changed between generations — the §2.2 story.
     println!("\nnewly restricted by the October 2023 update:");
-    let delta = by_2023.delta_from(&by_2022);
+    let delta = by_2023.delta_from(&by_2022, &devices);
     for name in &delta.newly_restricted {
         let metrics = devices.iter().find(|m| m.name() == name);
-        let class = by_2023.classification_of(name);
+        let class = by_2023.classification_of(&devices, name);
         if let (Some(metrics), Some(class)) = (metrics, class) {
             println!("  {name} ({}, {class})", metrics.tpp());
         }

@@ -64,7 +64,7 @@ fn main() {
         .collect();
     let mem_bw = MemBwRule { license_threshold_gb_s: 800.0 };
     let mem_bw_ledger = ClassificationLedger::screen_with(&consumer, |m| mem_bw.classify(m));
-    let touched = mem_bw_ledger.restricted_names();
+    let touched = mem_bw_ledger.restricted_names(&consumer);
     println!(
         "\nconsumer devices above a hypothetical 800 GB/s memory-BW threshold: {touched:?}"
     );
@@ -73,7 +73,7 @@ fn main() {
     // threshold to 1600 would have swept up mid-range gaming cards.
     let blunt = Acr2022 { tpp_threshold: 1600.0, device_bw_threshold_gb_s: 0.0 };
     let blunt_ledger = ClassificationLedger::screen_with(&consumer, |m| blunt.classify(m));
-    let swept = blunt_ledger.restricted_names();
+    let swept = blunt_ledger.restricted_names(&consumer);
     println!(
         "consumer devices a blunt TPP>=1600 rule would restrict ({}): {:?}",
         swept.len(),

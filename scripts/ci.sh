@@ -90,10 +90,11 @@ cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh
 
-echo "==> bench artefact schema validation (acs-bench-v1, run_report >= 250k points/s, lattice >= 1.5M points/s, serve >= 50k/2k qps)"
+echo "==> bench artefact schema validation (acs-bench-v1, run_report >= 250k points/s, lattice >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps)"
 cargo run -q --release --locked --offline --example bench_validate -- \
     --min-dse-points-per-sec 250000 \
     --min-lattice-points-per-sec 1500000 \
+    --min-whatif-variants-per-sec 3500 \
     --min-serve-cached-qps 50000 \
     --min-serve-unique-qps 2000 \
     "$smokedir/BENCH_dse.json" "$smokedir/BENCH_serve.json" "$smokedir/BENCH_whatif.json" \
