@@ -3,24 +3,23 @@
 //! ```text
 //! acs-dse [--sweep table3-fig6|table3-fig7|table5] [--tpp 4800]
 //!         [--model llama3-8b] [--device-count 4] [--limit N]
-//!         [--checkpoint PATH] [--inject-faults STRIDE] [--cache]
+//!         [--checkpoint PATH] [--inject-faults STRIDE]
 //!         [--profile] [--trace PATH]
 //! ```
 //!
 //! Prints the sweep report summary. `--checkpoint` makes the run
 //! resumable (see DESIGN.md §9), `--inject-faults N` perturbs every Nth
-//! candidate with the fault-injection harness, `--cache` memoises point
-//! evaluations through the content-addressed cache, and `--profile`
-//! enables the global telemetry registry, writes a deterministic JSONL
-//! trace (default `results/trace_dse.jsonl`, honouring
-//! `ACS_RESULTS_DIR`), and prints the per-stage summary table
-//! (DESIGN.md §11).
+//! candidate with the fault-injection harness, and `--profile` enables
+//! the global telemetry registry, writes a deterministic JSONL trace
+//! (default `results/trace_dse.jsonl`, honouring `ACS_RESULTS_DIR`), and
+//! prints the per-stage summary table (DESIGN.md §11). A stdout reader
+//! that closes early (`acs-dse | head -1`) ends the output, not the run.
 
 use acs_dse::{inject_faults, CandidateParams, DseRunner, SweepSpec};
 use acs_llm::{ModelConfig, WorkloadConfig};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Args {
     sweep: String,
@@ -30,7 +29,6 @@ struct Args {
     limit: Option<usize>,
     checkpoint: Option<PathBuf>,
     inject_faults: Option<usize>,
-    cache: bool,
     profile: bool,
     trace: Option<PathBuf>,
 }
@@ -44,7 +42,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         limit: None,
         checkpoint: None,
         inject_faults: None,
-        cache: false,
         profile: false,
         trace: None,
     };
@@ -77,7 +74,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 }
                 args.inject_faults = Some(stride);
             }
-            "--cache" => args.cache = true,
             "--profile" => args.profile = true,
             "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
             other => return Err(format!("unknown flag {other:?}")),
@@ -90,7 +86,7 @@ fn usage() {
     eprintln!(
         "usage: acs-dse [--sweep table3-fig6|table3-fig7|table5] [--tpp F] \
          [--model NAME] [--device-count N] [--limit N] [--checkpoint PATH] \
-         [--inject-faults STRIDE] [--cache] [--profile] [--trace PATH]"
+         [--inject-faults STRIDE] [--profile] [--trace PATH]"
     );
 }
 
@@ -103,33 +99,26 @@ fn resolve_sweep(name: &str) -> Result<SweepSpec, String> {
     }
 }
 
-/// Case- and punctuation-insensitive model lookup over the llm presets,
-/// mirroring the serve endpoint's spelling rules.
-fn resolve_model(name: &str) -> Result<ModelConfig, String> {
-    let canon = |s: &str| -> String {
-        s.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_ascii_lowercase()
-    };
-    let presets = [
-        ModelConfig::gpt3_13b(),
-        ModelConfig::gpt3_175b(),
-        ModelConfig::llama3_8b(),
-        ModelConfig::llama3_70b(),
-        ModelConfig::mixtral_8x7b(),
-    ];
-    let wanted = canon(name);
-    presets
-        .into_iter()
-        .find(|p| canon(p.name()) == wanted)
-        .ok_or_else(|| format!("unknown model {name:?}"))
+/// Write `text` to stdout. A reader that closed its end first is a clean
+/// end of output, not an error: the run still finishes its side effects
+/// (the trace file) and exits 0.
+fn emit(out: &mut impl Write, text: &str) -> Result<(), String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn results_dir() -> PathBuf {
     std::env::var_os("ACS_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let spec = resolve_sweep(&args.sweep)?;
-    let model = resolve_model(&args.model)?;
+    let model = ModelConfig::by_name(&args.model)
+        .ok_or_else(|| format!("unknown model {:?}", args.model))?;
     if args.profile {
         acs_telemetry::global().enable();
     }
@@ -144,14 +133,11 @@ fn run(args: &Args) -> Result<(), String> {
     }
     if let Some(stride) = args.inject_faults {
         let injected = inject_faults(&mut candidates, stride);
-        println!("injected {} faults (stride {stride})", injected.len());
+        emit(out, &format!("injected {} faults (stride {stride})\n", injected.len()))?;
     }
 
-    let mut runner = DseRunner::new(model, WorkloadConfig::paper_default())
+    let runner = DseRunner::new(model, WorkloadConfig::paper_default())
         .with_device_count(args.device_count);
-    if args.cache {
-        runner = runner.with_cache(Arc::new(acs_cache::ShardedCache::new(4096)));
-    }
 
     let report = {
         let _span = acs_telemetry::span("dse.sweep");
@@ -162,7 +148,7 @@ fn run(args: &Args) -> Result<(), String> {
             None => runner.run_report(&candidates),
         }
     };
-    println!("{}", report.summary());
+    emit(out, &format!("{}\n", report.summary()))?;
 
     if args.profile {
         let trace_path =
@@ -173,16 +159,15 @@ fn run(args: &Args) -> Result<(), String> {
         let registry = acs_telemetry::global();
         acs_telemetry::write_trace(registry, &trace_path)
             .map_err(|e| format!("cannot write trace {}: {e}", trace_path.display()))?;
-        println!("trace written to {}", trace_path.display());
-        println!();
-        print!("{}", acs_telemetry::summary_table(registry));
+        emit(out, &format!("trace written to {}\n\n", trace_path.display()))?;
+        emit(out, &acs_telemetry::summary_table(registry))?;
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     match parse_args() {
-        Ok(Some(args)) => match run(&args) {
+        Ok(Some(args)) => match run(&args, &mut std::io::stdout().lock()) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

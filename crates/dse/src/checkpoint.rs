@@ -260,8 +260,9 @@ fn push_outcome(
 }
 
 impl DseRunner {
-    /// [`DseRunner::run_report`] with checkpointing: every completed point
-    /// is appended to the JSONL file at `path` (flushed per line), and
+    /// [`DseRunner::run_report`] with checkpointing: points are priced one
+    /// at a time by the per-point evaluator, every completed point is
+    /// appended to the JSONL file at `path` (flushed per line), and
     /// points already present there are loaded instead of re-evaluated.
     /// Candidate order is the deterministic sweep order, so the same
     /// spec + path resumes exactly where an interrupted run stopped and

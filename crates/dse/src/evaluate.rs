@@ -1,18 +1,17 @@
 //! Design-point evaluation: latency, area, compliance, and cost.
 
-use crate::report::{DesignFailure, SweepReport};
-use crate::sweeps::{CandidateParams, SweepSpec};
-use acs_cache::{CacheKey, ShardedCache};
-use acs_errors::json::{object, Value};
+use crate::report::SweepReport;
+use crate::sweeps::SweepSpec;
 use acs_errors::{guard, AcsError};
 use acs_hw::{AreaModel, CostModel, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
-use acs_llm::{InferencePhase, ModelConfig, WorkloadConfig};
+use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::Acr2023;
-use acs_sim::{plan_digest_parallel, EvalPlans, SimParams, Simulator};
+use acs_sim::{EvalPlans, SimParams, Simulator};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::time::Instant;
 
 /// The swept architectural parameters of one design, kept alongside its
 /// results so distributions can be grouped by a fixed parameter
@@ -132,7 +131,6 @@ pub struct DseRunner {
     pub(crate) cost_model: CostModel,
     pub(crate) sim_params: SimParams,
     pub(crate) rule_2023: Acr2023,
-    pub(crate) cache: Option<Arc<ShardedCache<EvaluatedDesign>>>,
     plans: Arc<PlanSlot>,
     pub(crate) factored: Arc<crate::factored::FactoredSlot>,
     pub(crate) lattice: Arc<crate::lattice::LatticeSlot>,
@@ -163,7 +161,6 @@ impl DseRunner {
             cost_model: CostModel::n7(),
             sim_params: SimParams::calibrated(),
             rule_2023: Acr2023::published(),
-            cache: None,
             plans: Arc::new(PlanSlot::default()),
             factored: Arc::new(crate::factored::FactoredSlot::default()),
             lattice: Arc::new(crate::lattice::LatticeSlot::default()),
@@ -261,20 +258,6 @@ impl DseRunner {
         self
     }
 
-    /// Memoise evaluations through a shared content-addressed cache.
-    /// Sweeps and repro runs that revisit a design point — or a service
-    /// screening the same configuration twice — return the cached
-    /// [`EvaluatedDesign`] instead of re-running the area, cost, and
-    /// latency models. The key covers every input of the evaluation
-    /// (device parameters, model, workload, device count, calibration),
-    /// so sharing one cache across differently configured runners is
-    /// safe.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<ShardedCache<EvaluatedDesign>>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// The model being evaluated.
     #[must_use]
     pub fn model(&self) -> &ModelConfig {
@@ -312,77 +295,6 @@ impl DseRunner {
         self.sim_params
     }
 
-    /// The content-addressed key for one configuration under this
-    /// runner's model, workload, and calibration. The model, workload,
-    /// device count, and datatype are folded into the two layer-plan
-    /// digests (hex strings: a 64-bit digest does not fit a JSON
-    /// number), which cover exactly the inputs that shape the operator
-    /// graphs.
-    #[must_use]
-    pub fn cache_key(&self, config: &DeviceConfig) -> CacheKey {
-        let n = Value::Number;
-        let u = |x: u64| Value::Number(x as f64);
-        let p = &self.sim_params;
-        let dt = config.datatype().bytes();
-        let prefill = plan_digest_parallel(
-            &self.model,
-            &self.workload,
-            InferencePhase::Prefill,
-            self.device_count,
-            self.expert_parallel,
-            dt,
-        );
-        let decode = plan_digest_parallel(
-            &self.model,
-            &self.workload,
-            self.workload.decode_phase(),
-            self.device_count,
-            self.expert_parallel,
-            dt,
-        );
-        CacheKey::from_value(&object(vec![
-            ("v", Value::String("dse-eval-v2".to_owned())),
-            (
-                "device",
-                object(vec![
-                    ("name", Value::String(config.name().to_owned())),
-                    ("cores", u(u64::from(config.core_count()))),
-                    ("lanes", u(u64::from(config.lanes_per_core()))),
-                    ("sys_x", u(u64::from(config.systolic().x))),
-                    ("sys_y", u(u64::from(config.systolic().y))),
-                    ("vec", u(u64::from(config.vector_width()))),
-                    ("ghz", n(config.frequency_ghz())),
-                    ("l1_kib", u(u64::from(config.l1_kib_per_core()))),
-                    ("l2_mib", u(u64::from(config.l2_mib()))),
-                    ("hbm_gb_s", n(config.hbm().bandwidth_gb_s)),
-                    ("hbm_gib", n(config.hbm().capacity_gib)),
-                    ("phy_gb_s", n(config.phy().total_gb_s())),
-                    ("dtype_bits", u(u64::from(config.datatype().bit_width()))),
-                ]),
-            ),
-            ("device_count", u(u64::from(self.device_count))),
-            (
-                "plans",
-                object(vec![
-                    ("prefill", Value::String(CacheKey::digest_hex(prefill))),
-                    ("decode", Value::String(CacheKey::digest_hex(decode))),
-                ]),
-            ),
-            (
-                "params",
-                object(vec![
-                    ("dram_eff", n(p.dram_efficiency)),
-                    ("dram_lat", n(p.dram_latency_s)),
-                    ("op_ovh", n(p.op_overhead_s)),
-                    ("l2_bpc", n(p.l2_bytes_per_lane_cycle)),
-                    ("ar_step", n(p.allreduce_step_latency_s)),
-                    ("l1_frac", n(p.l1_usable_fraction)),
-                    ("l2_frac", n(p.l2_usable_fraction)),
-                ]),
-            ),
-        ]))
-    }
-
     /// Evaluate one configuration, enforcing the pipeline's numeric
     /// invariants at every boundary: the area, cost, and latency models
     /// may not emit NaN, infinity, or non-positive values.
@@ -397,37 +309,14 @@ impl DseRunner {
     }
 
     /// [`DseRunner::try_evaluate`] for a configuration that is already
-    /// shared. The sweep drivers use this form: the device is lent to the
-    /// [`SystemConfig`] instead of deep-cloned per point.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DseRunner::try_evaluate`].
-    pub fn try_evaluate_shared(&self, config: &Arc<DeviceConfig>) -> Result<EvaluatedDesign, AcsError> {
+    /// shared: the device is lent to the [`SystemConfig`] instead of
+    /// deep-cloned. The lattice's demoted points take this form.
+    pub(crate) fn try_evaluate_shared(
+        &self,
+        config: &Arc<DeviceConfig>,
+    ) -> Result<EvaluatedDesign, AcsError> {
         let retyped = self.retyped(config)?;
         let config = retyped.as_ref().unwrap_or(config);
-        match &self.cache {
-            Some(cache) => {
-                let key = self.cache_key(config);
-                let (design, hit) =
-                    cache.get_or_try_insert(&key, || self.evaluate_uncached(config))?;
-                // Cached handles: per-point hot path (see parallel_map).
-                static HITS: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.hits");
-                static MISSES: acs_telemetry::GlobalCounter =
-                    acs_telemetry::GlobalCounter::new("dse.cache.misses");
-                if hit {
-                    HITS.add(1);
-                } else {
-                    MISSES.add(1);
-                }
-                Ok(design)
-            }
-            None => self.evaluate_uncached(config),
-        }
-    }
-
-    fn evaluate_uncached(&self, config: &Arc<DeviceConfig>) -> Result<EvaluatedDesign, AcsError> {
         // Allocation-free while healthy: the guard context is built only
         // on the error path, the device is shared into the system rather
         // than cloned, and the layer graphs come from the per-sweep plan
@@ -490,12 +379,13 @@ impl DseRunner {
         Ok(Arc::clone(map.entry(dtype_bytes).or_insert(built)))
     }
 
-    /// Evaluate a whole sweep at a TPP ceiling, in parallel across the
-    /// machine's cores. Points that fail validation or evaluation are
-    /// dropped; use [`DseRunner::run_report`] to keep the failure ledger.
+    /// Evaluate a whole sweep at a TPP ceiling through the lattice
+    /// engine ([`DseRunner::run_lattice`]). Points that fail validation
+    /// or evaluation are dropped; use [`DseRunner::run_report`] to keep
+    /// the failure ledger.
     #[must_use]
     pub fn run(&self, spec: &SweepSpec, tpp_target: f64) -> Vec<EvaluatedDesign> {
-        self.run_report(&spec.candidates(tpp_target)).designs.into_iter().map(|(_, d)| d).collect()
+        self.run_lattice(spec, tpp_target).designs.into_iter().map(|(_, d)| d).collect()
     }
 
     /// Evaluate an explicit list of configurations in parallel, preserving
@@ -507,45 +397,7 @@ impl DseRunner {
         self.parallel_map(configs, |cfg| cfg.name(), |cfg| self.try_evaluate(cfg))
     }
 
-    /// Evaluate raw sweep candidates with full fault isolation: each point
-    /// is validated and evaluated behind `std::panic::catch_unwind`; a
-    /// panic, an invalid candidate, or a numeric-invariant violation
-    /// becomes a [`DesignFailure`] in the report instead of aborting the
-    /// sweep.
-    #[must_use]
-    pub fn run_report(&self, candidates: &[CandidateParams]) -> SweepReport {
-        let outcomes = self.parallel_map(
-            candidates,
-            |cand| cand.name.as_str(),
-            |cand| cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_shared(&cfg)),
-        );
-        self.collect_report(candidates, outcomes)
-    }
-
-    pub(crate) fn collect_report(
-        &self,
-        candidates: &[CandidateParams],
-        outcomes: Vec<Result<EvaluatedDesign, AcsError>>,
-    ) -> SweepReport {
-        let mut report = SweepReport::default();
-        // One up-front allocation instead of log2(n) grow-and-copy
-        // cycles over ~150-byte elements — measurable on large sweeps.
-        report.designs.reserve(candidates.len());
-        for (index, (cand, outcome)) in candidates.iter().zip(outcomes).enumerate() {
-            match outcome {
-                Ok(d) => report.designs.push((index, d)),
-                Err(reason) => {
-                    report.failures.push(DesignFailure { index, params: cand.name.clone(), reason });
-                }
-            }
-        }
-        self.report_telemetry(&report);
-        report
-    }
-
-    /// Flush a finished sweep report's outcome counters. Shared by
-    /// [`DseRunner::collect_report`] and the lattice path's direct
-    /// assembly so both emit identical telemetry.
+    /// Flush a finished sweep report's outcome counters.
     pub(crate) fn report_telemetry(&self, report: &SweepReport) {
         if acs_telemetry::enabled() {
             acs_telemetry::count("dse.eval.ok", report.designs.len() as u64);
@@ -568,14 +420,17 @@ impl DseRunner {
     /// shared atomic cursor, so a run of cheap (or instantly failing)
     /// points on one side of the sweep cannot strand the expensive tail
     /// on a single thread the way static chunking did. `label` names the
-    /// item in panic reports.
+    /// item in panic reports. Every item is one design point, timed into
+    /// the `dse.eval.point_us` histogram.
     pub(crate) fn parallel_map<T: Sync, U: Send + Sync>(
         &self,
         items: &[T],
         label: impl Fn(&T) -> &str + Sync,
         f: impl Fn(&T) -> Result<U, AcsError> + Sync,
     ) -> Vec<Result<U, AcsError>> {
-        self.parallel_map_on(self.worker_count(), items, label, f)
+        static POINT_US: acs_telemetry::GlobalHistogram =
+            acs_telemetry::GlobalHistogram::new("dse.eval.point_us");
+        self.parallel_map_on(self.worker_count(), items, label, f, Some(&POINT_US))
     }
 
     /// The worker-thread count `parallel_map` will use: the runner's
@@ -584,47 +439,40 @@ impl DseRunner {
         self.threads.unwrap_or_else(worker_threads)
     }
 
-    fn parallel_map_on<T: Sync, U: Send + Sync>(
+    /// [`DseRunner::parallel_map`] on `threads` workers, timing each item
+    /// into `item_us` when one is given (the lattice's point chunks are
+    /// not design points, so it passes `None`).
+    pub(crate) fn parallel_map_on<T: Sync, U: Send + Sync>(
         &self,
         threads: usize,
         items: &[T],
         label: impl Fn(&T) -> &str + Sync,
         f: impl Fn(&T) -> Result<U, AcsError> + Sync,
+        item_us: Option<&acs_telemetry::GlobalHistogram>,
     ) -> Vec<Result<U, AcsError>> {
         if items.is_empty() {
             return Vec::new();
         }
         let threads = threads.clamp(1, items.len());
         acs_telemetry::set_gauge("dse.threads", threads as u64);
+        // Per-item wall time goes to a histogram rather than a span:
+        // histogram merges are order-free, so the trace structure stays
+        // deterministic however the scheduler interleaves worker threads.
+        // Timestamps are chained — each item's end is the next item's
+        // start — so profiling costs one clock read per item, not two;
+        // the histogram's own count is the item count.
+        let timed = item_us.filter(|_| acs_telemetry::enabled());
         if threads == 1 {
             // One worker needs no scope, no spawn/join, and no slot
             // claims — run the same per-item contained loop inline. On a
             // single-core host the spawn+join alone costs tens of
             // microseconds per sweep.
-            let mut last = acs_telemetry::enabled().then(std::time::Instant::now);
+            let mut timer = timed.map(|h| (h, Instant::now()));
             return items
                 .iter()
                 .map(|item| {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(item))).unwrap_or_else(
-                        |payload| {
-                            let message = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_owned())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_owned());
-                            Err(AcsError::EvaluationPanic {
-                                design: label(item).to_owned(),
-                                message,
-                            })
-                        },
-                    );
-                    if let Some(t0) = last {
-                        static POINT_US: acs_telemetry::GlobalHistogram =
-                            acs_telemetry::GlobalHistogram::new("dse.eval.point_us");
-                        let t1 = std::time::Instant::now();
-                        POINT_US.record((t1 - t0).as_secs_f64() * 1e6);
-                        last = Some(t1);
-                    }
+                    let outcome = contained(label(item), || f(item));
+                    tick(&mut timer);
                     outcome
                 })
                 .collect();
@@ -642,14 +490,7 @@ impl DseRunner {
                 let next = &next;
                 let slots = &slots;
                 scope.spawn(move || {
-                    // Per-point wall time goes to a histogram rather than
-                    // a span: histogram merges are order-free, so the
-                    // trace structure stays deterministic however the
-                    // scheduler interleaves worker threads. Timestamps are
-                    // chained — each point's end is the next point's start
-                    // — so profiling costs one clock read per point, not
-                    // two; the histogram's own count is the point count.
-                    let mut last = acs_telemetry::enabled().then(std::time::Instant::now);
+                    let mut timer = timed.map(|h| (h, Instant::now()));
                     loop {
                         let start = next.fetch_add(stripe, Ordering::Relaxed);
                         if start >= items.len() {
@@ -657,25 +498,8 @@ impl DseRunner {
                         }
                         let end = (start + stripe).min(items.len());
                         for (item, slot) in items[start..end].iter().zip(&slots[start..end]) {
-                            let outcome = catch_unwind(AssertUnwindSafe(|| f(item)))
-                                .unwrap_or_else(|payload| {
-                                    let message = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| (*s).to_owned())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                                    Err(AcsError::EvaluationPanic {
-                                        design: label(item).to_owned(),
-                                        message,
-                                    })
-                                });
-                            if let Some(t0) = last {
-                                static POINT_US: acs_telemetry::GlobalHistogram =
-                                    acs_telemetry::GlobalHistogram::new("dse.eval.point_us");
-                                let t1 = std::time::Instant::now();
-                                POINT_US.record((t1 - t0).as_secs_f64() * 1e6);
-                                last = Some(t1);
-                            }
+                            let outcome = contained(label(item), || f(item));
+                            tick(&mut timer);
                             // Each index is claimed by exactly one stripe,
                             // so the set cannot already be occupied.
                             let _ = slot.set(outcome);
@@ -700,6 +524,34 @@ impl DseRunner {
             })
             .collect()
     }
+}
+
+/// One link of a chained per-item timer: record the time since the
+/// previous link into its histogram and restart the chain from now.
+fn tick(timer: &mut Option<(&acs_telemetry::GlobalHistogram, Instant)>) {
+    if let Some((histogram, t0)) = timer {
+        let t1 = Instant::now();
+        histogram.record((t1 - *t0).as_secs_f64() * 1e6);
+        *t0 = t1;
+    }
+}
+
+/// Run `f` behind `catch_unwind`, turning a panic into the typed
+/// [`AcsError::EvaluationPanic`] failure labelled `design`: the one
+/// containment contract of the parallel harness and the lattice's
+/// demoted points, so a point reports the same failure on either.
+pub(crate) fn contained<U>(
+    design: &str,
+    f: impl FnOnce() -> Result<U, AcsError>,
+) -> Result<U, AcsError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        Err(AcsError::EvaluationPanic { design: design.to_owned(), message })
+    })
 }
 
 /// Worker-thread count for [`DseRunner::parallel_map`]: the
@@ -822,50 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_runner_matches_uncached_and_hits_on_repeat() {
-        let cache = Arc::new(ShardedCache::new(256));
-        let plain = runner();
-        let cached = runner().with_cache(Arc::clone(&cache));
-        let configs = small_spec().configs(4800.0);
-        for cfg in &configs {
-            assert_eq!(cached.try_evaluate(cfg).unwrap(), plain.try_evaluate(cfg).unwrap());
-        }
-        let cold = cache.stats();
-        assert_eq!(cold.misses as usize, configs.len());
-        assert_eq!(cold.insertions as usize, configs.len());
-        for cfg in &configs {
-            cached.try_evaluate(cfg).unwrap();
-        }
-        let warm = cache.stats();
-        assert_eq!(warm.hits as usize, configs.len(), "second pass should be all hits");
-        assert_eq!(warm.insertions, cold.insertions);
-    }
-
-    #[test]
-    fn cache_keys_separate_workloads_and_device_counts() {
-        let cfg = DeviceConfig::a100_like();
-        let base = runner();
-        let other_workload =
-            DseRunner::new(ModelConfig::gpt3_175b(), WorkloadConfig::new(8, 512, 128));
-        let other_count = runner().with_device_count(8);
-        let k0 = base.cache_key(&cfg);
-        assert_ne!(k0.canonical(), other_workload.cache_key(&cfg).canonical());
-        assert_ne!(k0.canonical(), other_count.cache_key(&cfg).canonical());
-        // Same runner, same config: byte-identical canonical form.
-        assert_eq!(k0.canonical(), runner().cache_key(&cfg).canonical());
-        assert_eq!(k0.digest(), runner().cache_key(&cfg).digest());
-    }
-
-    #[test]
-    fn cached_errors_are_not_memoised() {
-        let cache = Arc::new(ShardedCache::new(64));
-        let bad = runner().with_device_count(0).with_cache(Arc::clone(&cache));
-        let cfg = DeviceConfig::a100_like();
-        assert_eq!(bad.try_evaluate(&cfg).unwrap_err().kind(), "invalid_config");
-        assert_eq!(cache.len(), 0, "failed evaluations must not occupy cache slots");
-    }
-
-    #[test]
     fn cost_products_multiply_out() {
         let d = runner().run(&small_spec(), 4800.0).remove(0);
         assert!((d.ttft_cost_product() - d.ttft_s * 1e3 * d.die_cost_usd).abs() < 1e-9);
@@ -943,6 +751,7 @@ mod tests {
                 std::thread::sleep(sleep);
                 Ok(*i)
             },
+            None,
         );
         let elapsed = started.elapsed();
         assert!(

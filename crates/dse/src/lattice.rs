@@ -1,9 +1,11 @@
 //! Lattice-algebra sweep evaluation: price the grid, not the points.
 //!
-//! The per-point evaluator (`DseRunner::run_report`) builds a device,
-//! walks both layer plans, and prices every operator at every grid
-//! point. This module exploits the dependency-key argument of
-//! `acs_sim::legs` instead. Each leg is priced once per distinct
+//! This is the one sweep driver: [`DseRunner::run_report`],
+//! [`DseRunner::run_lattice`] and [`DseRunner::run`] all price here.
+//! Where the per-point evaluator ([`DseRunner::try_evaluate`]) builds a
+//! device, walks both layer plans, and prices every operator at one
+//! point, this module exploits the dependency-key argument of
+//! `acs_sim::legs`. Each leg is priced once per distinct
 //! `ComputeKey`/`MemoryKey`/`CommKey` into the runner's persistent leg
 //! tables (`crate::factored`), fused into structure-of-arrays vectors
 //! whose per-op guards are hoisted into a one-time cleanliness proof
@@ -16,11 +18,12 @@
 //! *order* (area, TPP, perf density, system, plans, die costs, TTFT,
 //! TBT) with cheap per-point checks; any check that would fail — or any
 //! precondition the broadcast cannot prove (unclean fused vectors, probe
-//! failure, invalid candidate) — demotes that point to the per-point
-//! evaluator, which reproduces the exact typed error, bit for bit.
-//! Healthy points take the broadcast; the result is bit-identical either
-//! way, a guarantee `tests/lattice_equivalence.rs` pins against the
-//! naive reference evaluator in `acs-verify`.
+//! failure, invalid candidate, or a sweep-wide failure such as a zero
+//! device count) — demotes that point to the per-point evaluator, which
+//! reproduces the exact typed error, bit for bit. Healthy points take
+//! the broadcast; the result is bit-identical either way, a guarantee
+//! `tests/lattice_equivalence.rs` pins against the naive reference
+//! evaluator in `acs-verify`.
 //!
 //! What persists across sweeps is keyed by dependency signature, never
 //! by point: the runner's leg tables, the three probe caches, the fused
@@ -28,13 +31,16 @@
 //! them on every sweep, first visit or not — a few dozen additions cost
 //! less than a lookup in a table of every point ever priced.
 
-use crate::evaluate::{DseRunner, EvaluatedDesign, SweptParams};
+use crate::evaluate::{contained, DseRunner, EvaluatedDesign, SweptParams};
 use crate::factored::FxMap;
 use crate::report::{DesignFailure, SweepReport};
 use crate::sweeps::{CandidateParams, SweepSpec};
 use acs_errors::AcsError;
 use acs_hw::{DataType, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
-use acs_sim::{CombineProgram, CommKey, ComputeKey, EvalPlans, FusedLegs, LegKeys, MemoryKey, Simulator};
+use acs_sim::{
+    CombineProgram, CommKey, ComputeKey, EvalPlans, FusedLegs, LayerTally, LegKeys, MemoryKey,
+    Simulator,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -43,17 +49,74 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// out so the per-point check is one local bool instead of four pointer
 /// chases. Storing the phases together costs one table lookup per
 /// signature instead of two — every sweep needs both phases anyway.
-#[derive(Debug)]
+///
+/// The values live in a slab shared by every signature one sweep fused:
+/// prefill at `at..split`, decode at `split..end`. A cold sweep fusing
+/// hundreds of signatures makes one allocation instead of three per
+/// signature, so dropping a one-shot runner frees a few blocks rather
+/// than leaving thousands of small ones for the allocator to sort on the
+/// caller's next allocation.
+#[derive(Debug, Clone)]
 struct PairFused {
-    prefill: FusedLegs,
-    decode: FusedLegs,
+    slab: Arc<Vec<f64>>,
+    span: FusedSpan,
+}
+
+/// Where one signature's vectors sit in their slab, with their proofs.
+#[derive(Debug, Clone, Copy)]
+struct FusedSpan {
+    at: usize,
+    split: usize,
+    end: usize,
     clean: bool,
+    /// Both phases' [`FusedLegs::class_sums`], for the layer tally.
+    class_sums: [[f64; 4]; 2],
 }
 
 impl PairFused {
-    fn of(prefill: FusedLegs, decode: FusedLegs) -> Self {
-        let clean = prefill.clean && decode.clean;
-        PairFused { prefill, decode, clean }
+    fn prefill(&self) -> &[f64] {
+        &self.slab[self.span.at..self.span.split]
+    }
+
+    fn decode(&self) -> &[f64] {
+        &self.slab[self.span.split..self.span.end]
+    }
+}
+
+/// The fused vectors one sweep builds, appended to a single slab and
+/// handed out as [`PairFused`] views once the sweep's misses are fused.
+struct SlabBuilder {
+    values: Vec<f64>,
+    spans: Vec<FusedSpan>,
+}
+
+impl SlabBuilder {
+    /// Room for `entries` signatures of `width` values each (both
+    /// phases), so the slab is allocated once at its final size.
+    fn with_capacity(entries: usize, width: usize) -> Self {
+        SlabBuilder {
+            values: Vec::with_capacity(entries * width),
+            spans: Vec::with_capacity(entries),
+        }
+    }
+
+    fn push(&mut self, prefill: &FusedLegs, decode: &FusedLegs) {
+        let at = self.values.len();
+        self.values.extend_from_slice(&prefill.values);
+        let split = self.values.len();
+        self.values.extend_from_slice(&decode.values);
+        self.spans.push(FusedSpan {
+            at,
+            split,
+            end: self.values.len(),
+            clean: prefill.clean && decode.clean,
+            class_sums: [prefill.class_sums, decode.class_sums],
+        });
+    }
+
+    fn finish(self) -> Vec<PairFused> {
+        let slab = Arc::new(self.values);
+        self.spans.into_iter().map(|span| PairFused { slab: Arc::clone(&slab), span }).collect()
     }
 }
 
@@ -64,24 +127,8 @@ impl PairFused {
 /// nothing.
 #[derive(Debug, Default)]
 struct FusedTables {
-    onchip: RwLock<FxMap<(ComputeKey, MemoryKey), Arc<PairFused>>>,
-    comm: RwLock<FxMap<CommKey, Arc<PairFused>>>,
-}
-
-impl FusedTables {
-    fn put_onchip(&self, key: (ComputeKey, MemoryKey), fused: PairFused) -> Arc<PairFused> {
-        let mut map = self.onchip.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(fused)))
-    }
-
-    fn get_comm(&self, key: &CommKey) -> Option<Arc<PairFused>> {
-        self.comm.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
-    }
-
-    fn put_comm(&self, key: CommKey, fused: PairFused) -> Arc<PairFused> {
-        let mut map = self.comm.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(fused)))
-    }
+    onchip: RwLock<FxMap<(ComputeKey, MemoryKey), PairFused>>,
+    comm: RwLock<FxMap<CommKey, PairFused>>,
 }
 
 /// The lattice tables of one runner: per-phase fused vectors plus the
@@ -160,6 +207,7 @@ where
         out[at] = probe(&keys[at]);
     }
     let mut map = cache.write().unwrap_or_else(PoisonError::into_inner);
+    map.reserve(misses.len());
     for &at in &misses {
         if let Some(d) = out[at] {
             map.insert(keys[at], d);
@@ -210,12 +258,11 @@ struct CommSigData {
     device_bw_gb_s: f64,
 }
 
-/// The per-sweep broadcast context: plans, programs, signature tables,
-/// and fused vectors, shared read-only by the point workers. The fused
+/// The per-sweep broadcast context: programs, signature tables, and
+/// fused vectors, shared read-only by the point workers. The fused
 /// tables are dense — a pair lives at `ci * n_msigs + mi`, a comm at
 /// `wi` — so the per-point path is two indexed loads, no hashing.
 struct SweepCtx {
-    plans: Arc<EvalPlans>,
     programs: Arc<ProgramPair>,
     csig_data: Vec<Option<ComputeSigData>>,
     msig_data: Vec<Option<MemorySigData>>,
@@ -225,36 +272,87 @@ struct SweepCtx {
     point_sigs: Vec<Option<(u32, u32, u32)>>,
     n_msigs: usize,
     /// Fused on-chip vectors, dense over (csig, msig); `None` demotes.
-    pairs: Vec<Option<Arc<PairFused>>>,
+    pairs: Vec<Option<PairFused>>,
     /// Fused comm vectors, dense over comm signatures.
-    comms: Vec<Option<Arc<PairFused>>>,
+    comms: Vec<Option<PairFused>>,
 }
 
 impl DseRunner {
-    /// [`DseRunner::run_report`] through the lattice broadcast engine:
-    /// same fault isolation, same designs and failure ledger bit for
-    /// bit, with healthy points priced as vector sums grouped by compute
-    /// signature instead of per-point graph work.
+    /// Evaluate raw sweep candidates with full fault isolation: a panic,
+    /// an invalid candidate, or a numeric-invariant violation becomes a
+    /// [`DesignFailure`] in the report instead of aborting the sweep.
+    /// Healthy points are priced by the lattice broadcast; every other
+    /// point is demoted to the contained per-point evaluator, so designs
+    /// and failures match it bit for bit.
     #[must_use]
-    pub fn run_report_lattice(&self, candidates: &[CandidateParams]) -> SweepReport {
-        if self.cache.is_some() {
-            // Evaluation-cache traffic is per point; the per-point
-            // evaluator keeps the hits, misses, and insertions exact.
-            return self.run_report(candidates);
-        }
+    pub fn run_report(&self, candidates: &[CandidateParams]) -> SweepReport {
         // `None`: a sweep-wide precondition failed (no valid candidate,
         // plans, zero device count, or a pathological calibration), and
-        // every point prices identically through the per-point path.
-        self.lattice_sweep_outcomes(candidates).unwrap_or_else(|| self.run_report(candidates))
+        // every chunk demotes all of its points.
+        let ctx = self.sweep_ctx(candidates);
+        // Evaluate in contiguous point chunks: the harness cost (panic
+        // containment, counter flush) amortises over a chunk, and a
+        // chunk whose harness panicked demotes its points to the
+        // per-point fallback — which re-contains and reports
+        // each point exactly.
+        const LATTICE_CHUNK: usize = 64;
+        let mut report = SweepReport::default();
+        report.designs.reserve(candidates.len());
+        if self.worker_count() == 1 {
+            // A single worker assembles the report in place — no
+            // per-chunk buffers, no merge pass. A panicking chunk is
+            // rewound by truncating to the pre-chunk marks, then demoted.
+            for (k, chunk) in candidates.chunks(LATTICE_CHUNK).enumerate() {
+                let start = k * LATTICE_CHUNK;
+                let marks = (report.designs.len(), report.failures.len());
+                let contained = catch_unwind(AssertUnwindSafe(|| {
+                    self.lattice_chunk(start, chunk, ctx.as_ref(), &mut report);
+                }));
+                if contained.is_err() {
+                    report.designs.truncate(marks.0);
+                    report.failures.truncate(marks.1);
+                    self.lattice_chunk(start, chunk, None, &mut report);
+                }
+            }
+        } else {
+            let chunks: Vec<(usize, &[CandidateParams])> = candidates
+                .chunks(LATTICE_CHUNK)
+                .enumerate()
+                .map(|(k, chunk)| (k * LATTICE_CHUNK, chunk))
+                .collect();
+            let chunk_outcomes = self.parallel_map_on(
+                self.worker_count(),
+                &chunks,
+                |c| c.1[0].name.as_str(),
+                |&(start, chunk)| {
+                    let mut part = SweepReport::default();
+                    self.lattice_chunk(start, chunk, ctx.as_ref(), &mut part);
+                    Ok(part)
+                },
+                None,
+            );
+            for (res, &(start, chunk)) in chunk_outcomes.into_iter().zip(&chunks) {
+                match res {
+                    Ok(part) => {
+                        report.designs.extend(part.designs);
+                        report.failures.extend(part.failures);
+                    }
+                    Err(_) => self.lattice_chunk(start, chunk, None, &mut report),
+                }
+            }
+        }
+        self.report_telemetry(&report);
+        report
     }
 
-    /// Evaluate a whole sweep at a TPP ceiling through the lattice
-    /// engine. The lattice shape is read off the spec first: the compute
-    /// leg varies with the systolic dimension, lane count, and L1 axes
-    /// (the solved core count is a function of the first two), the DRAM
-    /// leg with the L2 and HBM axes, and the collective leg with the
-    /// device-bandwidth axis — so the leg tables are pre-sized to the
-    /// lattice's distinct key counts and never rehash mid-sweep.
+    /// Evaluate a whole sweep at a TPP ceiling with
+    /// [`DseRunner::run_report`]. The lattice shape is read off the spec
+    /// first: the compute leg varies with the systolic dimension, lane
+    /// count, and L1 axes (the solved core count is a function of the
+    /// first two), the DRAM leg with the L2 and HBM axes, and the
+    /// collective leg with the device-bandwidth axis — so the leg tables
+    /// are pre-sized to the lattice's distinct key counts and never
+    /// rehash mid-sweep.
     #[must_use]
     pub fn run_lattice(&self, spec: &SweepSpec, tpp_target: f64) -> SweepReport {
         self.factored.reserve(
@@ -262,23 +360,15 @@ impl DseRunner {
             spec.l2_mib.len() * spec.hbm_tb_s.len(),
             spec.device_bw_gb_s.len(),
         );
-        self.run_report_lattice(&spec.candidates(tpp_target))
+        self.run_report(&spec.candidates(tpp_target))
     }
 
-    /// The per-point evaluation wrapped in the same panic containment
-    /// `parallel_map` applies, so a demoted point reports the identical
-    /// `EvaluationPanic` label and message.
-    fn lattice_fallback(&self, cand: &CandidateParams) -> Result<EvaluatedDesign, AcsError> {
-        catch_unwind(AssertUnwindSafe(|| {
+    /// Price one point through the per-point evaluator under the
+    /// parallel harness's panic containment, so a demoted point reports
+    /// the identical `EvaluationPanic` label and message.
+    fn demote(&self, cand: &CandidateParams) -> Result<EvaluatedDesign, AcsError> {
+        contained(&cand.name, || {
             cand.build().map(Arc::new).and_then(|cfg| self.try_evaluate_shared(&cfg))
-        }))
-        .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(AcsError::EvaluationPanic { design: cand.name.clone(), message })
         })
     }
 
@@ -315,19 +405,14 @@ impl DseRunner {
         }
     }
 
-    /// The broadcast sweep: classify candidates into signatures, probe
-    /// and price each signature once, fuse per-pair vectors, then reduce
-    /// every healthy point to scalar assembly plus two vector sums. The
-    /// report is assembled directly — designs and failures land in their
-    /// final vectors, in candidate order, without an intermediate
-    /// per-point `Result` buffer. Returns `None` when a sweep-wide
-    /// precondition fails.
+    /// The broadcast context of one sweep: classify candidates into
+    /// signatures, probe and price each signature once, and fuse
+    /// per-pair vectors, so that [`DseRunner::lattice_point`] reduces
+    /// every healthy point to scalar assembly plus two vector sums.
+    /// Returns `None` when a sweep-wide precondition fails.
     #[allow(clippy::too_many_lines)]
-    fn lattice_sweep_outcomes(&self, candidates: &[CandidateParams]) -> Option<SweepReport> {
-        if candidates.is_empty() {
-            return Some(SweepReport::default());
-        }
-        if self.device_count == 0 {
+    fn sweep_ctx(&self, candidates: &[CandidateParams]) -> Option<SweepCtx> {
+        if candidates.is_empty() || self.device_count == 0 {
             return None;
         }
         let overhead = self.sim_params.op_overhead_s;
@@ -410,7 +495,7 @@ impl DseRunner {
                 point_sigs.push(None);
             }
         }
-        // No valid candidate: the per-point path reproduces every
+        // No valid candidate: the per-point evaluator reproduces every
         // failure without any probe machinery.
         let base = &candidates[base?];
 
@@ -520,7 +605,7 @@ impl DseRunner {
                 })
             })?;
         let n_msigs = msigs.len();
-        let mut pair_list: Vec<(u32, u32)> = Vec::new();
+        let mut pair_list: Vec<(u32, u32)> = Vec::with_capacity(csigs.len() * n_msigs);
         let mut comm_list: Vec<u32> = Vec::new();
         {
             let mut pair_seen = vec![false; csigs.len() * n_msigs];
@@ -537,8 +622,8 @@ impl DseRunner {
                 }
             }
         }
-        let mut pairs: Vec<Option<Arc<PairFused>>> = vec![None; csigs.len() * n_msigs];
-        let mut misses: Vec<(u32, u32)> = Vec::new();
+        let mut pairs: Vec<Option<PairFused>> = vec![None; csigs.len() * n_msigs];
+        let mut misses: Vec<(u32, u32)> = Vec::with_capacity(pair_list.len());
         let mut hits = 0u64;
         {
             let map = self.lattice.fused.onchip.read().unwrap_or_else(PoisonError::into_inner);
@@ -550,13 +635,37 @@ impl DseRunner {
                 match map.get(&(cs.key, ms.key)) {
                     Some(f) => {
                         hits += 1;
-                        pairs[ci as usize * n_msigs + mi as usize] = Some(Arc::clone(f));
+                        pairs[ci as usize * n_msigs + mi as usize] = Some(f.clone());
                     }
                     None => misses.push((ci, mi)),
                 }
             }
         }
+        let mut comms: Vec<Option<PairFused>> = vec![None; wsigs.len()];
+        let mut comm_misses: Vec<u32> = Vec::new();
+        {
+            let map = self.lattice.fused.comm.read().unwrap_or_else(PoisonError::into_inner);
+            for &wi in &comm_list {
+                let Some(ws) = wsig_data[wi as usize] else { continue };
+                match map.get(&ws.key) {
+                    Some(f) => {
+                        hits += 1;
+                        comms[wi as usize] = Some(f.clone());
+                    }
+                    None => comm_misses.push(wi),
+                }
+            }
+        }
         FUSED_HIT.add(hits);
+        // Fuse every miss into one slab, then publish the whole batch
+        // under one write lock per table. A racing sweep that published
+        // the same key first wins, and both read its entry.
+        let mut slab = SlabBuilder::with_capacity(
+            misses.len() + comm_misses.len(),
+            programs.prefill.len() + programs.decode.len(),
+        );
+        let mut onchip_new: Vec<(usize, (ComputeKey, MemoryKey))> =
+            Vec::with_capacity(misses.len());
         for &(ci, mi) in &misses {
             let (Some(cs), Some(ms)) = (csig_data[ci as usize], msig_data[mi as usize]) else {
                 continue;
@@ -567,23 +676,15 @@ impl DseRunner {
             else {
                 continue;
             };
-            FUSED_BUILT.add(1);
-            pairs[ci as usize * n_msigs + mi as usize] = Some(self.lattice.fused.put_onchip(
-                (cs.key, ms.key),
-                PairFused::of(
-                    programs.prefill.fuse_onchip(&cp, &mp, overhead),
-                    programs.decode.fuse_onchip(&cd, &md, overhead),
-                ),
-            ));
+            slab.push(
+                &programs.prefill.fuse_onchip(&cp, &mp, overhead),
+                &programs.decode.fuse_onchip(&cd, &md, overhead),
+            );
+            onchip_new.push((ci as usize * n_msigs + mi as usize, (cs.key, ms.key)));
         }
-        let mut comms: Vec<Option<Arc<PairFused>>> = vec![None; wsigs.len()];
-        for &wi in &comm_list {
+        let mut comm_new: Vec<(usize, CommKey)> = Vec::new();
+        for &wi in &comm_misses {
             let Some(ws) = wsig_data[wi as usize] else { continue };
-            if let Some(f) = self.lattice.fused.get_comm(&ws.key) {
-                FUSED_HIT.add(1);
-                comms[wi as usize] = Some(f);
-                continue;
-            }
             let keys =
                 LegKeys { compute: base_keys.compute, memory: base_keys.memory, comm: ws.key };
             let (Some((_, _, wp)), Some((_, _, wd))) =
@@ -591,18 +692,30 @@ impl DseRunner {
             else {
                 continue;
             };
-            FUSED_BUILT.add(1);
-            comms[wi as usize] = Some(self.lattice.fused.put_comm(
-                ws.key,
-                PairFused::of(
-                    programs.prefill.fuse_comm(&wp, overhead),
-                    programs.decode.fuse_comm(&wd, overhead),
-                ),
-            ));
+            slab.push(
+                &programs.prefill.fuse_comm(&wp, overhead),
+                &programs.decode.fuse_comm(&wd, overhead),
+            );
+            comm_new.push((wi as usize, ws.key));
+        }
+        let fused = slab.finish();
+        FUSED_BUILT.add(fused.len() as u64);
+        let (onchip_fused, comm_fused) = fused.split_at(onchip_new.len());
+        if !onchip_new.is_empty() {
+            let mut map = self.lattice.fused.onchip.write().unwrap_or_else(PoisonError::into_inner);
+            map.reserve(onchip_new.len());
+            for (&(at, key), f) in onchip_new.iter().zip(onchip_fused) {
+                pairs[at] = Some(map.entry(key).or_insert_with(|| f.clone()).clone());
+            }
+        }
+        if !comm_new.is_empty() {
+            let mut map = self.lattice.fused.comm.write().unwrap_or_else(PoisonError::into_inner);
+            for (&(at, key), f) in comm_new.iter().zip(comm_fused) {
+                comms[at] = Some(map.entry(key).or_insert_with(|| f.clone()).clone());
+            }
         }
 
-        let ctx = SweepCtx {
-            plans,
+        Some(SweepCtx {
             programs,
             csig_data,
             msig_data,
@@ -611,82 +724,36 @@ impl DseRunner {
             n_msigs,
             pairs,
             comms,
-        };
-        let _ = &ctx.plans; // plans kept alive for the programs' lifetime
-        // Evaluate in contiguous point chunks: the harness cost (panic
-        // containment, counter flush) amortises over a chunk, and a
-        // chunk whose harness panicked demotes its points to the
-        // per-point fallback — which re-contains and reports
-        // each point exactly.
-        const LATTICE_CHUNK: usize = 64;
-        let mut report = SweepReport::default();
-        report.designs.reserve(candidates.len());
-        if self.worker_count() == 1 {
-            // A single worker assembles the report in place — no
-            // per-chunk buffers, no merge pass. A panicking chunk is
-            // rewound by truncating to the pre-chunk marks, then demoted.
-            for (k, chunk) in candidates.chunks(LATTICE_CHUNK).enumerate() {
-                let start = k * LATTICE_CHUNK;
-                let marks = (report.designs.len(), report.failures.len());
-                let contained = catch_unwind(AssertUnwindSafe(|| {
-                    self.lattice_chunk(start, chunk, &ctx, &mut report);
-                }));
-                if contained.is_err() {
-                    report.designs.truncate(marks.0);
-                    report.failures.truncate(marks.1);
-                    self.demote_chunk(start, chunk, &mut report);
-                }
-            }
-        } else {
-            let chunks: Vec<(usize, &[CandidateParams])> = candidates
-                .chunks(LATTICE_CHUNK)
-                .enumerate()
-                .map(|(k, chunk)| (k * LATTICE_CHUNK, chunk))
-                .collect();
-            let chunk_outcomes = self.parallel_map(
-                &chunks,
-                |c| c.1[0].name.as_str(),
-                |&(start, chunk)| {
-                    let mut part = SweepReport::default();
-                    self.lattice_chunk(start, chunk, &ctx, &mut part);
-                    Ok(part)
-                },
-            );
-            for (res, &(start, chunk)) in chunk_outcomes.into_iter().zip(&chunks) {
-                match res {
-                    Ok(part) => {
-                        report.designs.extend(part.designs);
-                        report.failures.extend(part.failures);
-                    }
-                    Err(_) => self.demote_chunk(start, chunk, &mut report),
-                }
-            }
-        }
-        self.report_telemetry(&report);
-        Some(report)
+        })
     }
 
-    /// Evaluate one contiguous chunk of the sweep into `report`.
+    /// Evaluate one contiguous chunk of the sweep into `report`. Without
+    /// a broadcast context every point is demoted.
     fn lattice_chunk(
         &self,
         start: usize,
         chunk: &[CandidateParams],
-        ctx: &SweepCtx,
+        ctx: Option<&SweepCtx>,
         report: &mut SweepReport,
     ) {
         let mut fast = 0u64;
         let mut fallback = 0u64;
+        // Layer telemetry is tallied per point and flushed per chunk.
+        let mut tally = acs_telemetry::enabled().then(LayerTally::default);
         for (off, cand) in chunk.iter().enumerate() {
             let index = start + off;
-            let sigs = ctx.point_sigs[index];
-            match sigs.and_then(|sigs| self.lattice_point(cand, sigs, ctx)) {
+            let broadcast = ctx.and_then(|ctx| {
+                ctx.point_sigs[index]
+                    .and_then(|sigs| self.lattice_point(cand, sigs, ctx, tally.as_mut()))
+            });
+            match broadcast {
                 Some(design) => {
                     fast += 1;
                     report.designs.push((index, design));
                 }
                 None => {
                     fallback += 1;
-                    match self.lattice_fallback(cand) {
+                    match self.demote(cand) {
                         Ok(design) => report.designs.push((index, design)),
                         Err(reason) => report.failures.push(DesignFailure {
                             index,
@@ -697,24 +764,11 @@ impl DseRunner {
                 }
             }
         }
+        if let Some(tally) = &mut tally {
+            tally.flush();
+        }
         FAST_POINTS.add(fast);
         FALLBACK_POINTS.add(fallback);
-    }
-
-    /// Price every point of a chunk whose harness panicked through the
-    /// contained per-point fallback, reporting each point exactly.
-    fn demote_chunk(&self, start: usize, chunk: &[CandidateParams], report: &mut SweepReport) {
-        for (off, cand) in chunk.iter().enumerate() {
-            let index = start + off;
-            match self.lattice_fallback(cand) {
-                Ok(design) => report.designs.push((index, design)),
-                Err(reason) => report.failures.push(DesignFailure {
-                    index,
-                    params: cand.name.clone(),
-                    reason,
-                }),
-            }
-        }
     }
 
     /// The broadcast fast path for one point. `None` demotes the point
@@ -726,6 +780,7 @@ impl DseRunner {
         cand: &CandidateParams,
         sigs: (u32, u32, u32),
         ctx: &SweepCtx,
+        tally: Option<&mut LayerTally>,
     ) -> Option<EvaluatedDesign> {
         let (ci, mi, wi) = sigs;
         let (ci, mi, wi) = (ci as usize, mi as usize, wi as usize);
@@ -734,7 +789,7 @@ impl DseRunner {
         let ws = ctx.wsig_data[wi].as_ref()?;
         let pair = ctx.pairs[ci * ctx.n_msigs + mi].as_ref()?;
         let comm = ctx.comms[wi].as_ref()?;
-        if !(pair.clean && comm.clean) {
+        if !(pair.span.clean && comm.span.clean) {
             return None;
         }
         // Area assembled addend-by-addend in `total_mm2`'s exact
@@ -767,8 +822,14 @@ impl DseRunner {
         if !(good_die_cost_usd.is_finite() && good_die_cost_usd > 0.0) {
             return None;
         }
-        let ttft_s = ctx.programs.prefill.try_ttft(&pair.prefill.values, &comm.prefill.values).ok()?;
-        let tbt_s = ctx.programs.decode.try_tbt(&pair.decode.values, &comm.decode.values).ok()?;
+        let ttft_s = ctx.programs.prefill.try_ttft(pair.prefill(), comm.prefill()).ok()?;
+        let tbt_s = ctx.programs.decode.try_tbt(pair.decode(), comm.decode()).ok()?;
+        if let Some(tally) = tally {
+            let programs = &ctx.programs;
+            let (pair, comm) = (&pair.span.class_sums, &comm.span.class_sums);
+            tally.add_layer(programs.prefill.phase(), &pair[0], &comm[0]);
+            tally.add_layer(programs.decode.phase(), &pair[1], &comm[1]);
+        }
         Some(EvaluatedDesign {
             name: cand.name.clone(),
             params: SweptParams {
@@ -796,7 +857,6 @@ impl DseRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acs_cache::ShardedCache;
     use acs_llm::{ModelConfig, WorkloadConfig};
 
     fn runner() -> DseRunner {
@@ -814,55 +874,66 @@ mod tests {
         }
     }
 
+    /// Every candidate priced alone through the per-point evaluator.
+    fn per_point(
+        r: &DseRunner,
+        candidates: &[CandidateParams],
+    ) -> Vec<Result<EvaluatedDesign, AcsError>> {
+        candidates.iter().map(|cand| r.demote(cand)).collect()
+    }
+
     #[test]
     fn lattice_sweep_is_bit_identical_to_per_point() {
         let r = runner();
         let candidates = small_spec().candidates(4800.0);
-        let planned = r.run_report(&candidates);
-        let lattice = r.run_report_lattice(&candidates);
-        assert_eq!(planned.designs.len(), lattice.designs.len());
-        assert!(planned.failures.is_empty() && lattice.failures.is_empty());
-        for ((i, p), (j, l)) in planned.designs.iter().zip(&lattice.designs) {
-            assert_eq!(i, j);
-            assert_eq!(p, l);
+        let lattice = r.run_report(&candidates);
+        assert!(lattice.failures.is_empty());
+        assert_eq!(lattice.designs.len(), candidates.len());
+        for ((i, l), p) in lattice.designs.iter().zip(per_point(&r, &candidates)) {
+            let p = p.unwrap();
+            assert_eq!(l, &p, "point {i}");
             assert_eq!(p.ttft_s.to_bits(), l.ttft_s.to_bits());
             assert_eq!(p.tbt_s.to_bits(), l.tbt_s.to_bits());
         }
     }
 
     #[test]
-    fn faulted_candidates_fail_identically_on_both_paths() {
+    fn faulted_candidates_fail_as_the_per_point_evaluator_does() {
         let r = runner();
         let mut candidates = small_spec().candidates(4800.0);
         candidates[1].hbm_tb_s = 0.0;
         candidates[3].lanes_per_core = 0;
         candidates[5].device_bw_gb_s = f64::NAN;
-        let planned = r.run_report(&candidates);
-        let lattice = r.run_report_lattice(&candidates);
-        assert_eq!(planned.failures.len(), 3);
-        assert_eq!(planned.failures.len(), lattice.failures.len());
-        for (p, l) in planned.failures.iter().zip(&lattice.failures) {
-            assert_eq!((p.index, p.kind()), (l.index, l.kind()));
-            assert_eq!(p.params, l.params);
-            assert_eq!(p.reason.to_string(), l.reason.to_string());
+        let lattice = r.run_report(&candidates);
+        let want: Vec<(usize, AcsError)> = per_point(&r, &candidates)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, outcome)| outcome.err().map(|e| (i, e)))
+            .collect();
+        assert_eq!(want.len(), 3);
+        assert_eq!(lattice.failures.len(), want.len());
+        for (l, (index, reason)) in lattice.failures.iter().zip(&want) {
+            assert_eq!(l.index, *index);
+            assert_eq!(l.params, candidates[*index].name);
+            assert_eq!(&l.reason, reason);
         }
-        assert_eq!(planned.designs, lattice.designs);
+        assert_eq!(lattice.designs.len(), candidates.len() - 3);
     }
 
     #[test]
-    fn cached_lattice_matches_per_point_and_hits_on_repeat() {
-        let cache = Arc::new(ShardedCache::new(256));
-        let cached = runner().with_cache(Arc::clone(&cache));
-        let plain = runner();
-        let candidates = small_spec().candidates(4800.0);
-        let first = cached.run_report_lattice(&candidates);
-        assert_eq!(first.designs, plain.run_report(&candidates).designs);
-        let cold = cache.stats();
-        assert_eq!(cold.misses as usize, candidates.len());
-        let _ = cached.run_report_lattice(&candidates);
-        let warm = cache.stats();
-        assert_eq!((warm.hits - cold.hits) as usize, candidates.len());
-        assert_eq!(warm.insertions, cold.insertions);
+    fn a_sweep_wide_failure_demotes_every_point_on_either_harness() {
+        // A zero device count fails before any probe: every chunk demotes
+        // its points, which report the per-point typed error.
+        let candidates = SweepSpec::table3_fig6().candidates(4800.0);
+        for threads in [1, 2] {
+            let r = runner().with_device_count(0).with_threads(threads);
+            let report = r.run_report(&candidates);
+            assert!(report.designs.is_empty());
+            assert_eq!(report.failures.len(), candidates.len(), "{threads} threads");
+            for (i, f) in report.failures.iter().enumerate() {
+                assert_eq!((f.index, f.kind()), (i, "invalid_config"));
+            }
+        }
     }
 
     #[test]

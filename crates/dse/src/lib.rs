@@ -6,19 +6,19 @@
 //! the distribution statistics behind the architecture-first-indicator
 //! analysis (Figures 11 and 12).
 //!
-//! Two evaluators price a sweep, bit-identically:
-//!
-//! - the per-point path ([`DseRunner::try_evaluate`],
-//!   [`DseRunner::run_report`], [`DseRunner::run`]) prices each design
-//!   against layer plans shared across the sweep;
-//! - the lattice engine ([`DseRunner::run_report_lattice`],
-//!   [`DseRunner::run_lattice`]) prices each distinct cost leg once in
-//!   the runner's persistent leg tables and reduces a grid point to a
-//!   fused vector sum, demoting any point it cannot prove clean to the
-//!   per-point path.
-//!
-//! Both are checked against the naive reference evaluator in
-//! `acs-verify`.
+//! One driver prices every sweep: the lattice engine
+//! ([`DseRunner::run_report`], [`DseRunner::run_lattice`],
+//! [`DseRunner::run`]) prices each distinct cost leg once in the
+//! runner's persistent leg tables and reduces a grid point to a fused
+//! vector sum. Any point it cannot prove clean — and every point of a
+//! sweep whose shared preconditions fail — is demoted to the per-point
+//! evaluator, which prices one design against layer plans shared across
+//! the runner. That evaluator also answers single designs
+//! ([`DseRunner::try_evaluate`]), explicit configuration lists
+//! ([`DseRunner::run_configs`]) and checkpointed sweeps
+//! ([`DseRunner::run_report_resumable`]), which append one durable line
+//! per point. Both are checked, bit for bit, against the naive
+//! reference evaluator in `acs-verify`.
 //!
 //! # Example
 //!

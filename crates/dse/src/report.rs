@@ -2,11 +2,11 @@
 //! ledger.
 //!
 //! A thousand-point sweep must not die because one design point panics or
-//! trips a numeric invariant. [`crate::DseRunner::run_report`] evaluates
-//! every point behind `std::panic::catch_unwind` and collects the outcome
-//! of each into a [`SweepReport`]: evaluated designs in deterministic
-//! sweep order, and one [`DesignFailure`] per bad point, carrying the
-//! typed [`AcsError`] that explains it.
+//! trips a numeric invariant. [`crate::DseRunner::run_report`] contains
+//! every point's evaluation with `std::panic::catch_unwind` and collects
+//! the outcome of each into a [`SweepReport`]: evaluated designs in
+//! deterministic sweep order, and one [`DesignFailure`] per bad point,
+//! carrying the typed [`AcsError`] that explains it.
 
 use crate::evaluate::EvaluatedDesign;
 use acs_errors::AcsError;

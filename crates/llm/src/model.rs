@@ -168,6 +168,26 @@ impl ModelConfig {
         ModelConfig::new("GPT-3 13B", 40, 5120, 20480, 40, 40, Activation::Gelu)
     }
 
+    /// The preset whose name matches `name`, ignoring case and every
+    /// character that is not an ASCII letter or digit, so `llama3-8b`,
+    /// `Llama 3 8B` and `llama3_8b` all resolve to [`ModelConfig::llama3_8b`].
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<ModelConfig> {
+        let canon = |s: &str| -> String {
+            s.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_ascii_lowercase()
+        };
+        let wanted = canon(name);
+        [
+            ModelConfig::gpt3_13b(),
+            ModelConfig::gpt3_175b(),
+            ModelConfig::llama3_8b(),
+            ModelConfig::llama3_70b(),
+            ModelConfig::mixtral_8x7b(),
+        ]
+        .into_iter()
+        .find(|preset| canon(preset.name()) == wanted)
+    }
+
     /// Model name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -310,6 +330,15 @@ impl fmt::Display for ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_resolution_is_spelling_tolerant() {
+        let name = |q: &str| ModelConfig::by_name(q).map(|m| m.name().to_owned());
+        assert_eq!(name("llama3-8b").as_deref(), Some("Llama 3 8B"));
+        assert_eq!(name("Llama 3 8B").as_deref(), Some("Llama 3 8B"));
+        assert_eq!(name("GPT3_175B").as_deref(), Some("GPT-3 175B"));
+        assert_eq!(name("gpt5"), None);
+    }
 
     #[test]
     fn gpt3_matches_table2() {

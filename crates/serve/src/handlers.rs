@@ -35,6 +35,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
+/// The registered scenario that prices grids and what-if fleets whose
+/// request names none: Llama 3 8B in fp16 on one 4-device tensor-parallel
+/// node, exactly the model, workload and node the service answered with
+/// before it had scenarios.
+const DEFAULT_SCENARIO: &str = "dense-llama3-fp16-tp4";
+
 /// Request-latency endpoint labels, indexing [`AppState::latency`] and
 /// naming the `serve.latency_us.*` histograms.
 const ENDPOINTS: [&str; 6] = ["screen", "simulate", "devices", "metrics", "whatif", "other"];
@@ -54,17 +60,14 @@ pub struct AppState {
     step_cache: StepCostCache,
     whatif_cache: ShardedCache<String>,
     plan_store: PlanStore,
-    // The grid evaluator. Its leg tables and the fused lattice vectors
-    // built over them live inside the runner and persist for
-    // the service's lifetime, so every /v1/screen grid request — and
-    // every /v1/whatif fleet — prices only the legs no earlier request
-    // has priced and re-fuses nothing it has already fused.
-    dse: DseRunner,
     // The named-scenario registry and one persistent runner per scenario
-    // the service has priced under (keyed by scenario digest). Each
-    // runner owns its own leg tables, so a moe-mixtral grid warms the
-    // MoE legs without ever touching the dense default's tables — and
-    // every later request under the same scenario hits them. Only
+    // the service has priced under (keyed by scenario digest): the grid
+    // and what-if fleet evaluators. Each runner's leg tables and the
+    // fused lattice vectors built over them persist for the service's
+    // lifetime, so every request prices only the legs no earlier request
+    // under its scenario has priced. A moe-mixtral grid warms the MoE
+    // legs without touching the dense default's tables, and a request
+    // naming no scenario prices on `DEFAULT_SCENARIO`'s runner. Only
     // registered scenarios keep one.
     scenarios: ScenarioRegistry,
     scenario_runners: RwLock<HashMap<u64, Arc<DseRunner>>>,
@@ -108,7 +111,6 @@ impl AppState {
             // Plans are tiny (one operator graph pair per distinct
             // model/workload/node shape), so a small store suffices.
             plan_store: PlanStore::new(64),
-            dse: DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default()),
             scenarios: ScenarioRegistry::builtin(),
             scenario_runners: RwLock::new(HashMap::new()),
             whatif: WhatIfEngine::paper_default(),
@@ -172,6 +174,12 @@ impl AppState {
         let built = Arc::new(scenario.runner());
         let mut map = self.scenario_runners.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(digest).or_insert(built))
+    }
+
+    /// The runner of [`DEFAULT_SCENARIO`], for requests naming no
+    /// scenario.
+    fn default_runner(&self) -> Result<Arc<DseRunner>, AcsError> {
+        Ok(self.runner_for(self.scenarios.get(DEFAULT_SCENARIO)?))
     }
 
     /// Count one priority shed: an expensive request (unique screen /
@@ -627,15 +635,14 @@ fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value
 /// the lattice engine and return every design plus the failure
 /// ledger. A `scenario` member evaluates the same hardware lattice once
 /// per scenario (model x dtype x parallelism), grouping the results per
-/// scenario; without one the state's historical dense default runner
-/// answers, byte-identically to pre-scenario responses. Every grid
-/// reuses each cost leg and fused vector any earlier grid priced under
-/// the same scenario, because each runner's lattice tables persist in
-/// the [`AppState`].
+/// scenario; without one the [`DEFAULT_SCENARIO`] runner answers in the
+/// pre-scenario response shape. Every grid reuses each cost leg and
+/// fused vector any earlier grid priced under the same scenario, because
+/// each runner's lattice tables persist in the [`AppState`].
 fn screen_grid(state: &AppState, spec: &Value) -> Result<String, AcsError> {
     let (sweep, tpp_target, scenarios) = parse_grid(&state.scenarios, spec)?;
     if scenarios.is_empty() {
-        let report = state.dse.run_lattice(&sweep, tpp_target);
+        let report = state.default_runner()?.run_lattice(&sweep, tpp_target);
         let (designs, failures) = report_values(&report)?;
         return Ok(object(vec![
             (
@@ -809,18 +816,17 @@ where
     let key = CacheKey::from_value(&object(key_members));
     let (text, hit) = state.whatif_cache.get_or_try_insert_in(&key, lane, || {
         // The fleet prices through a persistent lattice runner — the
-        // scenario's when one was named, the state's dense default
+        // scenario's when one was named, the default scenario's
         // otherwise — so its cost legs and fused vectors persist across
         // requests: the first what-if pays for the fleet's legs, and
         // every later one (any grid, same target and scenario)
         // re-assembles the designs from them, then re-screens the fleet
         // at classification cost.
-        let report = match &scenario {
-            Some(s) => state
-                .runner_for(s)
-                .run_lattice(&SweepSpec::synthetic_fleet(), request.tpp_target),
-            None => state.dse.run_lattice(&SweepSpec::synthetic_fleet(), request.tpp_target),
+        let runner = match &scenario {
+            Some(s) => state.runner_for(s),
+            None => state.default_runner()?,
         };
+        let report = runner.run_lattice(&SweepSpec::synthetic_fleet(), request.tpp_target);
         let fleet_failures = report.failures.len();
         let fleet: Vec<_> = report.designs.into_iter().map(|(_, design)| design).collect();
         let mut lines = Vec::with_capacity(request.grid.cardinality() + 1);
@@ -916,27 +922,11 @@ pub fn handle_whatif_streaming_lane(
     result
 }
 
-/// Resolve a model name; matching is case-insensitive and ignores
-/// punctuation, so `llama3-8b`, `Llama 3 8B`, and `llama3_8b` all work.
+/// Resolve a model name through [`ModelConfig::by_name`]'s spelling
+/// rules; an unknown name is a typed 404.
 fn resolve_model(name: &str) -> Result<ModelConfig, AcsError> {
-    let canon: String = name.chars().filter(char::is_ascii_alphanumeric).collect::<String>()
-        .to_ascii_lowercase();
-    let presets = [
-        ModelConfig::gpt3_13b(),
-        ModelConfig::gpt3_175b(),
-        ModelConfig::llama3_8b(),
-        ModelConfig::llama3_70b(),
-        ModelConfig::mixtral_8x7b(),
-    ];
-    for preset in presets {
-        let preset_canon: String =
-            preset.name().chars().filter(char::is_ascii_alphanumeric).collect::<String>()
-                .to_ascii_lowercase();
-        if preset_canon == canon {
-            return Ok(preset);
-        }
-    }
-    Err(AcsError::UnknownDevice { query: format!("model {name}") })
+    ModelConfig::by_name(name)
+        .ok_or_else(|| AcsError::UnknownDevice { query: format!("model {name}") })
 }
 
 /// Service-side ceilings for `/v1/simulate`. The simulator itself only
@@ -1455,6 +1445,33 @@ mod tests {
     }
 
     #[test]
+    fn requests_naming_no_scenario_share_the_default_scenarios_runner() {
+        let state = AppState::new(64);
+        let grid = |scenario: &str| {
+            format!(
+                "{{\"grid\":{{\"systolic_dims\":[16],\"lanes_per_core\":[2,4],\"l1_kib\":[192],\
+                 \"l2_mib\":[40],\"hbm_tb_s\":[2.0,3.2],\"device_bw_gb_s\":[600.0],\
+                 \"tpp_target\":4800{scenario}}}}}"
+            )
+        };
+        let (status, plain) = post(&state, "/v1/screen", &grid(""));
+        assert_eq!(status, 200, "{}", plain.to_json());
+        let (status, named) =
+            post(&state, "/v1/screen", &grid(",\"scenario\":\"dense-llama3-fp16-tp4\""));
+        assert_eq!(status, 200, "{}", named.to_json());
+        assert_eq!(state.scenario_runners.read().unwrap().len(), 1, "one runner serves both");
+        assert!(plain.get("scenarios").is_none(), "the scenario-less shape is unchanged");
+        let named_group = &named.get("scenarios").unwrap().as_array().unwrap()[0];
+        assert_eq!(
+            plain.get("designs").unwrap().to_json(),
+            named_group.get("designs").unwrap().to_json()
+        );
+        let (status, _) = post(&state, "/v1/whatif", "{\"rule\":{\"tpp_license\":2400}}");
+        assert_eq!(status, 200);
+        assert_eq!(state.scenario_runners.read().unwrap().len(), 1, "what-if shares it too");
+    }
+
+    #[test]
     fn grid_faults_surface_in_the_failure_ledger() {
         let state = AppState::new(64);
         // Zero HBM bandwidth is invalid per point, not fatal to the grid.
@@ -1855,13 +1872,5 @@ mod tests {
         assert_eq!(status, 400);
         assert_eq!(wire, b"earlier response");
         assert!(body.contains("error"));
-    }
-
-    #[test]
-    fn model_resolution_is_spelling_tolerant() {
-        assert_eq!(resolve_model("llama3-8b").unwrap().name(), "Llama 3 8B");
-        assert_eq!(resolve_model("Llama 3 8B").unwrap().name(), "Llama 3 8B");
-        assert_eq!(resolve_model("GPT3_175B").unwrap().name(), "GPT-3 175B");
-        assert!(resolve_model("gpt5").is_err());
     }
 }

@@ -361,7 +361,7 @@ impl Simulator {
             total += cost.time_s;
         }
         if telemetry_on {
-            flush_layer_telemetry(&class_sums, plan.phase());
+            flush_layer_telemetry(&class_sums, phase_layers(plan.phase()));
         }
         guard::ensure_finite("simulator.layer", "total_s", total)
     }
@@ -544,7 +544,16 @@ fn record_layer_telemetry(graph_ops: &[Operator], ops: &[OpCost], phase: Inferen
             sums[class] += cost.time_s;
         }
     }
-    flush_layer_telemetry(&sums, phase);
+    flush_layer_telemetry(&sums, phase_layers(phase));
+}
+
+/// The `(prefill, decode)` layer counts of one layer call in `phase`.
+pub(crate) fn phase_layers(phase: InferencePhase) -> (u64, u64) {
+    if matches!(phase, InferencePhase::Prefill) {
+        (1, 0)
+    } else {
+        (0, 1)
+    }
 }
 
 /// Telemetry class of one operator, indexing the `sim.cost_ns.*`
@@ -561,9 +570,9 @@ pub(crate) fn op_class(op: &Operator) -> Option<usize> {
     }
 }
 
-/// Flush one layer's accumulated per-class cost totals (indexed by
-/// [`op_class`]) and bump the per-phase layer counter.
-pub(crate) fn flush_layer_telemetry(sums: &[f64; 4], phase: InferencePhase) {
+/// Flush accumulated per-class cost totals (indexed by [`op_class`]) and
+/// add `(prefill, decode)` layer calls to the per-phase layer counters.
+pub(crate) fn flush_layer_telemetry(sums: &[f64; 4], (prefill, decode): (u64, u64)) {
     use acs_telemetry::GlobalCounter;
     // Cached handles: no registry name lookup (let alone a `format!`)
     // per simulated layer.
@@ -580,10 +589,11 @@ pub(crate) fn flush_layer_telemetry(sums: &[f64; 4], phase: InferencePhase) {
             COST_COUNTERS[i].add((sums[i] * 1e9) as u64);
         }
     }
-    if matches!(phase, InferencePhase::Prefill) {
-        PREFILL_LAYERS.add(1);
-    } else {
-        DECODE_LAYERS.add(1);
+    if prefill > 0 {
+        PREFILL_LAYERS.add(prefill);
+    }
+    if decode > 0 {
+        DECODE_LAYERS.add(decode);
     }
 }
 

@@ -32,7 +32,7 @@
 //! exact typed error at the exact operator.
 
 use crate::collective::{allreduce_cost, alltoall_cost};
-use crate::latency::{flush_layer_telemetry, op_class, Simulator};
+use crate::latency::{flush_layer_telemetry, op_class, phase_layers, Simulator};
 use crate::matmul::{matmul_compute_leg, matmul_memory_leg};
 use crate::plan::LayerPlan;
 use crate::vector::{vector_compute_leg, vector_memory_leg};
@@ -309,6 +309,44 @@ pub struct FusedLegs {
     pub values: Vec<f64>,
     /// Whether every hoisted per-op guard provably passes (see above).
     pub clean: bool,
+    /// `values` summed per telemetry class (indexed like the
+    /// `sim.cost_ns.*` counters), so a caller tallies a combined layer's
+    /// attribution from two vectors' sums instead of walking its ops.
+    pub class_sums: [f64; 4],
+}
+
+/// Modelled time per operator class and layer counts of many combined
+/// layers, held back from the `sim.cost_ns.*`/`sim.layers.*` counters
+/// until [`LayerTally::flush`]. A sweep combines thousands of layers a
+/// millisecond; walking each one's ops for class sums and flushing it
+/// would cost more than the combine itself, so a caller adds the fused
+/// vectors' precomputed [`FusedLegs::class_sums`] per layer and flushes
+/// once per batch of points.
+#[derive(Debug, Default)]
+pub struct LayerTally {
+    class_sums: [f64; 4],
+    layers: (u64, u64),
+}
+
+impl LayerTally {
+    /// Tally one `phase` layer combined from an on-chip and a comm vector
+    /// with these class sums.
+    pub fn add_layer(&mut self, phase: InferencePhase, onchip: &[f64; 4], comm: &[f64; 4]) {
+        for (sum, (a, w)) in self.class_sums.iter_mut().zip(onchip.iter().zip(comm)) {
+            *sum += a + w;
+        }
+        let (prefill, decode) = phase_layers(phase);
+        self.layers.0 += prefill;
+        self.layers.1 += decode;
+    }
+
+    /// Add the tallied totals to the global counters and start over.
+    pub fn flush(&mut self) {
+        if self.layers != (0, 0) {
+            flush_layer_telemetry(&self.class_sums, self.layers);
+        }
+        *self = LayerTally::default();
+    }
 }
 
 /// A plan's combine loop, precompiled: per-op kinds, telemetry classes,
@@ -364,6 +402,17 @@ impl CombineProgram {
         self.phase
     }
 
+    /// `values` summed per telemetry class, in operator order.
+    fn class_sums(&self, values: &[f64]) -> [f64; 4] {
+        let mut sums = [0.0f64; 4];
+        for (class, v) in self.class.iter().zip(values) {
+            if let Some(class) = *class {
+                sums[class] += v;
+            }
+        }
+        sums
+    }
+
     /// Fuse the (compute, memory)-keyed legs into one per-op time vector:
     /// `max(compute, l2, dram) + overhead` at on-chip positions, bare
     /// `overhead` at overhead-only positions, 0.0 at collective positions
@@ -380,7 +429,7 @@ impl CombineProgram {
         if compute.len() != n || memory.len() != n {
             // A mismatched table cannot prove anything; the caller's
             // slow path prices the point without these vectors.
-            return FusedLegs { values: vec![0.0; n], clean: false };
+            return FusedLegs { values: vec![0.0; n], clean: false, class_sums: [0.0; 4] };
         }
         let nonneg = |v: f64| v.is_finite() && v >= 0.0;
         let mut clean = nonneg(overhead_s);
@@ -401,7 +450,8 @@ impl CombineProgram {
                 OpKind::Other => values.push(overhead_s),
             }
         }
-        FusedLegs { values, clean }
+        let class_sums = self.class_sums(&values);
+        FusedLegs { values, clean, class_sums }
     }
 
     /// Fuse the comm-keyed leg into one per-op time vector: `wire +
@@ -412,7 +462,7 @@ impl CombineProgram {
     pub fn fuse_comm(&self, comm: &[f64], overhead_s: f64) -> FusedLegs {
         let n = self.kinds.len();
         if comm.len() != n {
-            return FusedLegs { values: vec![0.0; n], clean: false };
+            return FusedLegs { values: vec![0.0; n], clean: false, class_sums: [0.0; 4] };
         }
         let nonneg = |v: f64| v.is_finite() && v >= 0.0;
         let mut clean = nonneg(overhead_s);
@@ -427,15 +477,16 @@ impl CombineProgram {
                 _ => values.push(0.0),
             }
         }
-        FusedLegs { values, clean }
+        let class_sums = self.class_sums(&values);
+        FusedLegs { values, clean, class_sums }
     }
 
     /// The combine loop over two pre-fused vectors: the planned path's
-    /// left-to-right accumulation and inline telemetry class sums, with
-    /// the per-op guards hoisted into the vectors' `clean` obligation.
-    /// Bit-identical to the planned total when both vectors are clean,
-    /// by construction: same per-op times, same additions, same order,
-    /// same final guard.
+    /// left-to-right accumulation, with the per-op guards hoisted into
+    /// the vectors' `clean` obligation. Bit-identical to the planned
+    /// total when both vectors are clean, by construction: same per-op
+    /// times, same additions, same order, same final guard. Telemetry is
+    /// the caller's, through [`LayerTally`].
     fn checked_total(&self, onchip: &[f64], comm: &[f64]) -> Result<f64, AcsError> {
         let n = self.kinds.len();
         if onchip.len() != n || comm.len() != n {
@@ -448,30 +499,17 @@ impl CombineProgram {
                 ),
             ));
         }
+        // Branchless form of the select-and-add loop. Exactly one of
+        // `onchip[i]` / `comm[i]` is populated per op — the foreign
+        // position holds a literal +0.0 by construction of the `fuse_*`
+        // vectors — and every populated clean value is non-negative and
+        // finite, so `a + w` is the selected value bit for bit
+        // (`x + 0.0 == x` for every such `x`, and a populated `-0.0` adds
+        // into the non-negative accumulator identically either way). The
+        // accumulation order is unchanged: one add per op, left to right.
         let mut total = 0.0f64;
-        if acs_telemetry::enabled() {
-            let mut class_sums = [0.0f64; 4];
-            for (i, kind) in self.kinds.iter().enumerate() {
-                let time_s = if matches!(kind, OpKind::Comm) { comm[i] } else { onchip[i] };
-                if let Some(class) = self.class[i] {
-                    class_sums[class] += time_s;
-                }
-                total += time_s;
-            }
-            flush_layer_telemetry(&class_sums, self.phase);
-        } else {
-            // Branchless form of the select-and-add loop. Exactly one of
-            // `onchip[i]` / `comm[i]` is populated per op — the foreign
-            // position holds a literal +0.0 by construction of the
-            // `fuse_*` vectors — and every populated clean value is
-            // non-negative and finite, so `a + w` is the selected value
-            // bit for bit (`x + 0.0 == x` for every such `x`, and a
-            // populated `-0.0` adds into the non-negative accumulator
-            // identically either way). The accumulation order is
-            // unchanged: still one add per op, left to right.
-            for (&a, &w) in onchip.iter().zip(comm) {
-                total += a + w;
-            }
+        for (&a, &w) in onchip.iter().zip(comm) {
+            total += a + w;
         }
         guard::ensure_finite("simulator.layer", "total_s", total)
     }

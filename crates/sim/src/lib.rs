@@ -55,8 +55,8 @@ pub mod vector;
 pub use energy::{energy_per_token_j, layer_energy, EnergyReport};
 pub use latency::{Bound, LayerLatency, OpCost, Simulator};
 pub use legs::{
-    CombineProgram, CommKey, ComputeKey, ComputeLeg, FusedLegs, LegKeys, MemoryKey, MemoryLeg,
-    PlanLegs,
+    CombineProgram, CommKey, ComputeKey, ComputeLeg, FusedLegs, LayerTally, LegKeys, MemoryKey,
+    MemoryLeg, PlanLegs,
 };
 pub use collective::{allreduce_cost, alltoall_cost, CollectiveCost};
 pub use plan::{plan_digest, plan_digest_parallel, EvalPlans, LayerPlan, PlanStore};

@@ -104,9 +104,9 @@ fn scenario_from_report(name: &str, report: &acs_dse::SweepReport) -> Result<Sce
 }
 
 /// Recompute the full snapshot: the two golden equivalence sweeps (the
-/// 512-point faulted Table-3 sweep on both the per-point and lattice
-/// engines — recording both means a regression cannot be blessed into
-/// one engine unnoticed), the 48-point mixed-datatype sweep, the
+/// 512-point faulted Table-3 sweep on the production engine and on the
+/// naive reference oracle — recording both means a regression cannot be
+/// blessed into the engine alone), the 48-point mixed-datatype sweep, the
 /// 64-variant what-if rule-grid screening (every per-variant record
 /// digest over the curated device DB and a 32-design fleet reused from
 /// the lattice sweep), the same grid over a 32-design fleet priced by
@@ -123,7 +123,7 @@ pub fn compute_snapshot() -> Result<Snapshot, AcsError> {
     let mut candidates = SweepSpec::table3_fig6().candidates(4800.0);
     inject_faults(&mut candidates, 7);
     let planned = runner.run_report(&candidates);
-    let lattice = runner.run_report_lattice(&candidates);
+    let reference = crate::reference::run_report(&runner, &candidates);
 
     let mixed: Vec<DeviceConfig> = SweepSpec::table3_fig6()
         .configs(4800.0)
@@ -150,12 +150,12 @@ pub fn compute_snapshot() -> Result<Snapshot, AcsError> {
     let mixed_ok = mixed_rows.len();
 
     // The what-if scenario: the shared 64-variant grid screened over the
-    // curated 65-device DB plus a fleet borrowed from the lattice sweep
+    // curated 65-device DB plus a fleet borrowed from the engine's sweep
     // above (its pricing is already paid), each variant record folded in
     // by canonical digest so any drift in classification deltas,
     // indicator distributions, or externality accounting re-blesses.
     let fleet: Vec<EvaluatedDesign> =
-        lattice.designs.iter().take(32).map(|(_, d)| d.clone()).collect();
+        planned.designs.iter().take(32).map(|(_, d)| d.clone()).collect();
     let grid = whatif_grid_64();
     let mut whatif_rows = Vec::with_capacity(grid.cardinality());
     WhatIfEngine::paper_default().run_streaming(&grid, &fleet, |index, record| {
@@ -178,7 +178,7 @@ pub fn compute_snapshot() -> Result<Snapshot, AcsError> {
         .clone();
     let moe_fleet_report = moe_scenario
         .runner()
-        .run_report_lattice(&SweepSpec::table3_fig6().candidates(4800.0)[..32]);
+        .run_report(&SweepSpec::table3_fig6().candidates(4800.0)[..32]);
     let moe_fleet: Vec<EvaluatedDesign> =
         moe_fleet_report.designs.iter().map(|(_, d)| d.clone()).collect();
     let mut moe_rows = Vec::with_capacity(grid.cardinality());
@@ -208,11 +208,11 @@ pub fn compute_snapshot() -> Result<Snapshot, AcsError> {
     Ok(Snapshot {
         scenarios: vec![
             scenario_from_report("planned_table3_fig6_faulted_512", &planned)?,
-            // Named for the factored evaluator that priced it when the
-            // corpus was blessed; the lattice engine reproduces its
-            // digest bit for bit, and renaming the entry would re-bless
-            // the corpus for no change in any number.
-            scenario_from_report("factored_table3_fig6_faulted_512", &lattice)?,
+            // Named for the evaluators that priced these rows when the
+            // corpus was blessed; the engine and the reference reproduce
+            // their digests bit for bit, and renaming the entries would
+            // re-bless the corpus for no change in any number.
+            scenario_from_report("factored_table3_fig6_faulted_512", &reference)?,
             Scenario {
                 name: "planned_mixed_dtype_48".to_owned(),
                 total: mixed_ok,

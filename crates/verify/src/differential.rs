@@ -2,19 +2,19 @@
 //! over one sweep and diff everything — per-point canonical digests,
 //! numeric values under a tolerance class, and the failure ledger.
 //!
-//! The repo prices sweeps with two production engines (the per-point
-//! planned evaluator and the lattice batch engine), both held to the
-//! naive [`crate::reference`] oracle. A differential case states each
-//! such promise as data: *which* two arms, *what* metamorphic transform,
+//! The repo prices sweeps with one production engine (the lattice batch
+//! engine behind `DseRunner::run_report`), held to the naive
+//! [`crate::reference`] oracle. A differential case states each such
+//! promise as data: *which* two arms, *what* metamorphic transform,
 //! *which* tolerance — the comparison machinery is shared and
 //! exhaustive.
 //!
 //! A **metamorphic transform** is a change to the inputs or the engine
 //! configuration that must not change results: reordering the candidate
-//! list, attaching a memoization cache, pinning the scheduler to a
-//! different thread count (all bit-exact), or round-tripping continuous
-//! axes through a unit conversion (equal only up to float rounding,
-//! which is exactly what the approximate tolerance classes are for).
+//! list, pinning the scheduler to a different thread count (both
+//! bit-exact), or round-tripping continuous axes through a unit
+//! conversion (equal only up to float rounding, which is exactly what
+//! the approximate tolerance classes are for).
 //!
 //! The what-if subsystem gets the same treatment: [`whatif_grid_diff`]
 //! compares the batch rule-grid screening path against a naive
@@ -23,7 +23,7 @@
 //! streams against the naive record oracle.
 
 use crate::tolerance::Tolerance;
-use acs_cache::{CacheKey, ShardedCache};
+use acs_cache::CacheKey;
 use acs_dse::{CandidateParams, DseRunner, EvaluatedDesign, SweepReport, SweepSpec};
 use acs_errors::json::Value;
 use acs_errors::AcsError;
@@ -32,7 +32,6 @@ use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::{Acr2022, Acr2023, DeviceMetrics, HbmRule2024, MemBwRule};
 use acs_whatif::{ClassificationLedger, RuleGrid, RuleSpec, WhatIfEngine};
 use std::fmt;
-use std::sync::Arc;
 
 /// Which evaluation pipeline an arm drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +39,8 @@ pub enum EvalPath {
     /// The naive oracle ([`crate::reference::run_report`]): one point at
     /// a time, fresh plans, nothing shared between points.
     Reference,
-    /// The per-point production evaluator (`run_report`): layer plans
-    /// shared across the sweep.
-    Planned,
-    /// The lattice batch engine over fused leg vectors
-    /// (`run_report_lattice`).
+    /// The production sweep driver over fused leg vectors
+    /// (`DseRunner::run_report`).
     Lattice,
 }
 
@@ -52,8 +48,7 @@ impl EvalPath {
     fn run(self, runner: &DseRunner, candidates: &[CandidateParams]) -> SweepReport {
         match self {
             EvalPath::Reference => crate::reference::run_report(runner, candidates),
-            EvalPath::Planned => runner.run_report(candidates),
-            EvalPath::Lattice => runner.run_report_lattice(candidates),
+            EvalPath::Lattice => runner.run_report(candidates),
         }
     }
 }
@@ -62,7 +57,6 @@ impl fmt::Display for EvalPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             EvalPath::Reference => "reference",
-            EvalPath::Planned => "planned",
             EvalPath::Lattice => "lattice",
         })
     }
@@ -87,9 +81,6 @@ pub enum Transform {
     /// tolerance, which is the point: it exercises the tolerance
     /// machinery against realistically perturbed inputs.
     RescaleUnits,
-    /// Evaluate through a fresh shared memoization cache. Cache hits
-    /// must return bit-identical values to cold evaluation.
-    WarmCache,
     /// Pin the sweep scheduler to exactly this many worker threads.
     /// Scheduling must never leak into results.
     Threads(usize),
@@ -100,9 +91,7 @@ impl Transform {
     #[must_use]
     pub fn apply(&self, candidates: &[CandidateParams]) -> Vec<CandidateParams> {
         match self {
-            Transform::Identity | Transform::WarmCache | Transform::Threads(_) => {
-                candidates.to_vec()
-            }
+            Transform::Identity | Transform::Threads(_) => candidates.to_vec(),
             Transform::PermuteOrder { seed } => {
                 let mut rng = SplitMix64::new(*seed);
                 let mut shuffled = candidates.to_vec();
@@ -130,7 +119,6 @@ impl Transform {
     pub fn configure(&self, runner: DseRunner) -> DseRunner {
         match self {
             Transform::Threads(n) => runner.with_threads(*n),
-            Transform::WarmCache => runner.with_cache(Arc::new(ShardedCache::new(8192))),
             _ => runner,
         }
     }
@@ -159,7 +147,6 @@ impl fmt::Display for Transform {
             Transform::Identity => f.write_str("identity"),
             Transform::PermuteOrder { seed } => write!(f, "permute(seed={seed})"),
             Transform::RescaleUnits => f.write_str("rescale-units"),
-            Transform::WarmCache => f.write_str("warm-cache"),
             Transform::Threads(n) => write!(f, "threads({n})"),
         }
     }
@@ -223,31 +210,22 @@ impl DiffCase {
     }
 }
 
-/// The built-in pairings: both production engines against the
-/// reference oracle, plus the metamorphic transforms each engine
-/// promises to be invariant to. This is what `acs-verify diff` runs;
-/// `tests/plan_equivalence.rs` and `tests/lattice_equivalence.rs` run
-/// the same shapes over the golden sweeps.
+/// The built-in pairings: the production engine against the reference
+/// oracle, plus the metamorphic transforms it promises to be invariant
+/// to. This is what `acs-verify diff` runs; `tests/lattice_equivalence.rs`
+/// runs the same shapes over the golden sweeps.
 #[must_use]
 pub fn standard_suite() -> Vec<DiffCase> {
     vec![
-        DiffCase::paths("planned-vs-reference", EvalPath::Reference, EvalPath::Planned),
         DiffCase::paths("lattice-vs-reference", EvalPath::Reference, EvalPath::Lattice),
-        DiffCase::metamorphic(
-            "planned-permuted",
-            EvalPath::Planned,
-            Transform::PermuteOrder { seed: 0x5EED },
-        ),
-        DiffCase::metamorphic("planned-warm-cache", EvalPath::Planned, Transform::WarmCache),
-        DiffCase::metamorphic("planned-threads-1", EvalPath::Planned, Transform::Threads(1)),
-        DiffCase::metamorphic("planned-threads-3", EvalPath::Planned, Transform::Threads(3)),
-        DiffCase::metamorphic("planned-rescaled", EvalPath::Planned, Transform::RescaleUnits),
         DiffCase::metamorphic(
             "lattice-permuted",
             EvalPath::Lattice,
             Transform::PermuteOrder { seed: 0xA77 },
         ),
         DiffCase::metamorphic("lattice-threads-1", EvalPath::Lattice, Transform::Threads(1)),
+        DiffCase::metamorphic("lattice-threads-3", EvalPath::Lattice, Transform::Threads(3)),
+        DiffCase::metamorphic("lattice-rescaled", EvalPath::Lattice, Transform::RescaleUnits),
     ]
 }
 
@@ -942,8 +920,8 @@ mod tests {
         let harness = Differential::paper_default();
         let case = DiffCase {
             label: "rescale-under-exact".to_owned(),
-            left: Arm::plain(EvalPath::Planned),
-            right: Arm { path: EvalPath::Planned, transform: Transform::RescaleUnits },
+            left: Arm::plain(EvalPath::Lattice),
+            right: Arm { path: EvalPath::Lattice, transform: Transform::RescaleUnits },
             tolerance: Tolerance::Exact,
         };
         let report = harness.run(&candidates, &case);
@@ -1026,7 +1004,7 @@ mod tests {
         // same points with the same kinds, not just match on successes.
         let injected = acs_dse::inject_faults(&mut candidates, 2);
         assert!(!injected.is_empty());
-        for path in [EvalPath::Reference, EvalPath::Planned, EvalPath::Lattice] {
+        for path in [EvalPath::Reference, EvalPath::Lattice] {
             let report = dense_vs_degenerate_moe_diff(&candidates, path);
             assert!(report.ok > 0, "sweep produced no designs on {path}");
             report.assert_clean();
@@ -1071,7 +1049,7 @@ mod tests {
         let harness = Differential::paper_default();
         let case = DiffCase::metamorphic(
             "permute",
-            EvalPath::Planned,
+            EvalPath::Lattice,
             Transform::PermuteOrder { seed: 99 },
         );
         harness.run(&candidates, &case).assert_clean();
@@ -1083,20 +1061,18 @@ mod tests {
         let injected = acs_dse::inject_faults(&mut candidates, 3);
         assert!(!injected.is_empty());
         let harness = Differential::paper_default();
-        for path in [EvalPath::Planned, EvalPath::Lattice] {
-            harness
-                .run(&candidates, &DiffCase::paths("faulted", EvalPath::Reference, path))
-                .assert_clean();
-            harness
-                .run(
-                    &candidates,
-                    &DiffCase::metamorphic(
-                        "faulted-permute",
-                        path,
-                        Transform::PermuteOrder { seed: 7 },
-                    ),
-                )
-                .assert_clean();
-        }
+        harness
+            .run(&candidates, &DiffCase::paths("faulted", EvalPath::Reference, EvalPath::Lattice))
+            .assert_clean();
+        harness
+            .run(
+                &candidates,
+                &DiffCase::metamorphic(
+                    "faulted-permute",
+                    EvalPath::Lattice,
+                    Transform::PermuteOrder { seed: 7 },
+                ),
+            )
+            .assert_clean();
     }
 }

@@ -1,20 +1,20 @@
 //! `acs-verify`: the trust-but-verify harness.
 //!
-//! The reproduction prices sweeps with two production engines (the
-//! per-point planned evaluator and the lattice batch engine) and answers
-//! queries through a network-facing tier. This crate holds them to
+//! The reproduction prices sweeps with one production engine (the
+//! lattice batch driver, which demotes unprovable points to a per-point
+//! evaluator) and answers queries through a network-facing tier. This crate holds them to
 //! deliberately naive oracles and a handful of reusable instruments:
 //!
 //! - [`reference`] — the oracles: a per-point evaluator that shares no
-//!   plans, legs or caches between points, against which both sweep
-//!   engines must agree bit for bit, failure ledger included; and
+//!   plans, legs or caches between points, against which the sweep
+//!   engine must agree bit for bit, failure ledger included; and
 //!   [`reference::whatif_records`], which rebuilds every what-if record
 //!   without corner pins, ledgers or memo.
 //! - [`differential`] — a generic runner that evaluates any two
 //!   (path, transform) arms over a sweep and diffs digests, per-point
 //!   values, and failure ledgers under a [`tolerance`] class. The
 //!   built-in metamorphic transforms (candidate permutation, unit
-//!   rescaling, cache on/off, thread-count pinning) turn "this refactor
+//!   rescaling, thread-count pinning) turn "this refactor
 //!   moved nothing" into one declarative [`differential::DiffCase`];
 //!   [`differential::whatif_grid_diff`] extends the same discipline to
 //!   the what-if subsystem, diffing batch rule-grid screening against a

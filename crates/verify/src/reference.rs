@@ -1,18 +1,18 @@
-//! The naive reference evaluator: the oracle both production sweep
-//! engines are checked against.
+//! The naive reference evaluator: the oracle the production sweep
+//! engine is checked against.
 //!
-//! `acs-dse` prices a sweep two ways — per point over layer plans shared
-//! across the sweep (`DseRunner::run_report`), and as a lattice of
-//! pre-fused leg vectors (`DseRunner::run_report_lattice`). Both are
-//! fast because they share work between points. This module shares
-//! nothing: it evaluates one point at a time on the calling thread,
+//! `acs-dse` prices a sweep as a lattice of pre-fused leg vectors
+//! (`DseRunner::run_report`), demoting any point it cannot prove clean
+//! to a per-point evaluator over layer plans shared across the runner.
+//! Both are fast because they share work between points. This module
+//! shares nothing: it evaluates one point at a time on the calling thread,
 //! lowers fresh layer plans for both phases at every point
 //! ([`LayerPlan::build_parallel`]), and prices them through the full
 //! per-operator breakdown ([`Simulator::try_simulate_planned`]). No plan
-//! slot, leg table, probe cache, fused vector or evaluation cache is
-//! consulted, so a bug in any of them cannot hide here. Because it
-//! lowers the expert-parallel graph itself, it covers expert-parallel
-//! scenario runners as well as dense ones.
+//! slot, leg table, probe cache or fused vector is consulted, so a bug
+//! in any of them cannot hide here. Because it lowers the
+//! expert-parallel graph itself, it covers expert-parallel scenario
+//! runners as well as dense ones.
 //!
 //! The oracle reads only the runner's configuration (model, workload,
 //! device count, expert-parallel group, datatype override, calibration)
@@ -104,9 +104,9 @@ pub fn try_evaluate(
 }
 
 /// Evaluate raw sweep candidates one at a time, each behind
-/// `catch_unwind`: the oracle for `DseRunner::run_report` and
-/// `DseRunner::run_report_lattice`. A panic becomes the same
-/// `EvaluationPanic` failure, labelled with the candidate's name.
+/// `catch_unwind`: the oracle for `DseRunner::run_report`. A panic
+/// becomes the same `EvaluationPanic` failure, labelled with the
+/// candidate's name.
 #[must_use]
 pub fn run_report(runner: &DseRunner, candidates: &[CandidateParams]) -> SweepReport {
     let mut report = SweepReport::default();

@@ -13,14 +13,14 @@
 //! object whose members are all finite numbers. Exits non-zero with a
 //! per-file message on the first violation.
 //!
-//! Every floor is an absolute budget, one per production engine:
+//! Every floor is an absolute budget:
 //!
 //! - `--min-dse-points-per-sec <rate>` floors the `dse` suite's
-//!   `points_per_sec`: the per-point sweep evaluator (`run_report`) over
-//!   the 1536-point reference sweep.
+//!   `points_per_sec`: the sweep driver (`run_report`) on a fresh runner
+//!   over the 1536-point reference sweep.
 //! - `--min-lattice-points-per-sec <rate>` floors the `lattice` suite's
-//!   `points_per_sec_lattice`: the warm lattice engine over the same
-//!   sweep.
+//!   `points_per_sec_lattice`: the same driver on a warm runner over the
+//!   same sweep.
 //! - `--min-whatif-variants-per-sec <rate>` floors the `whatif` suite's
 //!   `variants_per_sec_warm`: the what-if engine screening a 64-variant
 //!   rule grid over the 4096-design fleet, warm fleet pricing included.

@@ -16,9 +16,8 @@ cargo test -q --workspace --locked --offline
 echo "==> fault-injection suite"
 cargo test -q --locked --offline --test fault_injection
 
-echo "==> sweep-engine golden equivalence (run_report and the lattice vs the reference oracle)"
-cargo test -q --release --locked --offline --test plan_equivalence --test lattice_equivalence \
-  --test factored_equivalence
+echo "==> sweep-engine golden equivalence (run_report, run_configs and run_report_resumable vs the reference oracle)"
+cargo test -q --release --locked --offline --test lattice_equivalence --test plan_equivalence --test factored_equivalence
 
 echo "==> what-if corner-pinning prune (counter-proven skip, byte-identical records)"
 cargo test -q --release --locked --offline --test whatif_prune
@@ -90,7 +89,7 @@ cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh
 
-echo "==> bench artefact schema validation (acs-bench-v1, run_report >= 250k points/s, lattice >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps)"
+echo "==> bench artefact schema validation (acs-bench-v1, fresh run_report >= 250k points/s, warm >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps)"
 cargo run -q --release --locked --offline --example bench_validate -- \
     --min-dse-points-per-sec 250000 \
     --min-lattice-points-per-sec 1500000 \
@@ -107,9 +106,9 @@ echo "==> profiled DSE trace determinism (identical structure across runs)"
 # check the CLI end of the contract: both runs exit cleanly and emit the
 # same number and sequence of line types.
 ACS_RESULTS_DIR="$smokedir" cargo run -q --release --locked --offline -p acs-dse --bin acs-dse -- \
-    --sweep table3-fig6 --limit 12 --profile --cache --trace "$smokedir/trace_a.jsonl" >/dev/null
+    --sweep table3-fig6 --limit 12 --profile --trace "$smokedir/trace_a.jsonl" >/dev/null
 ACS_RESULTS_DIR="$smokedir" cargo run -q --release --locked --offline -p acs-dse --bin acs-dse -- \
-    --sweep table3-fig6 --limit 12 --profile --cache --trace "$smokedir/trace_b.jsonl" >/dev/null
+    --sweep table3-fig6 --limit 12 --profile --trace "$smokedir/trace_b.jsonl" >/dev/null
 shape_a=$(grep -o '"type":"[a-z_]*"' "$smokedir/trace_a.jsonl")
 shape_b=$(grep -o '"type":"[a-z_]*"' "$smokedir/trace_b.jsonl")
 [ "$shape_a" = "$shape_b" ] || { echo "profiled trace structure differs between runs"; exit 1; }

@@ -14,9 +14,9 @@
 //! [`bench_scenarios`], each
 //! `{"schema": "acs-bench-v1", "suite": ..., "metrics": {...}}` with
 //! every metric a finite number. `ACS_BENCH_DIR` overrides the output
-//! directory (default: the repo root). `scripts/ci.sh` floors the two
-//! sweep engines' throughput (`points_per_sec`, `points_per_sec_lattice`)
-//! and the serve QPS with absolute budgets.
+//! directory (default: the repo root). `scripts/ci.sh` floors sweep
+//! throughput on a fresh runner and on a warm one (`points_per_sec`,
+//! `points_per_sec_lattice`) and the serve QPS with absolute budgets.
 //!
 //! [`bench_smoke`] also enforces the telemetry contract that profiling is
 //! cheap: the same sweep with the global registry enabled may cost at
@@ -27,14 +27,12 @@
 //! benches never time each other's noise.
 
 use acs::prelude::*;
-use acs_cache::ShardedCache;
 use acs_dse::{DseRunner, SweepSpec};
 use acs_errors::json::{object, Value};
 use acs_llm::{LengthDistribution, RequestTrace};
 use acs_serve::{run_loadgen, LoadMode, LoadgenConfig, ServeConfig, Server};
 use acs_sim::{simulate_serving_cached, ServingConfig, StepCostCache};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn time<T>(label: &str, iterations: u32, mut f: impl FnMut() -> T) -> f64 {
@@ -95,16 +93,8 @@ fn bench_smoke() {
 
     let runner = DseRunner::new(ModelConfig::gpt3_175b(), WorkloadConfig::paper_default());
     let a100 = DeviceConfig::a100_like();
-    let eval_ms = time("DseRunner::try_evaluate (uncached)", 50, || {
+    let eval_ms = time("DseRunner::try_evaluate", 50, || {
         runner.try_evaluate(&a100).expect("evaluation succeeds")
-    });
-
-    let cache = Arc::new(ShardedCache::new(1024));
-    let cached_runner = DseRunner::new(ModelConfig::gpt3_175b(), WorkloadConfig::paper_default())
-        .with_cache(Arc::clone(&cache));
-    cached_runner.try_evaluate(&a100).expect("prime the cache");
-    let cached_ms = time("DseRunner::try_evaluate (cache hit)", 2000, || {
-        cached_runner.try_evaluate(&a100).expect("cached evaluation succeeds")
     });
 
     let trace = RequestTrace::synthetic(
@@ -127,9 +117,9 @@ fn bench_smoke() {
     // The same parallel sweep with the global registry disabled (every
     // instrumentation site reduces to an atomic load and a branch) versus
     // enabled. The sweep runs exactly as the smoke sweeps in scripts/ci.sh
-    // do — through the content-addressed cache, with a fresh cache per run
-    // so every point is a first-visit miss like a cold `acs-dse --cache`
-    // run. Two measurement-noise defences: the point list is smoke-run
+    // do — `run_report` on a fresh runner per run, so every leg is priced
+    // cold like a one-shot `acs-dse` run. Two measurement-noise defences:
+    // the point list is smoke-run
     // sized (hundreds of points, like the repro sweeps) so per-round wall
     // time is dominated by evaluation work rather than thread-spawn jitter,
     // and each round times a back-to-back disabled/enabled *pair*
@@ -148,12 +138,10 @@ fn bench_smoke() {
     };
     let candidates = spec.candidates(4800.0);
     assert_eq!(candidates.len(), 200, "smoke-run-sized grid of unique points");
-    let sweep_base = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
+    // A clone would share the leg tables, so every run builds its own.
+    let fresh = || DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
     let registry = acs_telemetry::global();
-    let mut sweep = || {
-        let runner = sweep_base.clone().with_cache(Arc::new(ShardedCache::new(1024)));
-        runner.run_report(&candidates)
-    };
+    let mut sweep = || fresh().run_report(&candidates);
     registry.enable();
     let _ = sweep(); // warm-up interns every instrument up front
     let mut offs = Vec::new();
@@ -187,25 +175,25 @@ fn bench_smoke() {
         "run_report (profiled sweep)", sweep_on_ms, sweep_off_ms, overhead_pct
     );
 
-    // --- per-point sweep throughput ---
-    // The reference uncached sweep: Table 3's Figure-7 grid (1536 points,
-    // all feasible at the 2400 TPP ceiling) under the acs-dse default
-    // model/workload, priced by `run_report` against layer plans built
-    // once per runner — the path acs-core, acs-repro and `acs-dse` run.
+    // --- one-shot sweep throughput ---
+    // The reference sweep: Table 3's Figure-7 grid (1536 points, all
+    // feasible at the 2400 TPP ceiling) under the acs-dse default
+    // model/workload, priced by `run_report` on a fresh runner per round
+    // — what every acs-core, acs-repro and `acs-dse` process pays, plans
+    // and leg tables included.
     let reference = SweepSpec::table3_fig7().candidates(2400.0);
     assert_eq!(reference.len(), 1536, "reference sweep size");
-    let planned_runner = sweep_base.clone();
-    let mut planned_round = || planned_runner.run_report(&reference);
-    let warm = planned_round(); // warm plan slot + thread pool paths
-    assert!(warm.failures.is_empty(), "reference sweep has no bad points");
-    let mut planned_ms = f64::INFINITY;
+    let mut fresh_round = || fresh().run_report(&reference);
+    let first = fresh_round(); // warm the thread pool and allocator paths
+    assert!(first.failures.is_empty(), "reference sweep has no bad points");
+    let mut fresh_ms = f64::INFINITY;
     for _ in 0..3 {
-        planned_ms = planned_ms.min(round_ms(1, &mut planned_round));
+        fresh_ms = fresh_ms.min(round_ms(1, &mut fresh_round));
     }
-    let points_per_sec = reference.len() as f64 / (planned_ms / 1e3);
+    let points_per_sec = reference.len() as f64 / (fresh_ms / 1e3);
     println!(
         "{:<44} {:>10.0} points/s",
-        "run_report (1536-point uncached sweep)", points_per_sec
+        "run_report (1536-point sweep, fresh runner)", points_per_sec
     );
 
     // Generous ceilings: only order-of-magnitude regressions fail. The
@@ -213,12 +201,6 @@ fn bench_smoke() {
     // `bench_validate --min-dse-points-per-sec` in scripts/ci.sh.
     assert!(layer_ms < 100.0, "layer simulation took {layer_ms:.1} ms");
     assert!(eval_ms < 500.0, "design evaluation took {eval_ms:.1} ms");
-    // No cached-vs-uncached comparison here: a single analytic evaluation
-    // is microseconds in release builds, on the same order as a cache
-    // lookup. The cache's payoff is at the request level (serving steps,
-    // whole /v1/simulate bodies), which the loadgen check in scripts/ci.sh
-    // measures end to end.
-    assert!(cached_ms < 5.0, "cache hit took {cached_ms:.3} ms");
     assert!(serving_ms < 2000.0, "serving simulation took {serving_ms:.1} ms");
     assert!(
         overhead_pct < 5.0,
@@ -231,7 +213,6 @@ fn bench_smoke() {
         vec![
             ("layer_ms", layer_ms),
             ("eval_ms", eval_ms),
-            ("eval_cache_hit_ms", cached_ms),
             ("serving_warm_ms", serving_ms),
             ("sweep_ms", sweep_off_ms),
             ("sweep_profiled_ms", sweep_on_ms),
@@ -244,8 +225,8 @@ fn bench_smoke() {
 #[test]
 #[ignore = "smoke benchmark; run via scripts/bench-smoke.sh"]
 fn bench_lattice() {
-    // --- lattice sweep throughput ---
-    // The same reference sweep as `run_report` above: Table 3's Figure-7
+    // --- warm sweep throughput ---
+    // The same reference sweep as in `bench_smoke`: Table 3's Figure-7
     // grid, 1536 points, all feasible at the 2400 TPP ceiling. ONE
     // persistent runner, matching how the server holds runners in
     // `AppState` across `/v1/screen` and what-if requests: it keeps its
@@ -257,9 +238,9 @@ fn bench_lattice() {
     let reference = SweepSpec::table3_fig7().candidates(2400.0);
     assert_eq!(reference.len(), 1536, "reference sweep size");
     let runner = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
-    let mut lattice_round = || runner.run_report_lattice(&reference);
+    let mut lattice_round = || runner.run_report(&reference);
     let lattice_cold_ms = round_ms(1, &mut || {
-        let report = runner.run_report_lattice(&reference);
+        let report = runner.run_report(&reference);
         assert_eq!(report.total(), reference.len());
         assert!(report.failures.is_empty(), "reference sweep has no bad points");
     });
@@ -281,7 +262,7 @@ fn bench_lattice() {
     let points_per_sec_lattice = reference.len() as f64 / (lattice_ms / 1e3);
     println!(
         "{:<44} {:>10.0} points/s  (cold {:.3} ms)",
-        "run_report_lattice (1536-point warm sweep)", points_per_sec_lattice, lattice_cold_ms
+        "run_report (1536-point sweep, warm runner)", points_per_sec_lattice, lattice_cold_ms
     );
 
     // The throughput floor is an absolute budget applied by
@@ -398,7 +379,7 @@ fn bench_scenarios() {
     assert_eq!(reference.len(), 1536, "reference sweep size");
     let throughput = |name: &str| {
         let scenario = registry.get(name).expect("builtin scenario");
-        let mut round = || scenario.runner().run_report_lattice(&reference);
+        let mut round = || scenario.runner().run_report(&reference);
         let warm = round(); // warm thread pool + allocator paths
         assert_eq!(warm.total(), reference.len());
         assert!(warm.failures.is_empty(), "reference sweep has no bad points");
@@ -431,11 +412,11 @@ fn bench_scenarios() {
             .unwrap_or_default()
     };
     let runner = registry.get("moe-mixtral-fp16-tp4-ep4").expect("builtin scenario").runner();
-    let cold = runner.run_report_lattice(&reference);
+    let cold = runner.run_report(&reference);
     assert_eq!(cold.total(), reference.len());
     let cold_fallback_points = counter("dse.lattice.fallback_points");
     let cold_misses = counter("dse.factored.leg_miss");
-    let warm = runner.run_report_lattice(&reference);
+    let warm = runner.run_report(&reference);
     let warm_leg_misses = counter("dse.factored.leg_miss") - cold_misses;
     registry_t.disable();
     registry_t.reset();

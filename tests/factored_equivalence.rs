@@ -57,7 +57,7 @@ fn candidate_permutation_does_not_move_factored_results() {
     let mut sets = Vec::new();
     for order in [&candidates, &shuffled] {
         let before = counter(reg, "dse.factored.leg_miss");
-        let report = Differential::paper_default().runner().run_report_lattice(order);
+        let report = Differential::paper_default().runner().run_report(order);
         assert_eq!(report.total(), candidates.len());
         assert_eq!(
             counter(reg, "dse.factored.leg_miss") - before,

@@ -1,42 +1,54 @@
-//! Golden equivalence between the lattice sweep engine and the naive
-//! reference evaluator, expressed as differential cases.
+//! Golden equivalence between the sweep engine and the naive reference
+//! evaluator, expressed as differential cases.
 //!
-//! The lattice engine prices each cost leg as a structure-of-arrays
+//! `DseRunner::run_report` prices each cost leg as a structure-of-arrays
 //! vector over only the axes in its dependency key and combines per
-//! point with a precompiled program. In exact mode that is a pure
+//! point with a precompiled program, demoting any point it cannot prove
+//! clean to the per-point evaluator. In exact mode that is a pure
 //! evaluation-order change: it must not move a single bit of any
 //! result, successes and failure ledger (index, kind, message) alike.
 //! The oracle is `acs_verify::reference`, which prices one point at a
-//! time and shares no plans, legs or caches. The comparison machinery
-//! lives in `acs_verify::differential`; these tests only declare
-//! *which* arms over *which* sweep.
+//! time and shares no plans, legs or caches; it must itself reproduce
+//! the blessed golden-corpus digest. The per-point evaluator's batch
+//! entry points are held to the same oracle by
+//! `tests/plan_equivalence.rs`. The comparison machinery lives in
+//! `acs_verify::differential`; these tests only declare *which* arms
+//! over *which* sweep.
 
-use acs_dse::{inject_faults, CandidateParams, SweepSpec};
+mod common;
+
+use acs_dse::{CandidateParams, SweepSpec};
 use acs_hw::DataType;
 use acs_scenarios::ScenarioRegistry;
 use acs_verify::{diff_reports, reference, DiffCase, Differential, EvalPath, Transform};
+use common::{faulted_table3, fold_digest, hex_digest};
 
-/// The 512-point Table-3 sweep with a fault injected every `stride`th
-/// point.
-fn faulted_table3(stride: usize) -> Vec<CandidateParams> {
-    let mut candidates = SweepSpec::table3_fig6().candidates(4800.0);
-    assert_eq!(candidates.len(), 512, "Table-3 sweep size");
-    assert!(!inject_faults(&mut candidates, stride).is_empty());
-    candidates
-}
+/// The blessed golden-corpus digest of the faulted Table-3 sweep
+/// (`planned_table3_fig6_faulted_512` in `crates/verify/corpus/golden.json`).
+const FAULTED_TABLE3_DIGEST: u64 = 0xdea1_31e2_0a4f_e944;
 
 #[test]
 fn lattice_sweep_is_bit_identical_to_reference_with_faults() {
-    // 512 points, with a fault injected every 7th: the lattice pipeline
-    // must reproduce the reference's successes bit-for-bit AND fail at
+    // 512 points, with a fault injected every 7th: the engine must
+    // reproduce the reference's successes bit-for-bit AND fail at
     // exactly the same indices with the same error kinds and messages —
     // a faulted candidate demotes itself off the fused fast path and is
     // evaluated point-wise, so its ledger entry must still be the
-    // oracle's.
+    // oracle's. The reference must itself still reproduce the blessed
+    // golden digest.
     let candidates = faulted_table3(7);
+    let harness = Differential::paper_default();
+    let want = reference::run_report(&harness.runner(), &candidates);
+    let designs = want.designs.iter().map(|(i, d)| (*i, hex_digest(d)));
+    let failures = want.failures.iter().map(|f| (f.index, format!("fail:{}", f.kind())));
+    assert_eq!(
+        fold_digest(designs.chain(failures)),
+        FAULTED_TABLE3_DIGEST,
+        "the reference must reproduce the blessed golden digest"
+    );
     let case =
         DiffCase::paths("lattice-vs-reference-faulted", EvalPath::Reference, EvalPath::Lattice);
-    let report = Differential::paper_default().run(&candidates, &case);
+    let report = harness.run(&candidates, &case);
     assert_eq!(report.points, candidates.len());
     assert!(report.ok > 0, "the sweep must produce successes");
     assert!(report.failed > 0, "the injected faults must reach the ledger");
@@ -45,12 +57,15 @@ fn lattice_sweep_is_bit_identical_to_reference_with_faults() {
 
 #[test]
 fn lattice_sweep_is_unmoved_by_threads_and_order() {
-    // The lattice's single-worker branch assembles the report in place
-    // instead of merging chunks, and a shuffle moves the faulted sweep's
-    // demoted points between chunks: neither may move a result.
+    // The single-worker branch assembles the report in place instead of
+    // merging chunks, an odd worker count splits the chunks unevenly, and
+    // a shuffle moves the faulted sweep's demoted points between chunks:
+    // none may move a result.
     let candidates = faulted_table3(7);
     let harness = Differential::paper_default();
-    for transform in [Transform::Threads(1), Transform::PermuteOrder { seed: 0x51AB }] {
+    for transform in
+        [Transform::Threads(1), Transform::Threads(3), Transform::PermuteOrder { seed: 0x51AB }]
+    {
         let label = format!("lattice-{transform}");
         let case = DiffCase::metamorphic(&label, EvalPath::Lattice, transform);
         harness.run(&candidates, &case).assert_clean();
@@ -71,7 +86,7 @@ fn lattice_sweep_is_bit_identical_across_mixed_dtypes() {
         let runner = Differential::paper_default().runner().with_datatype(dtype);
         let want = reference::run_report(&runner, &candidates);
         assert_eq!(want.designs.len(), candidates.len(), "healthy candidates evaluate");
-        let got = runner.run_report_lattice(&candidates);
+        let got = runner.run_report(&candidates);
         diff_reports(&format!("lattice-vs-reference-{dtype:?}"), &want, &got).assert_clean();
         seen.push(got.designs[0].1.ttft_s.to_bits());
     }
@@ -122,6 +137,5 @@ fn expert_parallel_sweep_is_bit_identical_to_reference() {
     let want = reference::run_report(&runner, &candidates);
     assert!(want.designs.len() > 400, "the MoE sweep must price, got {}", want.designs.len());
     assert!(!want.failures.is_empty(), "the injected faults must reach the ledger");
-    diff_reports("lattice-vs-reference-ep4", &want, &runner.run_report_lattice(&candidates))
-        .assert_clean();
+    diff_reports("lattice-vs-reference-ep4", &want, &runner.run_report(&candidates)).assert_clean();
 }

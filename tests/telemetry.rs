@@ -9,7 +9,6 @@
 use acs_dse::{DseRunner, SweepSpec};
 use acs_errors::json::{parse, Value};
 use acs_llm::{ModelConfig, WorkloadConfig};
-use std::sync::Arc;
 
 fn small_spec() -> SweepSpec {
     SweepSpec {
@@ -24,7 +23,6 @@ fn small_spec() -> SweepSpec {
 
 fn runner() -> DseRunner {
     DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default())
-        .with_cache(Arc::new(acs_cache::ShardedCache::new(1024)))
 }
 
 /// Reduce a JSONL trace to its run-invariant structure: spans keep
@@ -98,20 +96,37 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
     assert!(post.start_ns >= sweep.start_ns);
     assert!(post.dur_ns <= sweep.dur_ns, "child cannot outlast its parent");
 
-    // --- the evaluator's per-point instrumentation fired ---
+    // --- the sweep's instrumentation fired ---
     let counters = reg.counter_values();
     let counter = |name: &str| {
         counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_default()
     };
     let n = candidates.len() as u64;
     assert_eq!(counter("dse.eval.ok"), n);
-    assert_eq!(counter("dse.cache.misses"), n, "fresh cache: every point misses");
-    let histograms = reg.histogram_snapshots();
-    let point_us = &histograms.iter().find(|(name, _)| name == "dse.eval.point_us").unwrap().1;
-    // The histogram's count doubles as the point count — there is no
-    // separate counter on the hot path.
-    assert_eq!(point_us.count, n, "one wall-time sample per evaluated point");
-    assert!(point_us.min > 0.0);
+    assert_eq!(
+        counter("dse.lattice.fast_points") + counter("dse.lattice.fallback_points"),
+        n,
+        "every point is priced once, by the broadcast or by demotion"
+    );
+    // `dse.eval.point_us` times design points only; the lattice prices
+    // its points in chunks, and a chunk is not a point.
+    let point_samples = |reg: &acs_telemetry::Registry| {
+        reg.histogram_snapshots()
+            .into_iter()
+            .find(|(name, _)| name == "dse.eval.point_us")
+            .map_or(0, |(_, h)| h.count)
+    };
+    assert_eq!(point_samples(reg), 0, "a lattice sweep records no chunk as a point");
+    // Per-chunk layer tallies still count every combined layer, and
+    // attribute modelled time as the per-point path does below.
+    assert_eq!((counter("sim.layers.prefill"), counter("sim.layers.decode")), (n, n));
+    const COST: [&str; 4] = [
+        "sim.cost_ns.matmul",
+        "sim.cost_ns.attention",
+        "sim.cost_ns.vector",
+        "sim.cost_ns.collective",
+    ];
+    let lattice_cost = COST.map(counter);
 
     // --- identical inputs replay with identical trace structure ---
     let second = run_once("second run");
@@ -138,6 +153,19 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
     let appended =
         counters.iter().find(|(n, _)| n == "dse.checkpoint.appended").map_or(0, |(_, v)| *v);
     assert_eq!(appended, n, "every point appends one checkpoint line");
+    // The checkpointed sweep prices point by point: the histogram's count
+    // doubles as the point count.
+    assert_eq!(point_samples(reg), n, "one wall-time sample per evaluated point");
+    let counter =
+        |name: &str| counters.iter().find(|(c, _)| c == name).map(|(_, v)| *v).unwrap_or_default();
+    assert_eq!((counter("sim.layers.prefill"), counter("sim.layers.decode")), (n, n));
+    for (name, (lattice, per_point)) in COST.iter().zip(lattice_cost.iter().zip(COST.map(counter)))
+    {
+        // Each flush truncates to whole nanoseconds: per layer here, per
+        // chunk on the lattice.
+        assert!(lattice.abs_diff(per_point) <= 2 * n, "{name}: {lattice} vs {per_point}");
+        assert!(per_point > 0, "{name} attributes modelled time");
+    }
 
     // The trace export itself must be canonical JSON throughout.
     for line in acs_telemetry::trace_jsonl(reg).lines() {
@@ -148,8 +176,7 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
 
     // --- lattice leg-table economics are observable ---
     reg.reset();
-    // No evaluation cache: a cached runner prices per point.
-    let lattice_runner = DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
+    let lattice_runner = runner();
     let cold = lattice_runner.run_lattice(&small_spec(), 4800.0);
     assert_eq!(cold.total() as u64, n);
     assert!(cold.failures.is_empty());
