@@ -27,6 +27,7 @@ use crate::sweeps::CandidateParams;
 use acs_errors::json::{self, Value};
 use acs_errors::AcsError;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
@@ -105,6 +106,49 @@ impl EvaluatedDesign {
             ("within_reticle", Value::Bool(self.within_reticle)),
             ("pd_unregulated_2023", Value::Bool(self.pd_unregulated_2023)),
         ]))
+    }
+
+    /// Append exactly `self.to_json_value()?.to_json()` to `out` without
+    /// building the tree: the same members in the same order, `params`
+    /// nested. Integer members print through their own `Display`, which
+    /// for a `u32` gives the bytes its `f64` would.
+    ///
+    /// # Errors
+    ///
+    /// The [`AcsError::Json`] [`EvaluatedDesign::to_json_value`] returns
+    /// for the first non-finite metric; `out` then holds a partial
+    /// object.
+    pub fn write_json(&self, out: &mut String) -> Result<(), AcsError> {
+        let p = &self.params;
+        out.push_str("{\"name\":");
+        json::write_str(out, &self.name);
+        let _ = write!(
+            out,
+            ",\"params\":{{\"systolic_dim\":{},\"lanes_per_core\":{},\"core_count\":{},\
+             \"l1_kib\":{},\"l2_mib\":{},\"hbm_tb_s\":",
+            p.systolic_dim, p.lanes_per_core, p.core_count, p.l1_kib, p.l2_mib
+        );
+        json::write_f64(out, p.hbm_tb_s)?;
+        out.push_str(",\"device_bw_gb_s\":");
+        json::write_f64(out, p.device_bw_gb_s)?;
+        for (key, x) in [
+            ("},\"tpp\":", self.tpp),
+            (",\"die_area_mm2\":", self.die_area_mm2),
+            (",\"perf_density\":", self.perf_density),
+            (",\"die_cost_usd\":", self.die_cost_usd),
+            (",\"good_die_cost_usd\":", self.good_die_cost_usd),
+            (",\"ttft_s\":", self.ttft_s),
+            (",\"tbt_s\":", self.tbt_s),
+        ] {
+            out.push_str(key);
+            json::write_f64(out, x)?;
+        }
+        let _ = write!(
+            out,
+            ",\"within_reticle\":{},\"pd_unregulated_2023\":{}}}",
+            self.within_reticle, self.pd_unregulated_2023
+        );
+        Ok(())
     }
 
     /// Parse the structural form emitted by
@@ -395,6 +439,43 @@ mod tests {
         let back = EvaluatedDesign::from_json_value(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, d);
         assert_eq!(back.ttft_s.to_bits(), d.ttft_s.to_bits());
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_on_every_paper_design() {
+        let r = runner();
+        let sweeps = [
+            (SweepSpec::table3_fig7(), 4800.0),
+            (SweepSpec::table3_fig7(), 1600.0),
+            (SweepSpec::table5(), 1600.0),
+            (SweepSpec::synthetic_fleet(), 4800.0),
+        ];
+        let mut text = String::new();
+        for (spec, tpp_target) in &sweeps {
+            let report = r.run_lattice(spec, *tpp_target);
+            assert!(!report.designs.is_empty(), "{tpp_target}");
+            for (_, d) in &report.designs {
+                text.clear();
+                d.write_json(&mut text).unwrap();
+                assert_eq!(text, d.to_json_value().unwrap().to_json(), "{}", d.name);
+                let back = EvaluatedDesign::from_json_value(&json::parse(&text).unwrap()).unwrap();
+                let mut again = String::new();
+                back.write_json(&mut again).unwrap();
+                assert_eq!(again, text, "{} must round-trip bit for bit", d.name);
+            }
+        }
+        let d = &r.run_lattice(&spec(), 4800.0).designs[0].1;
+        for poison in [
+            |d: &mut EvaluatedDesign| d.params.device_bw_gb_s = f64::INFINITY,
+            |d: &mut EvaluatedDesign| d.ttft_s = f64::NAN,
+            |d: &mut EvaluatedDesign| d.tbt_s = f64::NEG_INFINITY,
+        ] {
+            let mut bad = d.clone();
+            poison(&mut bad);
+            let tree = bad.to_json_value().unwrap_err();
+            assert_eq!(bad.write_json(&mut String::new()).unwrap_err(), tree);
+            assert_eq!(tree.kind(), "json");
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!
 //! Non-finite numbers are not representable in JSON; [`Value::from_f64`]
 //! refuses them with a typed error rather than emitting `NaN` tokens.
+//!
+//! Hot emitters can skip the tree: [`write_str`] and [`write_f64`] append
+//! a string literal or a number in exactly the bytes [`Value::to_json`]
+//! would write (it uses them itself), and [`Value::write_to`] splices a
+//! tree fragment into the same buffer.
 
 use crate::AcsError;
 use std::fmt::Write as _;
@@ -45,7 +50,7 @@ impl Value {
         if v.is_finite() {
             Ok(Value::Number(v))
         } else {
-            Err(AcsError::Json { reason: format!("cannot serialise non-finite number {v}") })
+            Err(non_finite(v))
         }
     }
 
@@ -71,7 +76,9 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which `u64` cannot
+            // hold: the bound is exclusive.
+            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -170,17 +177,16 @@ impl Value {
         out
     }
 
-    fn write_to(&self, out: &mut String) {
+    /// Append the compact JSON form to `out`: exactly the bytes
+    /// [`Value::to_json`] returns, so a tree fragment can be spliced into
+    /// a document written with [`write_str`] and [`write_f64`].
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => {
-                // Rust's shortest round-trip float formatting; integers
-                // print without a trailing ".0".
-                let _ = write!(out, "{n}");
-            }
-            Value::String(s) => write_escaped(out, s),
+            Value::Number(n) => write_number(out, *n),
+            Value::String(s) => write_str(out, s),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -197,7 +203,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write_to(out);
                 }
@@ -207,22 +213,58 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+fn non_finite(v: f64) -> AcsError {
+    AcsError::Json { reason: format!("cannot serialise non-finite number {v}") }
+}
+
+/// Append `s` as a JSON string literal: quoted, with `"`, `\` and the
+/// control characters escaped, every other character copied as is.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy each run of characters that need no escape in one go. Every
+    // byte that does is ASCII, so each run ends on a character boundary.
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append a finite number in Rust's shortest round-trip form, the form
+/// [`Value::to_json`] writes: integers print without a trailing `.0`.
+///
+/// # Errors
+///
+/// Returns the [`AcsError::Json`] that [`Value::from_f64`] returns for
+/// NaN or infinite input, and appends nothing.
+pub fn write_f64(out: &mut String, x: f64) -> Result<(), AcsError> {
+    if !x.is_finite() {
+        return Err(non_finite(x));
+    }
+    write_number(out, x);
+    Ok(())
+}
+
+/// The one number routine. A `Value::Number` built directly with a
+/// non-finite value, not through [`Value::from_f64`], prints as Rust
+/// formats it, as it always has.
+fn write_number(out: &mut String, x: f64) {
+    let _ = write!(out, "{x}");
 }
 
 /// Build an object from key/value pairs (helper for emitters).
@@ -501,6 +543,161 @@ mod tests {
             let v = Value::from_f64(x).unwrap();
             let back = parse(&v.to_json()).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
+        }
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_64() {
+        // `u64::MAX as f64` is 2^64; it must not saturate to u64::MAX.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Value::Number(2f64.powi(64)).as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+    }
+
+    /// SplitMix64, local because this crate has no dependencies.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A finite number from the shapes the formatter treats differently.
+    fn number(rng: &mut SplitMix64) -> f64 {
+        let sign = if rng.next() & 1 == 1 { -1.0 } else { 1.0 };
+        match rng.below(6) {
+            0 => loop {
+                let x = f64::from_bits(rng.next());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+            1 => sign * f64::from_bits(rng.below(1 << 52).max(1)),
+            2 => [-0.0, 0.0, 1e21, 1e-7, 1e300, f64::MAX, f64::MIN_POSITIVE][rng.below(7) as usize],
+            #[allow(clippy::cast_precision_loss)]
+            3 => sign * rng.below((1 << 53) + 1) as f64,
+            #[allow(clippy::cast_precision_loss)]
+            4 => rng.below(1 << 32) as f64,
+            #[allow(clippy::cast_precision_loss)]
+            _ => sign * (rng.next() >> 11) as f64 / (1u64 << 53) as f64,
+        }
+    }
+
+    /// A string with quotes, backslashes, control and non-ASCII text.
+    fn text(rng: &mut SplitMix64) -> String {
+        const PIECES: [&str; 12] =
+            ["a", "dse-16x16", "\"", "\\", "\n", "\r\t", "\u{0}", "\u{1f}", "é", "✓", "😀", " "];
+        (0..rng.below(8)).map(|_| PIECES[rng.below(PIECES.len() as u64) as usize]).collect()
+    }
+
+    /// The escape routine `write_str` replaced, one character at a time.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Build a random document as a tree and, in the same walk, write it
+    /// straight to `out` with the helpers, as a hot emitter does.
+    fn document(rng: &mut SplitMix64, depth: u32, out: &mut String) -> Value {
+        let string = |rng: &mut SplitMix64, out: &mut String| {
+            let s = text(rng);
+            let at = out.len();
+            write_str(out, &s);
+            assert_eq!(out[at..], escaped_per_char(&s), "{s:?}");
+            s
+        };
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => {
+                out.push_str("null");
+                Value::Null
+            }
+            1 => {
+                let b = rng.next() & 1 == 1;
+                out.push_str(if b { "true" } else { "false" });
+                Value::Bool(b)
+            }
+            2 => {
+                let x = number(rng);
+                write_f64(out, x).unwrap();
+                Value::Number(x)
+            }
+            3 => Value::String(string(rng, out)),
+            4 => {
+                out.push('[');
+                let items = (0..rng.below(5))
+                    .map(|i| {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        document(rng, depth - 1, out)
+                    })
+                    .collect();
+                out.push(']');
+                Value::Array(items)
+            }
+            _ => {
+                out.push('{');
+                let members = (0..rng.below(5))
+                    .map(|i| {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        let key = string(rng, out);
+                        out.push(':');
+                        (key, document(rng, depth - 1, out))
+                    })
+                    .collect();
+                out.push('}');
+                Value::Object(members)
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_write_exactly_the_tree_encoding() {
+        let mut rng = SplitMix64(0x5EED_0001);
+        for _ in 0..2000 {
+            let mut direct = String::new();
+            let tree = document(&mut rng, 4, &mut direct);
+            assert_eq!(direct, tree.to_json());
+            let mut spliced = String::from("[");
+            tree.write_to(&mut spliced);
+            assert_eq!(spliced[1..], direct);
+            assert_eq!(parse(&direct).unwrap().to_json(), direct);
+        }
+        for _ in 0..20_000 {
+            let x = number(&mut rng);
+            let mut direct = String::new();
+            write_f64(&mut direct, x).unwrap();
+            assert_eq!(direct, Value::from_f64(x).unwrap().to_json());
+            assert_eq!(parse(&direct).unwrap().as_f64().unwrap().to_bits(), x.to_bits(), "{x}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::from("[");
+            assert_eq!(write_f64(&mut out, x).unwrap_err(), Value::from_f64(x).unwrap_err());
+            assert_eq!(out, "[", "a refused number appends nothing");
         }
     }
 

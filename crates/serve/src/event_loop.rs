@@ -426,13 +426,13 @@ impl Worker {
                 Parsed::Invalid(e) => {
                     // The connection's framing state is unknown after a
                     // malformed request; answer and hang up.
-                    let body = handlers::error_body(&e);
-                    conn.outbuf.extend_from_slice(&http::response_bytes(
+                    http::write_response(
+                        &mut conn.outbuf,
                         handlers::status_for(&e),
-                        &body,
+                        &handlers::error_body(&e),
                         false,
                         &[],
-                    ));
+                    );
                     conn.keep_open = false;
                     conn.inbuf.clear();
                 }
@@ -477,12 +477,7 @@ impl Worker {
                     && entry.path == path
                     && entry.body == request.body
                 {
-                    outbuf.extend_from_slice(&http::response_bytes(
-                        entry.status,
-                        &entry.response,
-                        keep_alive,
-                        &[],
-                    ));
+                    http::write_response(outbuf, entry.status, &entry.response, keep_alive, &[]);
                     self.state.record_raw_hit(
                         handlers::endpoint_index(&path),
                         t0.elapsed().as_secs_f64() * 1e6,
@@ -499,12 +494,13 @@ impl Worker {
                 let e = AcsError::Overloaded {
                     reason: "expensive request shed under load; retry with backoff".to_owned(),
                 };
-                outbuf.extend_from_slice(&http::response_bytes(
+                http::write_response(
+                    outbuf,
                     handlers::status_for(&e),
                     &handlers::error_body(&e),
                     keep_alive,
                     &[("Retry-After", "1")],
-                ));
+                );
                 self.state.record_shed_expensive();
                 return keep_alive;
             }
@@ -534,11 +530,15 @@ impl Worker {
             }
         }));
         match outcome {
-            Ok(Some((status, body))) => {
+            Ok(Some((status, mut body))) => {
+                http::write_response(outbuf, status, &body, keep_alive, &[]);
                 if let (Some(key), 200) = (raw_key, status) {
                     if self.raw.len() >= RAW_CACHE_CAP {
                         self.raw.clear();
                     }
+                    // Bodies are built with spare capacity; the cache
+                    // keeps only their bytes (a shrink, not a copy).
+                    body.shrink_to_fit();
                     self.raw.insert(
                         key,
                         RawEntry {
@@ -546,11 +546,10 @@ impl Worker {
                             path,
                             body: request.body.clone(),
                             status,
-                            response: body.clone(),
+                            response: body,
                         },
                     );
                 }
-                outbuf.extend_from_slice(&http::response_bytes(status, &body, keep_alive, &[]));
                 keep_alive
             }
             Ok(None) => keep_alive,
@@ -565,12 +564,13 @@ impl Worker {
                     design: "request-handler".to_owned(),
                     message,
                 };
-                outbuf.extend_from_slice(&http::response_bytes(
+                http::write_response(
+                    outbuf,
                     handlers::status_for(&e),
                     &handlers::error_body(&e),
                     false,
                     &[],
-                ));
+                );
                 false
             }
         }

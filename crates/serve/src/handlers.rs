@@ -18,8 +18,8 @@
 use crate::http::{percent_decode, HttpRequest};
 use acs_cache::{CacheKey, CacheLane, CacheStats, ShardedCache};
 use acs_devices::{DeviceRecord, GpuDatabase};
-use acs_dse::{DseRunner, SweepSpec};
-use acs_errors::json::{object, parse, Value};
+use acs_dse::{DseRunner, SweepReport, SweepSpec};
+use acs_errors::json::{self, object, parse, Value};
 use acs_errors::AcsError;
 use acs_hw::DeviceConfig;
 use acs_llm::{LengthDistribution, ModelConfig, RequestTrace, WorkloadConfig};
@@ -32,6 +32,7 @@ use acs_sim::{simulate_serving_cached, PlanStore, ServingConfig, Simulator, Step
 use acs_telemetry::{Counter, Histogram, Registry};
 use acs_whatif::{WhatIfEngine, WhatIfRequest, RuleGrid};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -607,28 +608,51 @@ fn parse_grid(
     Ok((sweep, tpp_target, scenarios))
 }
 
-/// Serialise one sweep report as `(designs, failures)` member arrays.
-fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value>), AcsError> {
-    let mut designs = Vec::with_capacity(report.designs.len());
-    for (index, d) in &report.designs {
-        designs.push(object(vec![
-            ("index", Value::Number(*index as f64)),
-            ("design", d.to_json_value()?),
-        ]));
+/// Response bytes per grid design (about 450 for Table 3 and the fleet,
+/// index wrapper included), so a grid body is written without regrowing.
+const DESIGN_BYTES: usize = 480;
+
+/// Start a grid response sized for `reports`: the `grid` summary
+/// object's members, with the object left open for the caller.
+fn grid_head(points: usize, tpp_target: f64, reports: &[SweepReport]) -> Result<String, AcsError> {
+    let evaluated: usize = reports.iter().map(|r| r.designs.len()).sum();
+    let failed: usize = reports.iter().map(|r| r.failures.len()).sum();
+    let mut out =
+        String::with_capacity(256 * (reports.len() + 1) + DESIGN_BYTES * (evaluated + failed));
+    let _ = write!(out, "{{\"grid\":{{\"points\":{points},\"tpp_target\":");
+    json::write_f64(&mut out, tpp_target)?;
+    let _ = write!(out, ",\"evaluated\":{evaluated},\"failed\":{failed}");
+    Ok(out)
+}
+
+/// Append one sweep report's `"designs":[..],"failures":[..]` members.
+/// Each design is written straight from its fields; the rare failure
+/// goes through the tree.
+fn write_report(out: &mut String, report: &SweepReport) -> Result<(), AcsError> {
+    out.push_str("\"designs\":[");
+    for (i, (index, d)) in report.designs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"index\":{index},\"design\":");
+        d.write_json(out)?;
+        out.push('}');
     }
-    let failures = report
-        .failures
-        .iter()
-        .map(|f| {
-            object(vec![
-                ("index", Value::Number(f.index as f64)),
-                ("params", Value::String(f.params.clone())),
-                ("kind", Value::String(f.kind().to_owned())),
-                ("error", f.reason.to_json_value()),
-            ])
-        })
-        .collect();
-    Ok((designs, failures))
+    out.push_str("],\"failures\":[");
+    for (i, f) in report.failures.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        object(vec![
+            ("index", Value::Number(f.index as f64)),
+            ("params", Value::String(f.params.clone())),
+            ("kind", Value::String(f.kind().to_owned())),
+            ("error", f.reason.to_json_value()),
+        ])
+        .write_to(out);
+    }
+    out.push(']');
+    Ok(())
 }
 
 /// `POST /v1/screen` with a `grid` member: evaluate a DSE lattice with
@@ -638,60 +662,48 @@ fn report_values(report: &acs_dse::SweepReport) -> Result<(Vec<Value>, Vec<Value
 /// scenario; without one the [`DEFAULT_SCENARIO`] runner answers in the
 /// pre-scenario response shape. Every grid reuses each cost leg and
 /// fused vector any earlier grid priced under the same scenario, because
-/// each runner's lattice tables persist in the [`AppState`].
+/// each runner's lattice tables persist in the [`AppState`]. The body is
+/// written straight into one buffer, with no JSON tree per design.
 fn screen_grid(state: &AppState, spec: &Value) -> Result<String, AcsError> {
     let (sweep, tpp_target, scenarios) = parse_grid(&state.scenarios, spec)?;
     if scenarios.is_empty() {
         let report = state.default_runner()?.run_lattice(&sweep, tpp_target);
-        let (designs, failures) = report_values(&report)?;
-        return Ok(object(vec![
-            (
-                "grid",
-                object(vec![
-                    ("points", Value::Number(sweep.cardinality() as f64)),
-                    ("tpp_target", Value::Number(tpp_target)),
-                    ("evaluated", Value::Number(report.designs.len() as f64)),
-                    ("failed", Value::Number(report.failures.len() as f64)),
-                ]),
-            ),
-            ("designs", Value::Array(designs)),
-            ("failures", Value::Array(failures)),
-        ])
-        .to_json());
+        let mut out = grid_head(sweep.cardinality(), tpp_target, std::slice::from_ref(&report))?;
+        out.push_str("},");
+        write_report(&mut out, &report)?;
+        out.push('}');
+        return Ok(out);
     }
-    let mut groups = Vec::with_capacity(scenarios.len());
-    let (mut evaluated, mut failed) = (0usize, 0usize);
-    for scenario in &scenarios {
-        let report = state.runner_for(scenario).run_lattice(&sweep, tpp_target);
-        evaluated += report.designs.len();
-        failed += report.failures.len();
-        let (designs, failures) = report_values(&report)?;
-        groups.push(object(vec![
-            ("scenario", Value::String(scenario.name().to_owned())),
-            ("model", Value::String(scenario.model().name().to_owned())),
-            ("dtype", Value::String(scenario.dtype().to_string())),
-            ("parallelism", Value::String(scenario.parallelism().to_string())),
-            ("devices", Value::Number(scenario.parallelism().devices() as f64)),
-            ("evaluated", Value::Number(designs.len() as f64)),
-            ("failed", Value::Number(failures.len() as f64)),
-            ("designs", Value::Array(designs)),
-            ("failures", Value::Array(failures)),
-        ]));
+    let reports: Vec<SweepReport> = scenarios
+        .iter()
+        .map(|scenario| state.runner_for(scenario).run_lattice(&sweep, tpp_target))
+        .collect();
+    let mut out = grid_head(sweep.cardinality() * scenarios.len(), tpp_target, &reports)?;
+    let _ = write!(out, ",\"scenario_count\":{}}},\"scenarios\":[", scenarios.len());
+    for (i, (scenario, report)) in scenarios.iter().zip(&reports).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"scenario\":");
+        json::write_str(&mut out, scenario.name());
+        out.push_str(",\"model\":");
+        json::write_str(&mut out, scenario.model().name());
+        out.push_str(",\"dtype\":");
+        json::write_str(&mut out, &scenario.dtype().to_string());
+        out.push_str(",\"parallelism\":");
+        json::write_str(&mut out, &scenario.parallelism().to_string());
+        let _ = write!(
+            out,
+            ",\"devices\":{},\"evaluated\":{},\"failed\":{},",
+            scenario.parallelism().devices(),
+            report.designs.len(),
+            report.failures.len()
+        );
+        write_report(&mut out, report)?;
+        out.push('}');
     }
-    Ok(object(vec![
-        (
-            "grid",
-            object(vec![
-                ("points", Value::Number((sweep.cardinality() * scenarios.len()) as f64)),
-                ("tpp_target", Value::Number(tpp_target)),
-                ("evaluated", Value::Number(evaluated as f64)),
-                ("failed", Value::Number(failed as f64)),
-                ("scenario_count", Value::Number(scenarios.len() as f64)),
-            ]),
-        ),
-        ("scenarios", Value::Array(groups)),
-    ])
-    .to_json())
+    out.push_str("]}");
+    Ok(out)
 }
 
 /// `POST /v1/screen` — classify a device (by database name) or a custom

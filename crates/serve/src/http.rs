@@ -235,11 +235,34 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Serialise one JSON response into a byte vector, announcing whether
-/// the server will keep the connection open (`Connection: keep-alive`)
-/// or close it afterwards (`Connection: close`); the server appends it
-/// to a connection's output buffer. `extra` headers (e.g. `Retry-After`
-/// on a priority shed) are spliced in before the blank line.
+/// Append one JSON response to `out`, head then body, announcing
+/// whether the server will keep the connection open (`Connection:
+/// keep-alive`) or close it afterwards (`Connection: close`). The server
+/// frames every response straight into a connection's output buffer
+/// through this. `extra` headers (e.g. `Retry-After` on a priority shed)
+/// are spliced in before the blank line.
+pub fn write_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+    extra: &[(&str, &str)],
+) {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        reason_phrase(status),
+        body.len(),
+    );
+    for (name, value) in extra {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body.as_bytes());
+}
+
+/// [`write_response`] into a fresh byte vector.
 #[must_use]
 pub fn response_bytes(
     status: u16,
@@ -247,21 +270,8 @@ pub fn response_bytes(
     keep_alive: bool,
     extra: &[(&str, &str)],
 ) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        reason_phrase(status),
-        body.len(),
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
+    let mut out = Vec::with_capacity(128 + body.len());
+    write_response(&mut out, status, body, keep_alive, extra);
     out
 }
 
@@ -887,8 +897,13 @@ mod tests {
              Connection: keep-alive\r\n\r\n{\"ok\":true}"
         );
         let shed = response_bytes(503, "{}", false, &[("Retry-After", "1")]);
-        let text = String::from_utf8(shed).unwrap();
+        let text = String::from_utf8(shed.clone()).unwrap();
         assert!(text.contains("\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{}"), "{text}");
+        // Framing into a connection's buffer appends after what it holds.
+        let mut out = b"queued".to_vec();
+        write_response(&mut out, 503, "{}", false, &[("Retry-After", "1")]);
+        assert_eq!(out[..6], *b"queued");
+        assert_eq!(out[6..], shed);
     }
 
     #[test]

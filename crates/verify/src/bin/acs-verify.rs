@@ -13,9 +13,10 @@
 //! so `scripts/ci.sh` can gate on it directly.
 
 use acs_verify::{
-    check_corpus, default_corpus_path, random_rule_grid, random_sweep_spec, regressions_dir,
-    replay_dir, run_chaos, run_fuzz, standard_suite, whatif_engine_vs_reference, whatif_grid_64,
-    whatif_grid_diff, wire_vs_handler, ChaosConfig, DiffCase, Differential, EvalPath,
+    check_corpus, default_corpus_path, grid_body_vs_reference, random_rule_grid,
+    random_sweep_spec, regressions_dir, replay_dir, run_chaos, run_fuzz, standard_suite,
+    whatif_engine_vs_reference, whatif_grid_64, whatif_grid_diff, wire_vs_handler, ChaosConfig,
+    DiffCase, Differential, EvalPath,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -170,6 +171,9 @@ fn cmd_diff(_args: &[String]) -> Result<(), String> {
         &[whatif_grid_64(), random_rule_grid(1), random_rule_grid(2)],
         &[("synthetic-4800", &synthetic), ("table5-1600", &table5)],
     ));
+    // The service's grid bodies, written straight to bytes, against the
+    // same grids priced by the reference and encoded through the tree.
+    reports.push(grid_body_vs_reference());
     // Seeded property cases: random sweeps (odd seeds faulted) through
     // the lattice engine against the reference oracle.
     for seed in 0..4_u64 {

@@ -20,16 +20,21 @@
 //! compares the batch rule-grid screening path against a naive
 //! one-rule-at-a-time loop over the [`whatif_grid_64`] grid, and
 //! [`whatif_engine_vs_reference`] compares every record the engine
-//! streams against the naive record oracle.
+//! streams against the naive record oracle. [`grid_body_vs_reference`]
+//! holds the service's `/v1/screen` grid bodies, written straight to
+//! bytes, to the same grids priced and encoded naively.
 
 use crate::tolerance::Tolerance;
 use acs_cache::CacheKey;
 use acs_dse::{CandidateParams, DseRunner, EvaluatedDesign, SweepReport, SweepSpec};
-use acs_errors::json::Value;
+use acs_errors::json::{object, Value};
 use acs_errors::AcsError;
 use acs_llm::rng::SplitMix64;
 use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::{Acr2022, Acr2023, DeviceMetrics, HbmRule2024, MemBwRule};
+use acs_scenarios::ScenarioRegistry;
+use acs_serve::handlers::{handle_lane, AppState};
+use acs_serve::http::HttpRequest;
 use acs_whatif::{ClassificationLedger, RuleGrid, RuleSpec, WhatIfEngine};
 use std::fmt;
 
@@ -814,6 +819,112 @@ pub fn whatif_engine_vs_reference(
     }
 }
 
+/// The `POST /v1/screen` request body for a grid over `spec` at
+/// `tpp_target`, naming `scenarios` when there are any.
+fn grid_request(spec: &SweepSpec, tpp_target: f64, scenarios: &[&str]) -> String {
+    let ints =
+        |xs: &[u32]| Value::Array(xs.iter().map(|&x| Value::Number(f64::from(x))).collect());
+    let reals = |xs: &[f64]| Value::Array(xs.iter().copied().map(Value::Number).collect());
+    let mut grid = vec![
+        ("systolic_dims", ints(&spec.systolic_dims)),
+        ("lanes_per_core", ints(&spec.lanes_per_core)),
+        ("l1_kib", ints(&spec.l1_kib)),
+        ("l2_mib", ints(&spec.l2_mib)),
+        ("hbm_tb_s", reals(&spec.hbm_tb_s)),
+        ("device_bw_gb_s", reals(&spec.device_bw_gb_s)),
+        ("tpp_target", Value::Number(tpp_target)),
+    ];
+    if !scenarios.is_empty() {
+        let names = scenarios.iter().map(|&name| Value::String(name.to_owned())).collect();
+        grid.push(("scenario", Value::Array(names)));
+    }
+    object(vec![("grid", object(grid))]).to_json()
+}
+
+/// `handle_lane`'s `/v1/screen` grid bodies against the naive
+/// [`crate::reference::grid_body`], byte for byte, on four grids: Table
+/// 3 at TPP 1600 and at 4800 (no scenario), Table 3's Figure 6 slice
+/// under a two-scenario `scenario` array, and a grid with a zero-HBM
+/// point, whose failure ledger is non-empty. The case is also dirty
+/// unless some compared body carries a failure.
+#[must_use]
+pub fn grid_body_vs_reference() -> DiffReport {
+    const DEFAULT_SCENARIO: &str = "dense-llama3-fp16-tp4";
+    let zero_hbm = SweepSpec {
+        systolic_dims: vec![16],
+        lanes_per_core: vec![4],
+        l1_kib: vec![192],
+        l2_mib: vec![40],
+        hbm_tb_s: vec![0.0, 2.0],
+        device_bw_gb_s: vec![600.0],
+    };
+    let cases: [(&str, SweepSpec, f64, &[&str]); 4] = [
+        ("table3-1600", SweepSpec::table3_fig7(), 1600.0, &[]),
+        ("table3-4800", SweepSpec::table3_fig7(), 4800.0, &[]),
+        (
+            "table3-fig6-two-scenarios",
+            SweepSpec::table3_fig6(),
+            4800.0,
+            &["dense-gpt3-fp16-tp4", "moe-mixtral-fp16-tp4-ep4"],
+        ),
+        ("zero-hbm", zero_hbm, 4800.0, &[]),
+    ];
+    let registry = ScenarioRegistry::builtin();
+    let state = AppState::new(64);
+    let mut mismatches = Vec::new();
+    let (mut points, mut ok, mut failed) = (0, 0, 0);
+    for (label, spec, tpp_target, names) in &cases {
+        points += spec.cardinality() * names.len().max(1);
+        let scenarios = names.iter().map(|name| registry.get(name).cloned());
+        let expected = scenarios.collect::<Result<Vec<_>, _>>().and_then(|scenarios| {
+            let default = registry.get(DEFAULT_SCENARIO)?;
+            crate::reference::grid_body(spec, *tpp_target, &scenarios, default)
+        });
+        let expected = match expected {
+            Ok(body) => body,
+            Err(e) => {
+                push(&mut mismatches, *label, format!("reference failed: {e}"));
+                continue;
+            }
+        };
+        let request = HttpRequest {
+            method: "POST".to_owned(),
+            path: "/v1/screen".to_owned(),
+            body: grid_request(spec, *tpp_target, names),
+        };
+        let (status, got) = handle_lane(&state, &request, None);
+        if status != 200 {
+            push(&mut mismatches, *label, format!("status {status}: {got:.200}"));
+        } else if got != expected {
+            let at = got.bytes().zip(expected.bytes()).take_while(|(x, y)| x == y).count();
+            let excerpt =
+                |body: &str| body.get(at..).unwrap_or("").chars().take(80).collect::<String>();
+            let detail = format!(
+                "bodies diverge at byte {at} (handler {}B, reference {}B): handler {:?}, \
+                 reference {:?}",
+                got.len(),
+                expected.len(),
+                excerpt(&got),
+                excerpt(&expected)
+            );
+            push(&mut mismatches, *label, detail);
+        }
+        let summary = acs_errors::json::parse(&expected).ok();
+        let tally = |key| {
+            summary
+                .as_ref()
+                .and_then(|v| v.get("grid")?.get(key)?.as_u64())
+                .map_or(0, |n| usize::try_from(n).unwrap_or(usize::MAX))
+        };
+        ok += tally("evaluated");
+        failed += tally("failed");
+    }
+    if failed == 0 {
+        push(&mut mismatches, "coverage", "no compared grid body carried a failure".to_owned());
+    }
+    DiffReport { label: "grid-body-vs-reference".to_owned(), points, ok, failed, mismatches }
+}
+
 /// Whether a what-if record reaches every statistic of its fleet block:
 /// a mixed restricted share, a compliance overhead between the fastest
 /// compliant and restricted designs, and a flipped portfolio device.
@@ -974,6 +1085,14 @@ mod tests {
         let grids = [whatif_grid_64(), random_rule_grid(1)];
         let report = whatif_engine_vs_reference(&grids, &[("table5-96", &fleet)]);
         assert_eq!(report.points, 64 + random_rule_grid(1).cardinality());
+        report.assert_clean();
+    }
+
+    #[test]
+    fn grid_bodies_match_the_tree_encoding_of_the_reference() {
+        let report = grid_body_vs_reference();
+        assert_eq!(report.points, 1536 * 2 + 512 * 2 + 2);
+        assert_eq!(report.failed, 1, "the zero-HBM point");
         report.assert_clean();
     }
 

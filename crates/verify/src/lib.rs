@@ -7,9 +7,10 @@
 //!
 //! - [`reference`] — the oracles: a per-point evaluator that shares no
 //!   plans, legs or caches between points, against which the sweep
-//!   engine must agree bit for bit, failure ledger included; and
+//!   engine must agree bit for bit, failure ledger included;
 //!   [`reference::whatif_records`], which rebuilds every what-if record
-//!   without corner pins, ledgers or memo.
+//!   without corner pins, ledgers or memo; and [`reference::grid_body`],
+//!   which encodes a grid response through the JSON tree.
 //! - [`differential`] — a generic runner that evaluates any two
 //!   (path, transform) arms over a sweep and diffs digests, per-point
 //!   values, and failure ledgers under a [`tolerance`] class. The
@@ -20,7 +21,9 @@
 //!   the what-if subsystem, diffing batch rule-grid screening against a
 //!   naive one-rule-at-a-time loop, and
 //!   [`differential::whatif_engine_vs_reference`] diffs every streamed
-//!   what-if record against [`reference::whatif_records`].
+//!   what-if record against [`reference::whatif_records`];
+//!   [`differential::grid_body_vs_reference`] diffs `/v1/screen` grid
+//!   bodies against [`reference::grid_body`].
 //! - [`corpus`] — a blessed snapshot of sweep digests and anchor values
 //!   (`crates/verify/corpus/golden.json`) every PR is diffed against,
 //!   regenerated with `acs-verify corpus --bless`.
@@ -54,9 +57,10 @@ pub use corpus::{
     bless_corpus, check_corpus, compute_snapshot, default_corpus_path, regressions_dir, Snapshot,
 };
 pub use differential::{
-    dense_vs_degenerate_moe_diff, design_digest, diff_reports, random_rule_grid, random_sweep_spec,
-    standard_suite, whatif_engine_vs_reference, whatif_grid_64, whatif_grid_diff, Arm, DiffCase,
-    DiffReport, Differential, EvalPath, Transform,
+    dense_vs_degenerate_moe_diff, design_digest, diff_reports, grid_body_vs_reference,
+    random_rule_grid, random_sweep_spec, standard_suite, whatif_engine_vs_reference,
+    whatif_grid_64, whatif_grid_diff, Arm, DiffCase, DiffReport, Differential, EvalPath,
+    Transform,
 };
 pub use fuzz::{run_fuzz, FuzzReport, FuzzTarget};
 pub use regressions::replay_dir;

@@ -22,19 +22,22 @@
 //!
 //! [`whatif_records`] is the what-if engine's oracle in the same spirit:
 //! it rebuilds every record of a rule grid one variant at a time, with
-//! no corner pins, no classification ledgers and no memo.
+//! no corner pins, no classification ledgers and no memo. [`grid_body`]
+//! rebuilds a `/v1/screen` grid response from this evaluator through
+//! the JSON tree, the encoding the service's direct writer must match.
 
 use acs_core::{deadweight_loss, indicator_report, ComplianceOverhead, LatencyMetric};
 use acs_devices::GpuDatabase;
 use acs_dse::{
     CandidateParams, DesignFailure, Distribution, DseRunner, EvaluatedDesign, SweepReport,
-    SweptParams,
+    SweepSpec, SweptParams,
 };
 use acs_errors::json::{object, Value};
 use acs_errors::{guard, AcsError};
 use acs_hw::{AreaModel, CostModel, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_llm::InferencePhase;
 use acs_policy::{Acr2023, Classification, DeviceMetrics, MarketSegment};
+use acs_scenarios::Scenario;
 use acs_sim::{LayerPlan, Simulator};
 use acs_whatif::{RuleGrid, RuleSpec, WhatIfConfig, WhatIfEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -285,6 +288,102 @@ pub fn whatif_records(grid: &RuleGrid, fleet: &[EvaluatedDesign]) -> Result<Vec<
         ]));
     }
     Ok(records)
+}
+
+/// Rebuild the `POST /v1/screen` grid response body the naive way:
+/// every scenario's designs priced by [`run_report`] on a runner built
+/// afresh from the scenario, then every design and failure turned into a
+/// JSON tree and the tree into text. An empty `scenarios` is a request
+/// naming none: `default` prices it, answered in the pre-scenario shape
+/// (`grid`, `designs`, `failures`); otherwise each scenario is one group
+/// of the `scenarios` array.
+///
+/// # Errors
+///
+/// [`AcsError::Json`] if a design holds a non-finite metric.
+pub fn grid_body(
+    sweep: &SweepSpec,
+    tpp_target: f64,
+    scenarios: &[Scenario],
+    default: &Scenario,
+) -> Result<String, AcsError> {
+    let candidates = sweep.candidates(tpp_target);
+    let price = |scenario: &Scenario| run_report(&scenario.runner(), &candidates);
+    if scenarios.is_empty() {
+        let report = price(default);
+        let (designs, failures) = report_values(&report)?;
+        return Ok(object(vec![
+            (
+                "grid",
+                object(vec![
+                    ("points", num(count(sweep.cardinality()))),
+                    ("tpp_target", Value::Number(tpp_target)),
+                    ("evaluated", num(count(report.designs.len()))),
+                    ("failed", num(count(report.failures.len()))),
+                ]),
+            ),
+            ("designs", Value::Array(designs)),
+            ("failures", Value::Array(failures)),
+        ])
+        .to_json());
+    }
+    let mut groups = Vec::with_capacity(scenarios.len());
+    let (mut evaluated, mut failed) = (0usize, 0usize);
+    for scenario in scenarios {
+        let report = price(scenario);
+        evaluated += report.designs.len();
+        failed += report.failures.len();
+        let (designs, failures) = report_values(&report)?;
+        groups.push(object(vec![
+            ("scenario", Value::String(scenario.name().to_owned())),
+            ("model", Value::String(scenario.model().name().to_owned())),
+            ("dtype", Value::String(scenario.dtype().to_string())),
+            ("parallelism", Value::String(scenario.parallelism().to_string())),
+            ("devices", Value::Number(scenario.parallelism().devices() as f64)),
+            ("evaluated", num(count(designs.len()))),
+            ("failed", num(count(failures.len()))),
+            ("designs", Value::Array(designs)),
+            ("failures", Value::Array(failures)),
+        ]));
+    }
+    Ok(object(vec![
+        (
+            "grid",
+            object(vec![
+                ("points", num(count(sweep.cardinality() * scenarios.len()))),
+                ("tpp_target", Value::Number(tpp_target)),
+                ("evaluated", num(count(evaluated))),
+                ("failed", num(count(failed))),
+                ("scenario_count", num(count(scenarios.len()))),
+            ]),
+        ),
+        ("scenarios", Value::Array(groups)),
+    ])
+    .to_json())
+}
+
+/// One sweep report as `(designs, failures)` member arrays.
+fn report_values(report: &SweepReport) -> Result<(Vec<Value>, Vec<Value>), AcsError> {
+    let mut designs = Vec::with_capacity(report.designs.len());
+    for (index, d) in &report.designs {
+        designs.push(object(vec![
+            ("index", num(count(*index))),
+            ("design", d.to_json_value()?),
+        ]));
+    }
+    let failures = report
+        .failures
+        .iter()
+        .map(|f| {
+            object(vec![
+                ("index", num(count(f.index))),
+                ("params", Value::String(f.params.clone())),
+                ("kind", Value::String(f.kind().to_owned())),
+                ("error", f.reason.to_json_value()),
+            ])
+        })
+        .collect();
+    Ok((designs, failures))
 }
 
 /// A finite number, or `null` (the records' encoding of a non-finite

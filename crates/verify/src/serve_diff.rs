@@ -54,6 +54,10 @@ fn corpus() -> Vec<(&'static str, String, String)> {
              \"output_len\":64}},\"trace\":{{\"rate_rps\":4,\"duration_s\":5,\"seed\":{seed}}}}}"
         )
     };
+    let grid = "{\"grid\":{\"systolic_dims\":[16],\"lanes_per_core\":[2,4],\"l1_kib\":[192],\
+                \"l2_mib\":[40],\"hbm_tb_s\":[0.0,3.2],\"device_bw_gb_s\":[600.0],\
+                \"tpp_target\":4800}}"
+        .to_owned();
     let mut cases: Vec<(&str, String, String)> = vec![
         ("GET", "/v1/devices".into(), String::new()),
         ("GET", "/v1/devices/H100%20SXM".into(), String::new()),
@@ -66,6 +70,11 @@ fn corpus() -> Vec<(&'static str, String, String)> {
         // recomputed in process — same bytes back either way.
         ("POST", "/v1/simulate".into(), sim(7)),
         ("POST", "/v1/simulate".into(), sim(11)),
+        // A grid (one zero-HBM point fails) and its repeat: the body is
+        // framed into the connection buffer on the miss and served from
+        // the raw front cache on the hit.
+        ("POST", "/v1/screen".into(), grid.clone()),
+        ("POST", "/v1/screen".into(), grid),
         ("POST", "/v1/whatif".into(), "{\"grid\":{\"tpp_license\":[2400,4800]}}".into()),
         ("POST", "/v1/whatif".into(), "{}".into()),
         ("GET", "/v1/metrics".into(), String::new()),

@@ -28,6 +28,9 @@
 //!   floor the `serve` suite's `repeated_qps` and `unique_qps`: the
 //!   server's cached and unique-work throughput under the pipelined
 //!   load generator.
+//! - `--min-grid-points-per-sec <rate>` floors the `serve` suite's
+//!   `grid_points_per_sec`: a warm 1536-point Table 3 grid answered by
+//!   the request handler in process, response body included.
 
 use acs_errors::json::{parse, Value};
 use std::process::ExitCode;
@@ -86,6 +89,9 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
         if let Some(floor) = floors.serve_unique_qps {
             check_floor(metrics, "unique_qps", floor)?;
         }
+        if let Some(floor) = floors.grid_points_per_sec {
+            check_floor(metrics, "grid_points_per_sec", floor)?;
+        }
     }
     Ok(metrics.len())
 }
@@ -97,6 +103,7 @@ struct Floors {
     whatif_variants_per_sec: Option<f64>,
     serve_cached_qps: Option<f64>,
     serve_unique_qps: Option<f64>,
+    grid_points_per_sec: Option<f64>,
 }
 
 fn main() -> ExitCode {
@@ -111,6 +118,7 @@ fn main() -> ExitCode {
             "--min-whatif-variants-per-sec" => &mut floors.whatif_variants_per_sec,
             "--min-serve-cached-qps" => &mut floors.serve_cached_qps,
             "--min-serve-unique-qps" => &mut floors.serve_unique_qps,
+            "--min-grid-points-per-sec" => &mut floors.grid_points_per_sec,
             _ => {
                 paths.push(arg);
                 continue;
@@ -129,7 +137,8 @@ fn main() -> ExitCode {
             "usage: bench_validate [--min-dse-points-per-sec <rate>] \
              [--min-lattice-points-per-sec <rate>] \
              [--min-whatif-variants-per-sec <rate>] \
-             [--min-serve-cached-qps <qps>] [--min-serve-unique-qps <qps>] <BENCH_*.json>..."
+             [--min-serve-cached-qps <qps>] [--min-serve-unique-qps <qps>] \
+             [--min-grid-points-per-sec <rate>] <BENCH_*.json>..."
         );
         return ExitCode::FAILURE;
     }

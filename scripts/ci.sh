@@ -27,7 +27,8 @@ echo "==> verification harness (golden corpus, seeded fuzz, socket chaos)"
 # rule-grid digest, and the paper anchors in
 # crates/verify/corpus/golden.json must be bit-identical to a fresh
 # evaluation. The differential suite includes the whatif batch-vs-naive
-# ledger case. Then a fixed-seed structured fuzz pass (10k mutations over
+# ledger case and grid-body-vs-reference (/v1/screen grid bodies, written
+# straight to bytes, against the reference priced and tree-encoded). Then a fixed-seed structured fuzz pass (10k mutations over
 # the HTTP surface — /v1/whatif rule grids included — and the JSON/CSV
 # codecs, plus the checked-in regression corpus; HTTP inputs also arrive
 # in seeded 1-5-byte chunks, and every re-parse of the accumulated buffer
@@ -89,13 +90,14 @@ cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh
 
-echo "==> bench artefact schema validation (acs-bench-v1, fresh run_report >= 250k points/s, warm >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps)"
+echo "==> bench artefact schema validation (acs-bench-v1, fresh run_report >= 250k points/s, warm >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps, warm grid answer >= 200k points/s)"
 cargo run -q --release --locked --offline --example bench_validate -- \
     --min-dse-points-per-sec 250000 \
     --min-lattice-points-per-sec 1500000 \
     --min-whatif-variants-per-sec 3500 \
     --min-serve-cached-qps 50000 \
     --min-serve-unique-qps 2000 \
+    --min-grid-points-per-sec 200000 \
     "$smokedir/BENCH_dse.json" "$smokedir/BENCH_serve.json" "$smokedir/BENCH_whatif.json" \
     "$smokedir/BENCH_scenarios.json" "$smokedir/BENCH_lattice.json"
 
