@@ -6,11 +6,11 @@ use acs_errors::{guard, AcsError};
 use acs_hw::{AreaModel, CostModel, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::Acr2023;
-use acs_sim::{EvalPlans, SimParams, Simulator};
+use acs_sim::{SimParams, Simulator};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The swept architectural parameters of one design, kept alongside its
@@ -131,19 +131,9 @@ pub struct DseRunner {
     pub(crate) cost_model: CostModel,
     pub(crate) sim_params: SimParams,
     pub(crate) rule_2023: Acr2023,
-    plans: Arc<PlanSlot>,
-    pub(crate) factored: Arc<crate::factored::FactoredSlot>,
-    pub(crate) lattice: Arc<crate::lattice::LatticeSlot>,
+    /// Everything priced so far: plans, signature legs, fused vectors.
+    pub(crate) memo: Arc<crate::lattice::Memo>,
     threads: Option<usize>,
-}
-
-/// Layer plans shared by every point of a sweep, built lazily per dtype.
-/// A plan depends only on the runner's model, workload, and device count —
-/// none of which vary across a sweep — plus the device's datatype width,
-/// so a handful of entries serve thousands of evaluations.
-#[derive(Debug, Default)]
-struct PlanSlot {
-    by_dtype: RwLock<BTreeMap<u32, Arc<EvalPlans>>>,
 }
 
 impl DseRunner {
@@ -161,9 +151,7 @@ impl DseRunner {
             cost_model: CostModel::n7(),
             sim_params: SimParams::calibrated(),
             rule_2023: Acr2023::published(),
-            plans: Arc::new(PlanSlot::default()),
-            factored: Arc::new(crate::factored::FactoredSlot::default()),
-            lattice: Arc::new(crate::lattice::LatticeSlot::default()),
+            memo: Arc::default(),
             threads: None,
         }
     }
@@ -183,12 +171,10 @@ impl DseRunner {
     #[must_use]
     pub fn with_device_count(mut self, n: u32) -> Self {
         self.device_count = n;
-        // Plans and priced legs bake in the tensor-parallel degree; drop
-        // the shared slots rather than poison clones that still use the
-        // old count.
-        self.plans = Arc::new(PlanSlot::default());
-        self.factored = Arc::new(crate::factored::FactoredSlot::default());
-        self.lattice = Arc::new(crate::lattice::LatticeSlot::default());
+        // Plans and priced legs bake in the tensor-parallel degree; start
+        // a new memo rather than poison clones that still use the old
+        // count.
+        self.memo = Arc::default();
         self
     }
 
@@ -202,10 +188,8 @@ impl DseRunner {
     #[must_use]
     pub fn with_expert_parallel(mut self, n: u32) -> Self {
         self.expert_parallel = n;
-        // Plans and priced legs bake in the lowering; drop the slots.
-        self.plans = Arc::new(PlanSlot::default());
-        self.factored = Arc::new(crate::factored::FactoredSlot::default());
-        self.lattice = Arc::new(crate::lattice::LatticeSlot::default());
+        // Plans and priced legs bake in the lowering; start a new memo.
+        self.memo = Arc::default();
         self
     }
 
@@ -220,11 +204,9 @@ impl DseRunner {
     #[must_use]
     pub fn with_datatype(mut self, dt: acs_hw::DataType) -> Self {
         self.datatype = Some(dt);
-        // Plans key on the dtype width and priced legs bake it into the
-        // collective payloads; drop the slots.
-        self.plans = Arc::new(PlanSlot::default());
-        self.factored = Arc::new(crate::factored::FactoredSlot::default());
-        self.lattice = Arc::new(crate::lattice::LatticeSlot::default());
+        // The memo's signatures omit the datatype, and priced legs bake
+        // it in; start a new memo.
+        self.memo = Arc::default();
         self
     }
 
@@ -251,10 +233,9 @@ impl DseRunner {
     #[must_use]
     pub fn with_sim_params(mut self, params: SimParams) -> Self {
         self.sim_params = params;
-        // Leg tables bake in the calibration (plans do not: they are
-        // pure graph shape); a recalibrated runner must re-price.
-        self.factored = Arc::new(crate::factored::FactoredSlot::default());
-        self.lattice = Arc::new(crate::lattice::LatticeSlot::default());
+        // Priced legs bake in the calibration; a recalibrated runner
+        // must re-price.
+        self.memo = Arc::default();
         self
     }
 
@@ -319,8 +300,8 @@ impl DseRunner {
         let config = retyped.as_ref().unwrap_or(config);
         // Allocation-free while healthy: the guard context is built only
         // on the error path, the device is shared into the system rather
-        // than cloned, and the layer graphs come from the per-sweep plan
-        // slot instead of being rebuilt per point.
+        // than cloned, and the layer plans come from the runner's memo
+        // instead of being rebuilt per point.
         let ctx = || format!("evaluate.{}", config.name());
         let area = guard::ensure_positive_with(
             ctx,
@@ -348,35 +329,11 @@ impl DseRunner {
                 "good_die_cost_usd",
                 self.cost_model.good_die_cost_usd(area),
             )?,
-            ttft_s: sim.try_ttft_planned(&plans.prefill)?,
-            tbt_s: sim.try_tbt_planned(&plans.decode)?,
+            ttft_s: sim.try_ttft_planned(&plans.plans.prefill)?,
+            tbt_s: sim.try_tbt_planned(&plans.plans.decode)?,
             within_reticle: area <= RETICLE_LIMIT_MM2,
             pd_unregulated_2023: self.rule_2023.is_unregulated_dc(tpp, pd),
         })
-    }
-
-    /// The plan pair for one datatype width, built at most once per
-    /// runner (read-mostly after the first point of a sweep).
-    pub(crate) fn plans_for(&self, dtype_bytes: u32) -> Result<Arc<EvalPlans>, AcsError> {
-        if let Some(plans) = self
-            .plans
-            .by_dtype
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&dtype_bytes)
-        {
-            return Ok(Arc::clone(plans));
-        }
-        // Built outside the write lock; a racing builder just loses.
-        let built = Arc::new(EvalPlans::build_parallel(
-            &self.model,
-            &self.workload,
-            self.device_count,
-            self.expert_parallel,
-            dtype_bytes,
-        )?);
-        let mut map = self.plans.by_dtype.write().unwrap_or_else(PoisonError::into_inner);
-        Ok(Arc::clone(map.entry(dtype_bytes).or_insert(built)))
     }
 
     /// Evaluate a whole sweep at a TPP ceiling through the lattice

@@ -5,13 +5,15 @@
 //! Where the per-point evaluator ([`DseRunner::try_evaluate`]) builds a
 //! device, walks both layer plans, and prices every operator at one
 //! point, this module exploits the dependency-key argument of
-//! `acs_sim::legs`. Each leg is priced once per distinct
-//! `ComputeKey`/`MemoryKey`/`CommKey` into the runner's persistent leg
-//! tables (`crate::factored`), fused into structure-of-arrays vectors
+//! `acs_sim::legs`: each cost leg reads only a subset of the swept axes.
+//! A sweep classifies its points into compute, memory and comm
+//! signatures (the axis tuples each leg reads), probes each distinct
+//! signature once — one plan walk per phase, keeping only that
+//! signature's own leg — fuses the legs into structure-of-arrays vectors
 //! whose per-op guards are hoisted into a one-time cleanliness proof
-//! ([`acs_sim::CombineProgram`]), and a grid point collapses to a few
+//! ([`acs_sim::CombineProgram`]), and collapses a grid point to a few
 //! dozen additions over pre-fused vectors plus the scalar area/cost
-//! pipeline assembled from per-axis components — the outer-product
+//! pipeline assembled from per-signature components — the outer-product
 //! broadcast LLMCompass applies to analytical design spaces.
 //!
 //! Exactness discipline: the fast path replicates the per-point guard
@@ -25,44 +27,174 @@
 //! `tests/lattice_equivalence.rs` pins against the naive reference
 //! evaluator in `acs-verify`.
 //!
-//! What persists across sweeps is keyed by dependency signature, never
-//! by point: the runner's leg tables, the three probe caches, the fused
-//! vectors and the combine programs. Each point is re-assembled from
-//! them on every sweep, first visit or not — a few dozen additions cost
-//! less than a lookup in a table of every point ever priced.
+//! What persists across sweeps is the runner's [`Memo`]: one entry per
+//! datatype width, per signature and per on-chip key pair, never one per
+//! point. Each point is re-assembled from it on every sweep, first visit
+//! or not — a few dozen additions cost less than a lookup in a table of
+//! every point ever priced.
 
 use crate::evaluate::{contained, DseRunner, EvaluatedDesign, SweptParams};
-use crate::factored::FxMap;
 use crate::report::{DesignFailure, SweepReport};
 use crate::sweeps::{CandidateParams, SweepSpec};
 use acs_errors::AcsError;
 use acs_hw::{DataType, DeviceConfig, SystemConfig, RETICLE_LIMIT_MM2};
 use acs_sim::{
-    CombineProgram, CommKey, ComputeKey, EvalPlans, FusedLegs, LayerTally, LegKeys, MemoryKey,
-    Simulator,
+    CombineProgram, ComputeKey, ComputeLeg, EvalPlans, FusedLegs, LayerTally, MemoryKey, MemoryLeg,
+    PlanLegs, Simulator,
 };
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Both phases' fused vectors of one signature (an on-chip pair or a
-/// comm key), with the conjunction of their cleanliness proofs hoisted
-/// out so the per-point check is one local bool instead of four pointer
-/// chases. Storing the phases together costs one table lookup per
-/// signature instead of two — every sweep needs both phases anyway.
+/// A multiply-rotate hasher (the FxHash construction) for the memo and
+/// the sweep's classification tables. The lookups sit on the sweep hot
+/// path and the default SipHash costs more than a fused combine; these
+/// keys are small fixed tuples of trusted internal values, so HashDoS
+/// resistance buys nothing here.
+#[derive(Debug, Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A compute signature: systolic dimension, lanes, solved core count, L1.
+type ComputeSig = (u32, u32, u32, u32);
+/// A memory signature: L2 and the HBM bandwidth's bits.
+type MemorySig = (u32, u64);
+/// A comm signature: the device bandwidth's bits.
+type CommSig = u64;
+
+/// Everything one runner has priced, keyed by what it depends on and
+/// kept for the runner's lifetime (shared by its clones, and through
+/// `AppState` by every request in the server), so repeated sweeps,
+/// `/v1/screen` grids and what-if fleets re-price nothing. Every
+/// `DseRunner::with_*` builder that changes what is priced (device
+/// count, expert parallelism, datatype, calibration) starts a new memo.
 ///
-/// The values live in a slab shared by every signature one sweep fused:
+/// The signature maps are keyed by axis tuples, not by the priced
+/// device: an entry's every field depends only on the axes in its own
+/// signature (plus the runner's constants), the invariant the broadcast
+/// itself rests on. Failed probes are never cached: a failure can depend
+/// on the sweep's base point, so the next sweep probes again.
+#[derive(Debug, Default)]
+pub(crate) struct Memo {
+    /// Per datatype width: both phases' plans and combine programs.
+    plans: RwLock<FxMap<u32, Arc<PhasePlans>>>,
+    compute: RwLock<FxMap<ComputeSig, ComputeEntry>>,
+    memory: RwLock<FxMap<MemorySig, MemoryEntry>>,
+    comm: RwLock<FxMap<CommSig, CommEntry>>,
+    /// Per on-chip (compute, memory) key pair: both phases' fused
+    /// vectors.
+    onchip: RwLock<FxMap<(ComputeKey, MemoryKey), PairFused>>,
+}
+
+/// The plans of one datatype width and the combine loops compiled from
+/// them. A plan depends only on the runner's model, workload, device
+/// count and expert parallelism — none of which vary across a sweep —
+/// plus the datatype width, so a handful of entries serve thousands of
+/// evaluations.
+#[derive(Debug)]
+pub(crate) struct PhasePlans {
+    pub(crate) plans: EvalPlans,
+    prefill: CombineProgram,
+    decode: CombineProgram,
+}
+
+/// One compute signature's memo entry: its dependency key, the area
+/// addends that depend only on compute axes (in the exact left-to-right
+/// order of `AreaBreakdown::total_mm2`), the achieved TPP, and its
+/// compute legs, prefill then decode.
+#[derive(Debug, Clone)]
+struct ComputeEntry {
+    key: ComputeKey,
+    /// `(systolic + vector) + l1` — the first three addends.
+    partial_area: f64,
+    control: f64,
+    fixed: f64,
+    tpp: f64,
+    legs: Arc<[Vec<ComputeLeg>; 2]>,
+}
+
+/// One memory signature's memo entry: key, L2 and HBM-PHY area addends,
+/// the probe's round-tripped bandwidth for `SweptParams`, and its DRAM
+/// legs, prefill then decode.
+#[derive(Debug, Clone)]
+struct MemoryEntry {
+    key: MemoryKey,
+    l2_area: f64,
+    hbm_phy_area: f64,
+    hbm_tb_s: f64,
+    legs: Arc<[Vec<MemoryLeg>; 2]>,
+}
+
+/// One comm signature's memo entry: device-PHY area addend,
+/// round-tripped total bandwidth, and its collective legs already fused
+/// — a comm vector reads nothing but its own leg, so it is fused as
+/// soon as it is priced.
+#[derive(Debug, Clone)]
+struct CommEntry {
+    device_phy_area: f64,
+    device_bw_gb_s: f64,
+    fused: PairFused,
+}
+
+/// Both phases' fused vectors of one on-chip pair or comm signature,
+/// with the conjunction of their cleanliness proofs hoisted out so the
+/// per-point check is one local bool instead of four pointer chases.
+///
+/// The values live in a slab shared by every pair one sweep fused:
 /// prefill at `at..split`, decode at `split..end`. A cold sweep fusing
-/// hundreds of signatures makes one allocation instead of three per
-/// signature, so dropping a one-shot runner frees a few blocks rather
-/// than leaving thousands of small ones for the allocator to sort on the
-/// caller's next allocation.
+/// hundreds of pairs makes one allocation instead of three per pair, so
+/// dropping a one-shot runner frees a few blocks rather than leaving
+/// thousands of small ones for the allocator to sort on the caller's
+/// next allocation.
 #[derive(Debug, Clone)]
 struct PairFused {
     slab: Arc<Vec<f64>>,
     span: FusedSpan,
 }
 
-/// Where one signature's vectors sit in their slab, with their proofs.
+/// Where one entry's vectors sit in their slab, with their proofs.
 #[derive(Debug, Clone, Copy)]
 struct FusedSpan {
     at: usize,
@@ -83,16 +215,16 @@ impl PairFused {
     }
 }
 
-/// The fused vectors one sweep builds, appended to a single slab and
-/// handed out as [`PairFused`] views once the sweep's misses are fused.
+/// Fused vectors appended to a single slab and handed out as
+/// [`PairFused`] views once the last is pushed.
 struct SlabBuilder {
     values: Vec<f64>,
     spans: Vec<FusedSpan>,
 }
 
 impl SlabBuilder {
-    /// Room for `entries` signatures of `width` values each (both
-    /// phases), so the slab is allocated once at its final size.
+    /// Room for `entries` entries of `width` values each (both phases),
+    /// so the slab is allocated once at its final size.
     fn with_capacity(entries: usize, width: usize) -> Self {
         SlabBuilder {
             values: Vec::with_capacity(entries * width),
@@ -120,99 +252,56 @@ impl SlabBuilder {
     }
 }
 
-/// Fused-vector tables: one both-phase on-chip entry per (compute,
-/// memory) key pair, one both-phase comm entry per comm key. Persistent
-/// across sweeps through the runner (and through `AppState` in the
-/// server), so repeated `/v1/screen` grids and what-if fleets re-fuse
-/// nothing.
-#[derive(Debug, Default)]
-struct FusedTables {
-    onchip: RwLock<FxMap<(ComputeKey, MemoryKey), PairFused>>,
-    comm: RwLock<FxMap<CommKey, PairFused>>,
-}
-
-/// The lattice tables of one runner: per-phase fused vectors plus the
-/// per-dtype combine programs. Reset wherever the leg tables reset
-/// (device count, expert parallelism, datatype, calibration) —
-/// the fused values bake in the launch overhead and the priced legs.
-#[derive(Debug, Default)]
-pub(crate) struct LatticeSlot {
-    fused: FusedTables,
-    programs: RwLock<FxMap<u32, Arc<ProgramPair>>>,
-    /// Probe-derived per-signature constants, cached across sweeps.
-    /// Sound because every cached field depends only on the axes in its
-    /// own signature (the same invariant the broadcast itself rests on),
-    /// and each successful probe has already priced its leg into the
-    /// runner's persistent leg tables, which never evict. Failed
-    /// probes are not cached: failure can depend on the sweep's base
-    /// point, so they re-probe.
-    csig_cache: RwLock<FxMap<(u32, u32, u32, u32), ComputeSigData>>,
-    msig_cache: RwLock<FxMap<(u32, u64), MemorySigData>>,
-    wsig_cache: RwLock<FxMap<u64, CommSigData>>,
-}
-
-/// The compiled combine loops of one dtype's plan pair.
-#[derive(Debug)]
-struct ProgramPair {
-    prefill: CombineProgram,
-    decode: CombineProgram,
-}
-
-impl LatticeSlot {
-    /// The combine programs for one dtype width, compiled at most once
-    /// per runner (read-mostly after the first point of a sweep).
-    fn programs_for(&self, plans: &EvalPlans, dtype_bytes: u32) -> Arc<ProgramPair> {
-        if let Some(pair) =
-            self.programs.read().unwrap_or_else(PoisonError::into_inner).get(&dtype_bytes)
-        {
-            return Arc::clone(pair);
-        }
-        let built = Arc::new(ProgramPair {
-            prefill: CombineProgram::of(&plans.prefill),
-            decode: CombineProgram::of(&plans.decode),
-        });
-        let mut map = self.programs.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(dtype_bytes).or_insert(built))
-    }
-}
-
-/// Resolve each signature key through one of [`LatticeSlot`]'s
-/// persistent probe caches: a single read-lock pass serves the hits,
-/// the misses probe, and a single write-lock pass publishes the
-/// successful new entries. Failed probes are returned but never cached.
-fn cached_sig_data<K, D>(
-    cache: &RwLock<FxMap<K, D>>,
+/// Resolve each signature through one of the [`Memo`]'s signature maps:
+/// a single read-lock pass serves the hits, the misses probe, and a
+/// single write-lock pass publishes the successful probes. Failed probes
+/// are returned but never cached.
+///
+/// Every entry holds a leg vector per phase, so the
+/// `dse.factored.leg_hit`/`leg_miss` counters move by two per signature
+/// served and per signature priced.
+fn resolve<K, E>(
+    map: &RwLock<FxMap<K, E>>,
     keys: &[K],
-    probe: impl Fn(&K) -> Option<D>,
-) -> Vec<Option<D>>
+    mut probe: impl FnMut(&K) -> Option<E>,
+) -> Vec<Option<E>>
 where
-    K: std::hash::Hash + Eq + Copy,
-    D: Copy,
+    K: Hash + Eq + Copy,
+    E: Clone,
 {
-    let mut out: Vec<Option<D>> = vec![None; keys.len()];
+    static HITS: acs_telemetry::GlobalCounter =
+        acs_telemetry::GlobalCounter::new("dse.factored.leg_hit");
+    static MISSES: acs_telemetry::GlobalCounter =
+        acs_telemetry::GlobalCounter::new("dse.factored.leg_miss");
+    let mut out: Vec<Option<E>> = Vec::with_capacity(keys.len());
     let mut misses: Vec<usize> = Vec::new();
     {
-        let map = cache.read().unwrap_or_else(PoisonError::into_inner);
-        for (at, (slot, key)) in out.iter_mut().zip(keys).enumerate() {
-            match map.get(key) {
-                Some(&d) => *slot = Some(d),
-                None => misses.push(at),
+        let map = map.read().unwrap_or_else(PoisonError::into_inner);
+        for (at, key) in keys.iter().enumerate() {
+            let entry = map.get(key).cloned();
+            if entry.is_none() {
+                misses.push(at);
             }
+            out.push(entry);
         }
     }
+    HITS.add(2 * (keys.len() - misses.len()) as u64);
     if misses.is_empty() {
         return out;
     }
     for &at in &misses {
         out[at] = probe(&keys[at]);
     }
-    let mut map = cache.write().unwrap_or_else(PoisonError::into_inner);
+    let mut map = map.write().unwrap_or_else(PoisonError::into_inner);
     map.reserve(misses.len());
+    let mut priced = 0u64;
     for &at in &misses {
-        if let Some(d) = out[at] {
-            map.insert(keys[at], d);
+        if let Some(entry) = &out[at] {
+            map.insert(keys[at], entry.clone());
+            priced += 2;
         }
     }
+    MISSES.add(priced);
     out
 }
 
@@ -225,59 +314,57 @@ static FAST_POINTS: acs_telemetry::GlobalCounter =
 static FALLBACK_POINTS: acs_telemetry::GlobalCounter =
     acs_telemetry::GlobalCounter::new("dse.lattice.fallback_points");
 
-/// One compute signature's probe-derived constants: the dependency key,
-/// the area components that depend only on compute axes (assembled in
-/// the exact left-to-right order of `AreaBreakdown::total_mm2`), and
-/// the achieved TPP.
-#[derive(Debug, Clone, Copy)]
-struct ComputeSigData {
-    key: ComputeKey,
-    /// `(systolic + vector) + l1` — the first three addends.
-    partial_area: f64,
-    control: f64,
-    fixed: f64,
-    tpp: f64,
+/// One probe device priced for both phases in one plan walk each.
+struct Probe {
+    cfg: Arc<DeviceConfig>,
+    /// Prefill then decode.
+    legs: [PlanLegs; 2],
 }
 
-/// One memory signature's constants: key, L2 and HBM-PHY area addends,
-/// and the probe's round-tripped bandwidth for `SweptParams`.
-#[derive(Debug, Clone, Copy)]
-struct MemorySigData {
-    key: MemoryKey,
-    l2_area: f64,
-    hbm_phy_area: f64,
-    hbm_tb_s: f64,
-}
-
-/// One comm signature's constants: key (expert-parallel width already
-/// folded in), device-PHY area addend, round-tripped total bandwidth.
-#[derive(Debug, Clone, Copy)]
-struct CommSigData {
-    key: CommKey,
-    device_phy_area: f64,
-    device_bw_gb_s: f64,
-}
-
-/// The per-sweep broadcast context: programs, signature tables, and
-/// fused vectors, shared read-only by the point workers. The fused
-/// tables are dense — a pair lives at `ci * n_msigs + mi`, a comm at
-/// `wi` — so the per-point path is two indexed loads, no hashing.
+/// The per-sweep broadcast context: plans, signature entries, and fused
+/// on-chip vectors, shared read-only by the point workers. The pair
+/// table is dense — a pair lives at `ci * n_msigs + mi` — so the
+/// per-point path is indexed loads, no hashing.
 struct SweepCtx {
-    programs: Arc<ProgramPair>,
-    csig_data: Vec<Option<ComputeSigData>>,
-    msig_data: Vec<Option<MemorySigData>>,
-    wsig_data: Vec<Option<CommSigData>>,
+    plans: Arc<PhasePlans>,
+    compute: Vec<Option<ComputeEntry>>,
+    memory: Vec<Option<MemoryEntry>>,
+    comm: Vec<Option<CommEntry>>,
     /// Per candidate index: (compute, memory, comm) signature indices,
     /// `None` when the candidate fails validation.
     point_sigs: Vec<Option<(u32, u32, u32)>>,
     n_msigs: usize,
     /// Fused on-chip vectors, dense over (csig, msig); `None` demotes.
     pairs: Vec<Option<PairFused>>,
-    /// Fused comm vectors, dense over comm signatures.
-    comms: Vec<Option<PairFused>>,
 }
 
 impl DseRunner {
+    /// The plans and combine programs for one datatype width, built at
+    /// most once per memo (read-mostly after the first point of a
+    /// sweep).
+    pub(crate) fn plans_for(&self, dtype_bytes: u32) -> Result<Arc<PhasePlans>, AcsError> {
+        if let Some(plans) =
+            self.memo.plans.read().unwrap_or_else(PoisonError::into_inner).get(&dtype_bytes)
+        {
+            return Ok(Arc::clone(plans));
+        }
+        // Built outside the write lock; a racing builder just loses.
+        let plans = EvalPlans::build_parallel(
+            self.model(),
+            self.workload(),
+            self.device_count,
+            self.expert_parallel,
+            dtype_bytes,
+        )?;
+        let built = Arc::new(PhasePlans {
+            prefill: CombineProgram::of(&plans.prefill),
+            decode: CombineProgram::of(&plans.decode),
+            plans,
+        });
+        let mut map = self.memo.plans.write().unwrap_or_else(PoisonError::into_inner);
+        Ok(Arc::clone(map.entry(dtype_bytes).or_insert(built)))
+    }
+
     /// Evaluate raw sweep candidates with full fault isolation: a panic,
     /// an invalid candidate, or a numeric-invariant violation becomes a
     /// [`DesignFailure`] in the report instead of aborting the sweep.
@@ -346,20 +433,9 @@ impl DseRunner {
     }
 
     /// Evaluate a whole sweep at a TPP ceiling with
-    /// [`DseRunner::run_report`]. The lattice shape is read off the spec
-    /// first: the compute leg varies with the systolic dimension, lane
-    /// count, and L1 axes (the solved core count is a function of the
-    /// first two), the DRAM leg with the L2 and HBM axes, and the
-    /// collective leg with the device-bandwidth axis — so the leg tables
-    /// are pre-sized to the lattice's distinct key counts and never
-    /// rehash mid-sweep.
+    /// [`DseRunner::run_report`].
     #[must_use]
     pub fn run_lattice(&self, spec: &SweepSpec, tpp_target: f64) -> SweepReport {
-        self.factored.reserve(
-            spec.systolic_dims.len() * spec.lanes_per_core.len() * spec.l1_kib.len(),
-            spec.l2_mib.len() * spec.hbm_tb_s.len(),
-            spec.device_bw_gb_s.len(),
-        );
         self.run_report(&spec.candidates(tpp_target))
     }
 
@@ -372,44 +448,28 @@ impl DseRunner {
         })
     }
 
-    /// Build a probe device for one full parameter tuple, applying the
-    /// runner's datatype override exactly as `retyped` would.
-    fn build_probe(
-        &self,
-        dim: u32,
-        lanes: u32,
-        cores: u32,
-        l1: u32,
-        l2: u32,
-        hbm: f64,
-        bw: f64,
-    ) -> Result<DeviceConfig, AcsError> {
-        let cand = CandidateParams {
-            name: "lattice-probe".to_owned(),
-            systolic_dim: dim,
-            lanes_per_core: lanes,
-            core_count: cores,
-            l1_kib: l1,
-            l2_mib: l2,
-            hbm_tb_s: hbm,
-            device_bw_gb_s: bw,
-        };
-        let cfg = cand.build()?;
-        match self.datatype {
-            Some(dt) if dt != cfg.datatype() => {
-                let mut builder = cfg.to_builder();
-                builder.datatype(dt);
-                Ok(builder.build()?)
-            }
-            _ => Ok(cfg),
-        }
+    /// Build the device at `cand`'s axes, retyped as every evaluated
+    /// configuration is, and price both phases' legs. `None` on any
+    /// failure, a panic included.
+    fn probe(&self, plans: &EvalPlans, cand: &CandidateParams) -> Option<Probe> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let built = Arc::new(cand.build().ok()?);
+            let cfg = self.retyped(&built).ok()?.unwrap_or(built);
+            let system = SystemConfig::shared(Arc::clone(&cfg), self.device_count).ok()?;
+            let sim = Simulator::with_params(system, self.sim_params);
+            let legs = [sim.price_plan_legs(&plans.prefill), sim.price_plan_legs(&plans.decode)];
+            Some(Probe { cfg, legs })
+        }))
+        .ok()
+        .flatten()
     }
 
     /// The broadcast context of one sweep: classify candidates into
-    /// signatures, probe and price each signature once, and fuse
-    /// per-pair vectors, so that [`DseRunner::lattice_point`] reduces
-    /// every healthy point to scalar assembly plus two vector sums.
-    /// Returns `None` when a sweep-wide precondition fails.
+    /// signatures, resolve each signature through the memo (probing the
+    /// misses), and fuse per-pair vectors, so that
+    /// [`DseRunner::lattice_point`] reduces every healthy point to
+    /// scalar assembly plus two vector sums. Returns `None` when a
+    /// sweep-wide precondition fails.
     #[allow(clippy::too_many_lines)]
     fn sweep_ctx(&self, candidates: &[CandidateParams]) -> Option<SweepCtx> {
         if candidates.is_empty() || self.device_count == 0 {
@@ -421,8 +481,6 @@ impl DseRunner {
         }
         let eff_dt = self.datatype.unwrap_or(DataType::Fp16);
         let plans = self.plans_for(eff_dt.bytes()).ok()?;
-        let ep = plans.prefill.expert_parallel();
-        let programs = self.lattice.programs_for(&plans, eff_dt.bytes());
 
         // Classify every candidate into (compute, memory, comm)
         // signatures. Row-major sweeps change the compute key once per
@@ -433,18 +491,18 @@ impl DseRunner {
         // predicate of `CandidateParams::build` — is a conjunction of
         // per-key terms over the same axes, so it is decided once per
         // signature, not once per point.
-        let mut csig_ix: FxMap<(u32, u32, u32, u32), u32> = FxMap::default();
-        let mut csigs: Vec<(u32, u32, u32, u32)> = Vec::new();
+        let mut csig_ix: FxMap<ComputeSig, u32> = FxMap::default();
+        let mut csigs: Vec<ComputeSig> = Vec::new();
         let mut csig_ok: Vec<bool> = Vec::new();
-        let mut msig_ix: FxMap<(u32, u64), u32> = FxMap::default();
-        let mut msigs: Vec<(u32, f64)> = Vec::new();
+        let mut msig_ix: FxMap<MemorySig, u32> = FxMap::default();
+        let mut msigs: Vec<MemorySig> = Vec::new();
         let mut msig_ok: Vec<bool> = Vec::new();
-        let mut wsigs: Vec<f64> = Vec::new();
+        let mut wsigs: Vec<CommSig> = Vec::new();
         let mut wsig_ok: Vec<bool> = Vec::new();
         let mut point_sigs: Vec<Option<(u32, u32, u32)>> = Vec::with_capacity(candidates.len());
         let mut base: Option<usize> = None;
-        let mut last_c: Option<((u32, u32, u32, u32), u32)> = None;
-        let mut last_m: Option<((u32, u64), u32)> = None;
+        let mut last_c: Option<(ComputeSig, u32)> = None;
+        let mut last_m: Option<(MemorySig, u32)> = None;
         for cand in candidates {
             let ckey = (cand.systolic_dim, cand.lanes_per_core, cand.core_count, cand.l1_kib);
             let ci = match last_c {
@@ -469,7 +527,7 @@ impl DseRunner {
                 Some((key, ix)) if key == mkey => ix,
                 _ => {
                     let ix = *msig_ix.entry(mkey).or_insert_with(|| {
-                        msigs.push((cand.l2_mib, cand.hbm_tb_s));
+                        msigs.push(mkey);
                         let hbm_gb_s = cand.hbm_tb_s * 1000.0;
                         msig_ok.push(cand.l2_mib > 0 && hbm_gb_s.is_finite() && hbm_gb_s > 0.0);
                         (msigs.len() - 1) as u32
@@ -478,11 +536,11 @@ impl DseRunner {
                     ix
                 }
             };
-            let wbits = cand.device_bw_gb_s.to_bits();
-            let wi = match wsigs.iter().position(|w| w.to_bits() == wbits) {
+            let wkey = cand.device_bw_gb_s.to_bits();
+            let wi = match wsigs.iter().position(|&w| w == wkey) {
                 Some(at) => at as u32,
                 None => {
-                    wsigs.push(cand.device_bw_gb_s);
+                    wsigs.push(wkey);
                     let per_phy = cand.device_bw_gb_s / 12.0;
                     wsig_ok.push(per_phy.is_finite() && per_phy > 0.0);
                     (wsigs.len() - 1) as u32
@@ -499,232 +557,156 @@ impl DseRunner {
         // failure without any probe machinery.
         let base = &candidates[base?];
 
-        // Probe and price each signature once. Pricing goes through the
-        // runner's leg tables with a representative simulator, so a
-        // signature costs one plan walk per phase and later sweeps hit.
-        let probe_sig = |dim: u32, lanes: u32, cores: u32, l1: u32, l2: u32, hbm: f64, bw: f64| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let cfg = Arc::new(self.build_probe(dim, lanes, cores, l1, l2, hbm, bw).ok()?);
-                let system = SystemConfig::shared(Arc::clone(&cfg), self.device_count).ok()?;
-                let sim = Simulator::with_params(system, self.sim_params);
-                let mut keys = LegKeys::of(sim.system());
-                keys.comm.expert_parallel = ep;
-                self.factored.prefill.legs_for(&sim, &plans.prefill, &keys);
-                self.factored.decode.legs_for(&sim, &plans.decode, &keys);
-                Some((cfg, keys))
-            }))
-            .ok()
-            .flatten()
-        };
-        // Each kind's probe data is a pure function of its own signature
-        // (the very invariant that lets one probe price a whole row), so
-        // hits in the persistent caches skip the probe build entirely.
-        let csig_data: Vec<Option<ComputeSigData>> = cached_sig_data(
-            &self.lattice.csig_cache,
-            &csigs,
-            |&(dim, lanes, cores, l1)| {
-                let (cfg, keys) = probe_sig(
-                    dim,
-                    lanes,
-                    cores,
-                    l1,
-                    base.l2_mib,
-                    base.hbm_tb_s,
-                    base.device_bw_gb_s,
-                )?;
-                let b = self.area_model.die_area(&cfg);
-                Some(ComputeSigData {
-                    key: keys.compute,
+        // Resolve every signature through the memo. A miss probes the
+        // device at the signature's own axes and the base point's
+        // others, and keeps only the signature's own leg: each kind's
+        // entry is a pure function of its own signature (the invariant
+        // that lets one probe price a whole row). Each kind's base
+        // signature probes the base point itself, so that one walk is
+        // shared and each kind takes its own legs from it.
+        let mut base_probe: Option<Option<Probe>> = None;
+        let compute: Vec<Option<ComputeEntry>> =
+            resolve(&self.memo.compute, &csigs, |&(dim, lanes, cores, l1)| {
+                let mut fresh;
+                let p = if (dim, lanes, cores, l1)
+                    == (base.systolic_dim, base.lanes_per_core, base.core_count, base.l1_kib)
+                {
+                    base_probe.get_or_insert_with(|| self.probe(&plans.plans, base)).as_mut()?
+                } else {
+                    let cand = CandidateParams {
+                        systolic_dim: dim,
+                        lanes_per_core: lanes,
+                        core_count: cores,
+                        l1_kib: l1,
+                        ..base.clone()
+                    };
+                    fresh = self.probe(&plans.plans, &cand)?;
+                    &mut fresh
+                };
+                let b = self.area_model.die_area(&p.cfg);
+                let [prefill, decode] = &mut p.legs;
+                Some(ComputeEntry {
+                    key: ComputeKey::of(&p.cfg),
                     partial_area: (b.systolic + b.vector) + b.l1,
                     control: b.control,
                     fixed: b.fixed,
-                    tpp: cfg.tpp().0,
+                    tpp: p.cfg.tpp().0,
+                    legs: Arc::new([
+                        std::mem::take(&mut prefill.compute),
+                        std::mem::take(&mut decode.compute),
+                    ]),
                 })
-            },
-        );
-        let msigs_keyed: Vec<(u32, u64)> =
-            msigs.iter().map(|&(l2, hbm)| (l2, hbm.to_bits())).collect();
-        let msig_data: Vec<Option<MemorySigData>> = cached_sig_data(
-            &self.lattice.msig_cache,
-            &msigs_keyed,
-            |&(l2, hbm_bits)| {
-                let (cfg, keys) = probe_sig(
-                    base.systolic_dim,
-                    base.lanes_per_core,
-                    base.core_count,
-                    base.l1_kib,
-                    l2,
-                    f64::from_bits(hbm_bits),
-                    base.device_bw_gb_s,
-                )?;
-                let b = self.area_model.die_area(&cfg);
-                Some(MemorySigData {
-                    key: keys.memory,
+            });
+        let memory: Vec<Option<MemoryEntry>> =
+            resolve(&self.memo.memory, &msigs, |&(l2, hbm_bits)| {
+                let mut fresh;
+                let p = if (l2, hbm_bits) == (base.l2_mib, base.hbm_tb_s.to_bits()) {
+                    base_probe.get_or_insert_with(|| self.probe(&plans.plans, base)).as_mut()?
+                } else {
+                    let cand = CandidateParams {
+                        l2_mib: l2,
+                        hbm_tb_s: f64::from_bits(hbm_bits),
+                        ..base.clone()
+                    };
+                    fresh = self.probe(&plans.plans, &cand)?;
+                    &mut fresh
+                };
+                let b = self.area_model.die_area(&p.cfg);
+                let [prefill, decode] = &mut p.legs;
+                Some(MemoryEntry {
+                    key: MemoryKey::of(&p.cfg),
                     l2_area: b.l2,
                     hbm_phy_area: b.hbm_phy,
-                    hbm_tb_s: cfg.hbm().bandwidth_tb_s(),
+                    hbm_tb_s: p.cfg.hbm().bandwidth_tb_s(),
+                    legs: Arc::new([
+                        std::mem::take(&mut prefill.memory),
+                        std::mem::take(&mut decode.memory),
+                    ]),
                 })
-            },
-        );
-        let wsigs_keyed: Vec<u64> = wsigs.iter().map(|w| w.to_bits()).collect();
-        let wsig_data: Vec<Option<CommSigData>> = cached_sig_data(
-            &self.lattice.wsig_cache,
-            &wsigs_keyed,
-            |&bw_bits| {
-                let (cfg, keys) = probe_sig(
-                    base.systolic_dim,
-                    base.lanes_per_core,
-                    base.core_count,
-                    base.l1_kib,
-                    base.l2_mib,
-                    base.hbm_tb_s,
-                    f64::from_bits(bw_bits),
-                )?;
-                let b = self.area_model.die_area(&cfg);
-                Some(CommSigData {
-                    key: keys.comm,
-                    device_phy_area: b.device_phy,
-                    device_bw_gb_s: cfg.phy().total_gb_s(),
-                })
-            },
-        );
+            });
+        let comm: Vec<Option<CommEntry>> = resolve(&self.memo.comm, &wsigs, |&bw_bits| {
+            let fresh;
+            let p = if bw_bits == base.device_bw_gb_s.to_bits() {
+                base_probe.get_or_insert_with(|| self.probe(&plans.plans, base)).as_ref()?
+            } else {
+                let cand =
+                    CandidateParams { device_bw_gb_s: f64::from_bits(bw_bits), ..base.clone() };
+                fresh = self.probe(&plans.plans, &cand)?;
+                &fresh
+            };
+            let b = self.area_model.die_area(&p.cfg);
+            let mut slab = SlabBuilder::with_capacity(1, plans.prefill.len() + plans.decode.len());
+            slab.push(
+                &plans.prefill.fuse_comm(&p.legs[0].comm, overhead),
+                &plans.decode.fuse_comm(&p.legs[1].comm, overhead),
+            );
+            Some(CommEntry {
+                device_phy_area: b.device_phy,
+                device_bw_gb_s: p.cfg.phy().total_gb_s(),
+                fused: slab.finish().pop()?,
+            })
+        });
+
         // Fuse the on-chip vector of every (compute, memory) pair that
-        // actually occurs, and the comm vector of every comm signature —
-        // consulting the persistent tables first. Distinct pairs are
-        // walked once (not once per point), and warm lookups share one
-        // read-lock acquisition per phase table.
-        let base_keys = point_sigs
-            .iter()
-            .flatten()
-            .next()
-            .and_then(|&(ci, mi, wi)| {
-                Some(LegKeys {
-                    compute: csig_data[ci as usize]?.key,
-                    memory: msig_data[mi as usize]?.key,
-                    comm: wsig_data[wi as usize]?.key,
-                })
-            })?;
+        // actually occurs, consulting the memo first. Distinct pairs are
+        // walked once (not once per point), warm lookups share one
+        // read-lock acquisition, and a miss fuses straight from the legs
+        // its two signatures just resolved.
         let n_msigs = msigs.len();
         let mut pair_list: Vec<(u32, u32)> = Vec::with_capacity(csigs.len() * n_msigs);
-        let mut comm_list: Vec<u32> = Vec::new();
         {
             let mut pair_seen = vec![false; csigs.len() * n_msigs];
-            let mut comm_seen = vec![false; wsigs.len()];
-            for &(ci, mi, wi) in point_sigs.iter().flatten() {
+            for &(ci, mi, _) in point_sigs.iter().flatten() {
                 let at = ci as usize * n_msigs + mi as usize;
                 if !pair_seen[at] {
                     pair_seen[at] = true;
                     pair_list.push((ci, mi));
                 }
-                if !comm_seen[wi as usize] {
-                    comm_seen[wi as usize] = true;
-                    comm_list.push(wi);
-                }
             }
         }
         let mut pairs: Vec<Option<PairFused>> = vec![None; csigs.len() * n_msigs];
-        let mut misses: Vec<(u32, u32)> = Vec::with_capacity(pair_list.len());
+        let mut misses: Vec<(usize, &ComputeEntry, &MemoryEntry)> =
+            Vec::with_capacity(pair_list.len());
         let mut hits = 0u64;
         {
-            let map = self.lattice.fused.onchip.read().unwrap_or_else(PoisonError::into_inner);
+            let map = self.memo.onchip.read().unwrap_or_else(PoisonError::into_inner);
             for &(ci, mi) in &pair_list {
-                let (Some(cs), Some(ms)) = (csig_data[ci as usize], msig_data[mi as usize])
-                else {
+                let (Some(cs), Some(ms)) = (&compute[ci as usize], &memory[mi as usize]) else {
                     continue;
                 };
+                let at = ci as usize * n_msigs + mi as usize;
                 match map.get(&(cs.key, ms.key)) {
                     Some(f) => {
                         hits += 1;
-                        pairs[ci as usize * n_msigs + mi as usize] = Some(f.clone());
+                        pairs[at] = Some(f.clone());
                     }
-                    None => misses.push((ci, mi)),
-                }
-            }
-        }
-        let mut comms: Vec<Option<PairFused>> = vec![None; wsigs.len()];
-        let mut comm_misses: Vec<u32> = Vec::new();
-        {
-            let map = self.lattice.fused.comm.read().unwrap_or_else(PoisonError::into_inner);
-            for &wi in &comm_list {
-                let Some(ws) = wsig_data[wi as usize] else { continue };
-                match map.get(&ws.key) {
-                    Some(f) => {
-                        hits += 1;
-                        comms[wi as usize] = Some(f.clone());
-                    }
-                    None => comm_misses.push(wi),
+                    None => misses.push((at, cs, ms)),
                 }
             }
         }
         FUSED_HIT.add(hits);
         // Fuse every miss into one slab, then publish the whole batch
-        // under one write lock per table. A racing sweep that published
-        // the same key first wins, and both read its entry.
-        let mut slab = SlabBuilder::with_capacity(
-            misses.len() + comm_misses.len(),
-            programs.prefill.len() + programs.decode.len(),
-        );
-        let mut onchip_new: Vec<(usize, (ComputeKey, MemoryKey))> =
-            Vec::with_capacity(misses.len());
-        for &(ci, mi) in &misses {
-            let (Some(cs), Some(ms)) = (csig_data[ci as usize], msig_data[mi as usize]) else {
-                continue;
-            };
-            let keys = LegKeys { compute: cs.key, memory: ms.key, comm: base_keys.comm };
-            let (Some((cp, mp, _)), Some((cd, md, _))) =
-                (self.factored.prefill.get(&keys), self.factored.decode.get(&keys))
-            else {
-                continue;
-            };
-            slab.push(
-                &programs.prefill.fuse_onchip(&cp, &mp, overhead),
-                &programs.decode.fuse_onchip(&cd, &md, overhead),
-            );
-            onchip_new.push((ci as usize * n_msigs + mi as usize, (cs.key, ms.key)));
-        }
-        let mut comm_new: Vec<(usize, CommKey)> = Vec::new();
-        for &wi in &comm_misses {
-            let Some(ws) = wsig_data[wi as usize] else { continue };
-            let keys =
-                LegKeys { compute: base_keys.compute, memory: base_keys.memory, comm: ws.key };
-            let (Some((_, _, wp)), Some((_, _, wd))) =
-                (self.factored.prefill.get(&keys), self.factored.decode.get(&keys))
-            else {
-                continue;
-            };
-            slab.push(
-                &programs.prefill.fuse_comm(&wp, overhead),
-                &programs.decode.fuse_comm(&wd, overhead),
-            );
-            comm_new.push((wi as usize, ws.key));
-        }
-        let fused = slab.finish();
-        FUSED_BUILT.add(fused.len() as u64);
-        let (onchip_fused, comm_fused) = fused.split_at(onchip_new.len());
-        if !onchip_new.is_empty() {
-            let mut map = self.lattice.fused.onchip.write().unwrap_or_else(PoisonError::into_inner);
-            map.reserve(onchip_new.len());
-            for (&(at, key), f) in onchip_new.iter().zip(onchip_fused) {
-                pairs[at] = Some(map.entry(key).or_insert_with(|| f.clone()).clone());
+        // under one write lock. A racing sweep that published the same
+        // key first wins, and both read its entry.
+        if !misses.is_empty() {
+            let mut slab =
+                SlabBuilder::with_capacity(misses.len(), plans.prefill.len() + plans.decode.len());
+            for (_, cs, ms) in &misses {
+                slab.push(
+                    &plans.prefill.fuse_onchip(&cs.legs[0], &ms.legs[0], overhead),
+                    &plans.decode.fuse_onchip(&cs.legs[1], &ms.legs[1], overhead),
+                );
             }
-        }
-        if !comm_new.is_empty() {
-            let mut map = self.lattice.fused.comm.write().unwrap_or_else(PoisonError::into_inner);
-            for (&(at, key), f) in comm_new.iter().zip(comm_fused) {
-                comms[at] = Some(map.entry(key).or_insert_with(|| f.clone()).clone());
+            let fused = slab.finish();
+            FUSED_BUILT.add(fused.len() as u64);
+            let mut map = self.memo.onchip.write().unwrap_or_else(PoisonError::into_inner);
+            map.reserve(misses.len());
+            for ((at, cs, ms), f) in misses.iter().zip(fused) {
+                pairs[*at] = Some(map.entry((cs.key, ms.key)).or_insert(f).clone());
             }
         }
 
-        Some(SweepCtx {
-            programs,
-            csig_data,
-            msig_data,
-            wsig_data,
-            point_sigs,
-            n_msigs,
-            pairs,
-            comms,
-        })
+        Some(SweepCtx { plans, compute, memory, comm, point_sigs, n_msigs, pairs })
     }
 
     /// Evaluate one contiguous chunk of the sweep into `report`. Without
@@ -784,11 +766,11 @@ impl DseRunner {
     ) -> Option<EvaluatedDesign> {
         let (ci, mi, wi) = sigs;
         let (ci, mi, wi) = (ci as usize, mi as usize, wi as usize);
-        let cs = ctx.csig_data[ci].as_ref()?;
-        let ms = ctx.msig_data[mi].as_ref()?;
-        let ws = ctx.wsig_data[wi].as_ref()?;
+        let cs = ctx.compute[ci].as_ref()?;
+        let ms = ctx.memory[mi].as_ref()?;
+        let ws = ctx.comm[wi].as_ref()?;
         let pair = ctx.pairs[ci * ctx.n_msigs + mi].as_ref()?;
-        let comm = ctx.comms[wi].as_ref()?;
+        let comm = &ws.fused;
         if !(pair.span.clean && comm.span.clean) {
             return None;
         }
@@ -822,13 +804,13 @@ impl DseRunner {
         if !(good_die_cost_usd.is_finite() && good_die_cost_usd > 0.0) {
             return None;
         }
-        let ttft_s = ctx.programs.prefill.try_ttft(pair.prefill(), comm.prefill()).ok()?;
-        let tbt_s = ctx.programs.decode.try_tbt(pair.decode(), comm.decode()).ok()?;
+        let ttft_s = ctx.plans.prefill.try_ttft(pair.prefill(), comm.prefill()).ok()?;
+        let tbt_s = ctx.plans.decode.try_tbt(pair.decode(), comm.decode()).ok()?;
         if let Some(tally) = tally {
-            let programs = &ctx.programs;
+            let plans = &ctx.plans;
             let (pair, comm) = (&pair.span.class_sums, &comm.span.class_sums);
-            tally.add_layer(programs.prefill.phase(), &pair[0], &comm[0]);
-            tally.add_layer(programs.decode.phase(), &pair[1], &comm[1]);
+            tally.add_layer(plans.prefill.phase(), &pair[0], &comm[0]);
+            tally.add_layer(plans.decode.phase(), &pair[1], &comm[1]);
         }
         Some(EvaluatedDesign {
             name: cand.name.clone(),
@@ -936,6 +918,18 @@ mod tests {
         }
     }
 
+    /// The memo's map sizes: plans, compute, memory, comm, on-chip pairs.
+    fn memo_sizes(r: &DseRunner) -> [usize; 5] {
+        let m = &r.memo;
+        [
+            m.plans.read().unwrap().len(),
+            m.compute.read().unwrap().len(),
+            m.memory.read().unwrap().len(),
+            m.comm.read().unwrap().len(),
+            m.onchip.read().unwrap().len(),
+        ]
+    }
+
     #[test]
     fn fused_tables_persist_across_sweeps() {
         let r = runner();
@@ -944,16 +938,84 @@ mod tests {
         // 4 compute keys x 2 memory keys = 8 on-chip pairs; 1 comm key.
         // Both phases live in one PairFused entry, so the merged table
         // holds exactly one entry per distinct pair.
-        let sizes = |t: &FusedTables| {
-            (
-                t.onchip.read().unwrap().len(),
-                t.comm.read().unwrap().len(),
-            )
+        let sizes = |r: &DseRunner| {
+            let [.., comm, onchip] = memo_sizes(r);
+            (onchip, comm)
         };
-        let after_first = sizes(&r.lattice.fused);
+        let after_first = sizes(&r);
         assert_eq!(after_first, (8, 1));
         let _ = r.run_lattice(&spec, 4800.0);
-        let after_second = sizes(&r.lattice.fused);
+        let after_second = sizes(&r);
         assert_eq!(after_second, after_first, "re-running the sweep must re-fuse nothing");
+    }
+
+    #[test]
+    fn memo_holds_one_entry_per_signature() {
+        for spec in [small_spec(), SweepSpec::table3_fig7(), SweepSpec::table5()] {
+            let r = runner();
+            let candidates = spec.candidates(2400.0);
+            let _ = r.run_report(&candidates);
+            let distinct = |key: &dyn Fn(&CandidateParams) -> Vec<u64>| {
+                let mut keys: Vec<Vec<u64>> = candidates.iter().map(key).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys.len()
+            };
+            let compute = distinct(&|c| {
+                [c.systolic_dim, c.lanes_per_core, c.core_count, c.l1_kib].map(u64::from).to_vec()
+            });
+            let memory = distinct(&|c| vec![u64::from(c.l2_mib), c.hbm_tb_s.to_bits()]);
+            let comm = distinct(&|c| vec![c.device_bw_gb_s.to_bits()]);
+            let pairs = distinct(&|c| {
+                [c.systolic_dim, c.lanes_per_core, c.core_count, c.l1_kib, c.l2_mib]
+                    .map(u64::from)
+                    .into_iter()
+                    .chain([c.hbm_tb_s.to_bits()])
+                    .collect()
+            });
+            let cold = memo_sizes(&r);
+            assert_eq!(cold, [1, compute, memory, comm, pairs], "{} points", candidates.len());
+            let _ = r.run_report(&candidates);
+            assert_eq!(memo_sizes(&r), cold, "a repeated sweep must add no entry");
+        }
+    }
+
+    #[test]
+    fn every_builder_starts_a_new_memo() {
+        let moe = || DseRunner::new(ModelConfig::mixtral_8x7b(), WorkloadConfig::paper_default());
+        type Builder = fn(DseRunner) -> DseRunner;
+        let builders: [(&str, Builder); 4] = [
+            ("device_count", |r| r.with_device_count(8)),
+            ("expert_parallel", |r| r.with_expert_parallel(2)),
+            ("datatype", |r| r.with_datatype(DataType::Int8)),
+            ("sim_params", |r| {
+                let mut params = acs_sim::SimParams::calibrated();
+                params.op_overhead_s *= 2.0;
+                r.with_sim_params(params)
+            }),
+        ];
+        let candidates = small_spec().candidates(4800.0);
+        for (builder, configure) in &builders {
+            let warmed = moe();
+            let before = warmed.run_report(&candidates);
+            // The clone shares the warmed memo until the builder runs.
+            let reused = configure(warmed.clone());
+            assert_eq!(memo_sizes(&reused), [0; 5], "{builder}: the memo must start empty");
+            let got = reused.run_report(&candidates);
+            let fresh = configure(moe()).run_report(&candidates);
+            assert!(got.failures.is_empty(), "{builder}: {:?}", got.failures);
+            assert_eq!(got.designs.len(), candidates.len(), "{builder}");
+            assert_ne!(got.designs, before.designs, "{builder} must move the designs");
+            let per_point = per_point(&reused, &candidates);
+            for (((i, g), (_, f)), p) in got.designs.iter().zip(&fresh.designs).zip(per_point) {
+                let p = p.unwrap();
+                assert_eq!(g, &p, "{builder}: point {i}");
+                for (x, y) in [(g, f), (g, &p)] {
+                    assert_eq!(x.ttft_s.to_bits(), y.ttft_s.to_bits(), "{builder}: point {i}");
+                    assert_eq!(x.tbt_s.to_bits(), y.tbt_s.to_bits(), "{builder}: point {i}");
+                }
+            }
+            assert_eq!(got.designs, fresh.designs, "{builder}");
+        }
     }
 }

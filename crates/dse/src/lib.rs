@@ -8,9 +8,9 @@
 //!
 //! One driver prices every sweep: the lattice engine
 //! ([`DseRunner::run_report`], [`DseRunner::run_lattice`],
-//! [`DseRunner::run`]) prices each distinct cost leg once in the
-//! runner's persistent leg tables and reduces a grid point to a fused
-//! vector sum. Any point it cannot prove clean — and every point of a
+//! [`DseRunner::run`]) prices each distinct cost leg once, per
+//! signature (the axis tuple the leg reads), into the runner's
+//! persistent memo and reduces a grid point to a fused vector sum. Any point it cannot prove clean — and every point of a
 //! sweep whose shared preconditions fail — is demoted to the per-point
 //! evaluator, which prices one design against layer plans shared across
 //! the runner. That evaluator also answers single designs
@@ -43,7 +43,6 @@
 
 pub mod checkpoint;
 pub mod evaluate;
-mod factored;
 pub mod faultinject;
 mod lattice;
 pub mod packaged;

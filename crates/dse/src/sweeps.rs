@@ -145,15 +145,21 @@ impl SweepSpec {
         }
     }
 
-    /// Number of sweep points (before TPP feasibility filtering).
+    /// Number of sweep points (before TPP feasibility filtering),
+    /// saturating at `usize::MAX`: a product of request-sized axis
+    /// lengths must never wrap to a count that passes a ceiling.
     #[must_use]
     pub fn cardinality(&self) -> usize {
-        self.systolic_dims.len()
-            * self.lanes_per_core.len()
-            * self.l1_kib.len()
-            * self.l2_mib.len()
-            * self.hbm_tb_s.len()
-            * self.device_bw_gb_s.len()
+        [
+            self.systolic_dims.len(),
+            self.lanes_per_core.len(),
+            self.l1_kib.len(),
+            self.l2_mib.len(),
+            self.hbm_tb_s.len(),
+            self.device_bw_gb_s.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Materialise the sweep as raw candidates, core counts solved to sit
@@ -228,6 +234,22 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cardinality_saturates_instead_of_wrapping() {
+        // 2048^6 = 2^66 wraps to 0 in a plain product.
+        let wide = vec![1; 2048];
+        let spec = SweepSpec {
+            systolic_dims: wide.clone(),
+            lanes_per_core: wide.clone(),
+            l1_kib: wide.clone(),
+            l2_mib: wide,
+            hbm_tb_s: vec![1.0; 2048],
+            device_bw_gb_s: vec![1.0; 2048],
+        };
+        assert_eq!(spec.cardinality(), usize::MAX);
+        assert_eq!(SweepSpec { l1_kib: Vec::new(), ..spec }.cardinality(), 0);
+    }
 
     #[test]
     fn table3_cardinalities_match_paper() {

@@ -326,9 +326,9 @@ impl Scenario {
     /// expert-parallel degree, and every evaluated configuration is
     /// retyped to the scenario's operand format before pricing. Each
     /// scenario should hold on to ONE runner per service lifetime — the
-    /// runner's lattice leg tables are per-instance, so reuse across
-    /// requests is what turns the scenario axis into table hits instead
-    /// of re-priced graphs. (Pipeline stages are not part of the node
+    /// runner's lattice memo is per-instance, so reuse across requests
+    /// is what turns the scenario axis into memo hits instead of
+    /// re-priced graphs. (Pipeline stages are not part of the node
     /// the runner simulates; use `acs_sim::pipeline_latency`-style
     /// accounting — via the repro targets — for the pipeline dimension.)
     #[must_use]

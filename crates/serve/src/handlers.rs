@@ -9,7 +9,8 @@
 //! /v1/screen` or `POST /v1/simulate` is answered by its worker's raw
 //! front cache before it reaches this module; everything else is
 //! computed here from the persistent lower layers — the lattice runners'
-//! leg tables and fused vectors, the plan store, the step-cost cache.
+//! memos of signature legs and fused vectors, the plan store, the
+//! step-cost cache.
 //! `POST /v1/whatif` streams its answer and is never raw-cached, so it
 //! keeps a response cache of its own, keyed on a *normalised* form of
 //! the request (defaults filled in, members in fixed order): two JSON
@@ -30,7 +31,7 @@ use acs_policy::{
 use acs_scenarios::{Scenario, ScenarioRegistry};
 use acs_sim::{simulate_serving_cached, PlanStore, ServingConfig, Simulator, StepCostCache};
 use acs_telemetry::{Counter, Histogram, Registry};
-use acs_whatif::{WhatIfEngine, WhatIfRequest, RuleGrid};
+use acs_whatif::{WhatIfEngine, WhatIfRequest};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -63,11 +64,12 @@ pub struct AppState {
     plan_store: PlanStore,
     // The named-scenario registry and one persistent runner per scenario
     // the service has priced under (keyed by scenario digest): the grid
-    // and what-if fleet evaluators. Each runner's leg tables and the
-    // fused lattice vectors built over them persist for the service's
-    // lifetime, so every request prices only the legs no earlier request
-    // under its scenario has priced. A moe-mixtral grid warms the MoE
-    // legs without touching the dense default's tables, and a request
+    // and what-if fleet evaluators. Each runner's memo of signature legs
+    // and the fused lattice vectors built over them persists for the
+    // service's lifetime, so every request prices only the legs no
+    // earlier request under its scenario has priced. A moe-mixtral grid
+    // warms the MoE legs without touching the dense default's memo, and a
+    // request
     // naming no scenario prices on `DEFAULT_SCENARIO`'s runner. Only
     // registered scenarios keep one.
     scenarios: ScenarioRegistry,
@@ -153,9 +155,9 @@ impl AppState {
     }
 
     /// The persistent runner for one registered scenario, created on
-    /// first use and kept for the service's lifetime: its lattice leg
-    /// tables are what turn repeated grids under the same scenario into
-    /// table hits. An inline spec equal to a registered scenario shares
+    /// first use and kept for the service's lifetime: its lattice memo
+    /// is what turns repeated grids under the same scenario into memo
+    /// hits. An inline spec equal to a registered scenario shares
     /// its runner. Any other inline spec prices on a fresh runner that is
     /// dropped with its request: its digest covers a free-form name and
     /// workload integers, so clients could mint runners without limit.
@@ -598,7 +600,7 @@ fn parse_grid(
         }
         Some(v) => vec![registry.resolve(v)?],
     };
-    let points = sweep.cardinality() * scenarios.len().max(1);
+    let points = sweep.cardinality().saturating_mul(scenarios.len().max(1));
     if points > MAX_GRID_POINTS {
         return Err(AcsError::invalid_config(
             "grid",
@@ -763,27 +765,6 @@ fn screen(state: &AppState, body: &str) -> Result<String, AcsError> {
     .to_json())
 }
 
-/// Normalised canonical form of a rule grid for cache keys: every axis
-/// filled in (the parser defaults missing axes to their published
-/// values), so `{"rule":{...}}` and the equivalent one-point
-/// `{"grid":{...}}` share one cache entry.
-fn whatif_fingerprint(grid: &RuleGrid) -> Value {
-    let axis = |xs: &[f64]| Value::Array(xs.iter().copied().map(Value::Number).collect());
-    object(vec![
-        ("tpp_threshold_2022", axis(&grid.tpp_threshold_2022)),
-        ("device_bw_threshold_2022", axis(&grid.device_bw_threshold_2022)),
-        ("tpp_license", axis(&grid.tpp_license)),
-        ("tpp_floor", axis(&grid.tpp_floor)),
-        ("tpp_nac", axis(&grid.tpp_nac)),
-        ("pd_license", axis(&grid.pd_license)),
-        ("pd_nac_high", axis(&grid.pd_nac_high)),
-        ("pd_nac_low", axis(&grid.pd_nac_low)),
-        ("mem_bw_license", axis(&grid.mem_bw_license)),
-        ("hbm_control_density", axis(&grid.hbm_control_density)),
-        ("hbm_exception_density", axis(&grid.hbm_exception_density)),
-    ])
-}
-
 /// Compute — or replay from the response cache — the `/v1/whatif` line
 /// stream: one canonical-JSON record per rule variant in grid order,
 /// then one summary trailer line. On a cache miss each line reaches
@@ -819,7 +800,9 @@ where
     let request = WhatIfRequest::from_json(&parsed)?;
     let mut key_members = vec![
         ("v", Value::String("whatif-v1".to_owned())),
-        ("grid", whatif_fingerprint(&request.grid)),
+        // Every axis filled in, so `{"rule":{...}}` and the equivalent
+        // one-point `{"grid":{...}}` share one cache entry.
+        ("grid", request.grid.to_json_value()),
         ("tpp", Value::Number(request.tpp_target)),
     ];
     if let Some(s) = &scenario {
@@ -1538,14 +1521,24 @@ mod tests {
             hbm = "[1,2,3,4,5,6,7,8]",
             bw = "[1,2,3,4,5,6,7,8]",
         );
-        let (status, response) = post(&state, "/v1/screen", &body);
-        assert_eq!(status, 400, "{}", response.to_json());
-        assert_eq!(
-            response.get("error").unwrap().get("kind").unwrap().as_str(),
-            Some("invalid_config")
+        // Six 2048-entry axes: 2^66 points, which a wrapping product
+        // counts as 0.
+        let axis = format!("[{}]", vec!["1"; 2048].join(","));
+        let wrapping = format!(
+            "{{\"grid\":{{\"systolic_dims\":{axis},\"lanes_per_core\":{axis},\
+             \"l1_kib\":{axis},\"l2_mib\":{axis},\"hbm_tb_s\":{axis},\
+             \"device_bw_gb_s\":{axis},\"tpp_target\":4800}}}}"
         );
-        // The parser's point ceiling rejected it, before evaluation.
-        assert!(response.to_json().contains("request ceiling"), "{}", response.to_json());
+        for body in [body, wrapping] {
+            let (status, response) = post(&state, "/v1/screen", &body);
+            assert_eq!(status, 400, "{}", response.to_json());
+            assert_eq!(
+                response.get("error").unwrap().get("kind").unwrap().as_str(),
+                Some("invalid_config")
+            );
+            // The parser's point ceiling rejected it, before evaluation.
+            assert!(response.to_json().contains("request ceiling"), "{}", response.to_json());
+        }
     }
 
     #[test]
@@ -1843,6 +1836,19 @@ mod tests {
             let (status, response) = post(&state, "/v1/whatif", body);
             assert_eq!(status, 400, "body {body:?} -> {}", response.to_json());
         }
+        // Eleven 64-value axes: 2^66 variants, which a wrapping product
+        // counts as 0.
+        let axes: Vec<String> = acs_whatif::grid::AXES
+            .iter()
+            .map(|axis| format!("\"{axis}\":[{}]", vec!["1"; 64].join(",")))
+            .collect();
+        let wrapping = format!("{{\"grid\":{{{}}}}}", axes.join(","));
+        let (status, response) = post(&state, "/v1/whatif", &wrapping);
+        assert_eq!(status, 400, "{}", response.to_json());
+        assert_eq!(
+            response.get("error").unwrap().get("kind").unwrap().as_str(),
+            Some("invalid_config")
+        );
         // Rejected before the fleet was priced or anything was cached.
         assert_eq!(state.cache_stats()[1].misses, 0);
         let (status, _) = handle_lane(

@@ -114,8 +114,8 @@ impl MemoryKey {
 /// group size, and topology — all the wire model reads — plus the
 /// operand datatype. The wire model itself is dtype-blind, but the byte
 /// counts it prices come from the plan's all-reduce operators, and those
-/// scale with the operand width; carrying the datatype keeps a leg table
-/// keyed by `CommKey` safe across mixed-dtype sweeps.
+/// scale with the operand width; carrying the datatype keeps two
+/// collective legs of different operand widths from ever sharing a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommKey {
     /// One-direction device bandwidth in GB/s, bit-exact.
@@ -195,8 +195,8 @@ pub struct MemoryLeg {
 
 /// One plan priced into its three leg vectors, index-aligned with the
 /// plan's operator list. Each vector depends only on its own
-/// [`LegKeys`] component, so a sweep evaluator can cache them in
-/// independent per-key tables.
+/// [`LegKeys`] component, so a sweep evaluator can keep each one with
+/// the signature that determines it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanLegs {
     /// Per-op compute/L2 legs (keyed by [`ComputeKey`]).
@@ -674,7 +674,7 @@ mod tests {
         // Truncated vectors are a typed length error, never an OOB panic.
         let err = program.try_ttft(&onchip.values[1..], &comm.values).unwrap_err();
         assert!(err.to_string().contains("cannot price"), "{err}");
-        // Mismatched leg tables fuse unclean instead of panicking.
+        // Mismatched leg vectors fuse unclean instead of panicking.
         assert!(!program.fuse_onchip(&legs.compute[1..], &legs.memory, overhead).clean);
         assert!(!program.fuse_comm(&legs.comm[1..], overhead).clean);
     }

@@ -72,7 +72,7 @@ impl fmt::Display for EvalPath {
 pub enum Transform {
     /// No change: the arm differs only by its [`EvalPath`].
     Identity,
-    /// Seeded Fisher–Yates shuffle of the candidate list. Leg tables and
+    /// Seeded Fisher–Yates shuffle of the candidate list. The memo and
     /// plans key on parameter *values*, not sweep positions, so the same
     /// candidates in any order must produce the same result *set*;
     /// comparison switches to set discipline automatically.

@@ -285,7 +285,7 @@ fn http_bases() -> Vec<Vec<u8>> {
         post("/v1/simulate", "{\"model\":\"llama3-8b\",\"trace\":{\"duration_s\":1}}"),
         // The what-if surface: baseline, single-rule, and rule-grid
         // request shapes (all at the default TPP target, so the synthetic
-        // fleet is priced once per fuzz state and reused from leg tables).
+        // fleet is priced once per fuzz state and reused from the memo).
         post("/v1/whatif", "{}"),
         post("/v1/whatif", "{\"rule\":{\"tpp_license\":2400,\"mem_bw_license\":800}}"),
         post(

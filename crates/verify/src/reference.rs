@@ -8,8 +8,8 @@
 //! shares nothing: it evaluates one point at a time on the calling thread,
 //! lowers fresh layer plans for both phases at every point
 //! ([`LayerPlan::build_parallel`]), and prices them through the full
-//! per-operator breakdown ([`Simulator::try_simulate_planned`]). No plan
-//! slot, leg table, probe cache or fused vector is consulted, so a bug
+//! per-operator breakdown ([`Simulator::try_simulate_planned`]). No
+//! memoised plan, signature leg or fused vector is consulted, so a bug
 //! in any of them cannot hide here. Because it lowers the
 //! expert-parallel graph itself, it covers expert-parallel scenario
 //! runners as well as dense ones.

@@ -94,6 +94,14 @@ fn whatif_document(ndjson: &str) -> String {
     format!("{{\"summary\":{summary},\"records\":[{}]}}", lines.join(","))
 }
 
+/// A case's label for mismatch reports: method, path, and the body's
+/// first 40 characters, quoted. (`Debug` for `str` ignores a precision,
+/// so the body is cut before it is formatted.)
+fn case_tag(method: &str, path: &str, body: &str) -> String {
+    let cut = body.char_indices().nth(40).map_or(body.len(), |(at, _)| at);
+    format!("{method} {path} body={:?}", &body[..cut])
+}
+
 /// Replay the corpus over the wire and through [`handle_lane`] on a
 /// fresh [`AppState`], comparing every answer.
 ///
@@ -112,7 +120,7 @@ pub fn wire_vs_handler() -> Result<ServeDiffReport, AcsError> {
     let mut ok = 0usize;
     let mut mismatches = Vec::new();
     for (method, path, body) in cases {
-        let tag = format!("{method} {path} body={body:.40?}");
+        let tag = case_tag(method, &path, &body);
         let request = HttpRequest { method: method.to_owned(), path, body };
         let (status, expected) = handle_lane(&fresh, &request, None);
         match client.request(method, &request.path, &request.body) {
@@ -148,6 +156,14 @@ pub fn wire_vs_handler() -> Result<ServeDiffReport, AcsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn case_tags_quote_at_most_forty_body_characters() {
+        let body = "é".repeat(30) + &"x".repeat(30);
+        let want = format!("POST /v1/screen body={:?}", "é".repeat(30) + &"x".repeat(10));
+        assert_eq!(case_tag("POST", "/v1/screen", &body), want);
+        assert_eq!(case_tag("GET", "/v1/devices", ""), "GET /v1/devices body=\"\"");
+    }
 
     #[test]
     fn wire_answers_match_the_in_process_handler() {

@@ -103,7 +103,7 @@ pub struct WhatIfSummary {
 /// The engine: a device portfolio, the reference HBM packages, and the
 /// externality economics, reusable across requests. The priced fleet is
 /// an argument to [`WhatIfEngine::run_streaming`] so callers keep
-/// pricing (and its leg-table reuse) outside the screening loop.
+/// pricing (and its memo reuse) outside the screening loop.
 #[derive(Debug, Clone)]
 pub struct WhatIfEngine {
     devices: Vec<DeviceMetrics>,

@@ -111,10 +111,30 @@ impl RuleGrid {
         }
     }
 
-    /// Number of rule variants the grid expands to.
+    /// Number of rule variants the grid expands to, saturating at
+    /// `usize::MAX`: a product of request-sized axis lengths must never
+    /// wrap to a count that passes [`MAX_RULE_VARIANTS`].
     #[must_use]
     pub fn cardinality(&self) -> usize {
-        self.axes().iter().map(|a| a.len()).product()
+        self.axes().iter().map(|a| a.len()).fold(1, usize::saturating_mul)
+    }
+
+    /// The grid as a JSON object: every axis under its [`AXES`] name, in
+    /// expansion order, each value list in full. Missing request axes
+    /// are already filled with their published values, so a one-variant
+    /// `{"rule":{...}}` and the equivalent `{"grid":{...}}` encode
+    /// alike.
+    #[must_use]
+    pub fn to_json_value(&self) -> Value {
+        Value::Object(
+            AXES.iter()
+                .zip(self.axes())
+                .map(|(name, axis)| {
+                    let values = axis.iter().copied().map(Value::Number).collect();
+                    ((*name).to_owned(), Value::Array(values))
+                })
+                .collect(),
+        )
     }
 
     /// Expand the grid into its rule variants, row-major over the
@@ -373,6 +393,35 @@ mod tests {
             let err = WhatIfRequest::from_json(&v).unwrap_err();
             assert_eq!(err.kind(), "invalid_config", "{body}");
         }
+    }
+
+    #[test]
+    fn canonical_text_is_pinned() {
+        // The `/v1/whatif` response-cache key embeds this text, so it
+        // must not move: every axis, in expansion order, defaults filled.
+        let v = parse(
+            r#"{"grid":{"tpp_license":[2400,4800],"mem_bw_license":[0,800.5],"pd_nac_low":[1.5e-3]}}"#,
+        )
+        .unwrap();
+        let grid = WhatIfRequest::from_json(&v).unwrap().grid;
+        assert_eq!(
+            grid.to_json_value().to_json(),
+            "{\"tpp_threshold_2022\":[4800],\"device_bw_threshold_2022\":[600],\
+             \"tpp_license\":[2400,4800],\"tpp_floor\":[1600],\"tpp_nac\":[2400],\
+             \"pd_license\":[5.92],\"pd_nac_high\":[3.2],\"pd_nac_low\":[0.0015],\
+             \"mem_bw_license\":[0,800.5],\"hbm_control_density\":[2],\
+             \"hbm_exception_density\":[3.3]}"
+        );
+    }
+
+    #[test]
+    fn cardinality_saturates_instead_of_wrapping() {
+        let mut grid = RuleGrid::baseline();
+        for axis in AXES {
+            *grid.axis_mut(axis).unwrap() = vec![1.0; 64];
+        }
+        // 64^11 = 2^66 wraps to 0 in a plain product.
+        assert_eq!(grid.cardinality(), usize::MAX);
     }
 
     #[test]

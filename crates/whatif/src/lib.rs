@@ -14,7 +14,7 @@
 //! transfer-encoding.
 //!
 //! The fleet is priced by the caller (through the lattice `DseRunner`
-//! engine, whose leg tables persist across requests), so a whole rule
+//! engine, whose memo persists across requests), so a whole rule
 //! grid re-screens the fleet at classification cost, not simulation
 //! cost.
 //!

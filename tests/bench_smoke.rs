@@ -159,7 +159,7 @@ fn bench_smoke() {
     };
     let candidates = spec.candidates(4800.0);
     assert_eq!(candidates.len(), 200, "smoke-run-sized grid of unique points");
-    // A clone would share the leg tables, so every run builds its own.
+    // A clone would share the memo, so every run builds its own.
     let fresh = || DseRunner::new(ModelConfig::llama3_8b(), WorkloadConfig::paper_default());
     let registry = acs_telemetry::global();
     let mut sweep = || fresh().run_report(&candidates);
@@ -201,7 +201,7 @@ fn bench_smoke() {
     // feasible at the 2400 TPP ceiling) under the acs-dse default
     // model/workload, priced by `run_report` on a fresh runner per round
     // — what every acs-core, acs-repro and `acs-dse` process pays, plans
-    // and leg tables included.
+    // and signature legs included.
     let reference = SweepSpec::table3_fig7().candidates(2400.0);
     assert_eq!(reference.len(), 1536, "reference sweep size");
     let mut fresh_round = || fresh().run_report(&reference);
@@ -251,8 +251,8 @@ fn bench_lattice() {
     // grid, 1536 points, all feasible at the 2400 TPP ceiling. ONE
     // persistent runner, matching how the server holds runners in
     // `AppState` across `/v1/screen` and what-if requests: it keeps its
-    // leg tables, probe caches, fused vectors, and combine programs. One
-    // asserted cold round fills the tables; the timed rounds then
+    // memo of plans, combine programs, signature legs and fused vectors.
+    // One asserted cold round fills the memo; the timed rounds then
     // measure the steady state — "price the grid, not the points" — as
     // the min over adaptively many rounds, which also damps scheduler
     // noise on shared hosts.
@@ -377,7 +377,7 @@ fn bench_scenarios() {
     // same 1536-point hardware lattice priced by the dense default
     // scenario and by the expert-parallel Mixtral scenario, through the
     // lattice engine `/v1/screen` scenario grids run. Each round builds
-    // a fresh runner, so the timing includes cold leg tables — the
+    // a fresh runner, so the timing includes a cold memo — the
     // measured ratio is the honest cost of carrying the router, the
     // touched-expert weight traffic, and the dispatch / combine
     // all-to-all legs, not an artefact of cross-round reuse.

@@ -1,12 +1,12 @@
-//! Order independence of the factored leg tables.
+//! Order independence of the lattice's signature memo.
 //!
-//! A runner keeps one table per cost leg (compute, memory, comm) and
-//! phase, keyed by exactly the device parameters that leg reads. The
-//! lattice engine fuses its per-signature vectors from these tables, so
-//! every design it prices is assembled from their entries. The keys are
-//! derived from the concrete device, never from a point's position in
-//! the sweep: a shuffled sweep must price the same entries and the same
-//! designs.
+//! A runner's memo keeps one entry per compute, memory and comm
+//! signature — the axis tuple each cost leg reads — holding that leg for
+//! both phases. The lattice engine fuses its vectors from these
+//! entries, so every design it prices is assembled from them. The
+//! signatures are read off each candidate's own axis values, never from
+//! its position in the sweep: a shuffled sweep must price the same
+//! entries and the same designs.
 //!
 //! Shares the process-global telemetry registry, so this file keeps to
 //! a single `#[test]` (sibling tests in one binary would interleave

@@ -2,7 +2,7 @@
 //! cold MoE scenario sweep takes the broadcast at every point
 //! (`dse.lattice.fallback_points` stays 0, the expert all-to-all legs
 //! included), and every later sweep against the same runner re-prices
-//! entirely from the persistent leg tables — zero new
+//! entirely from the runner's persistent memo — zero new
 //! `dse.factored.leg_miss` — while a dense scenario reproduces the plain
 //! runner's designs digest for digest, bit-identically.
 //!
@@ -49,7 +49,7 @@ fn moe_scenario_sweeps_reprice_from_persistent_leg_tables() {
     assert!(misses_1 > 0, "a cold pass must price at least one leg");
 
     // Warm pass: the same sweep re-prices wholly from the runner's
-    // tables. Designs must come back bit-identical to the cold pass.
+    // memo. Designs must come back bit-identical to the cold pass.
     let warm = runner.run_lattice(&spec, 4800.0);
     assert_eq!(
         counter(reg, "dse.factored.leg_miss"),

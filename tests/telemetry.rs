@@ -174,7 +174,7 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --- lattice leg-table economics are observable ---
+    // --- lattice memo economics are observable ---
     reg.reset();
     let lattice_runner = runner();
     let cold = lattice_runner.run_lattice(&small_spec(), 4800.0);
@@ -184,8 +184,9 @@ fn profiled_sweep_nests_spans_and_replays_with_identical_structure() {
         reg.counter_values().iter().find(|(c, _)| c == name).map(|(_, v)| *v).unwrap_or_default()
     };
     assert_eq!(leg("dse.lattice.fallback_points"), 0, "every point takes the broadcast");
-    // small_spec has 4 compute + 2 memory + 1 comm distinct keys per
-    // phase: every key must miss once while the tables fill.
+    // small_spec has 4 compute + 2 memory + 1 comm distinct signatures,
+    // each with a leg per phase: every one must miss once while the memo
+    // fills.
     let misses = leg("dse.factored.leg_miss");
     assert!(misses >= 14, "at least one miss per distinct leg key, got {misses}");
     let warm = lattice_runner.run_lattice(&small_spec(), 4800.0);
