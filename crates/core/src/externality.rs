@@ -33,12 +33,49 @@ impl ComplianceOverhead {
     /// Compare a PD-compliant design against a non-compliant one.
     #[must_use]
     pub fn between(compliant: &EvaluatedDesign, non_compliant: &EvaluatedDesign) -> Self {
+        Self::between_figures(&DesignFigures::of(compliant), &DesignFigures::of(non_compliant))
+    }
+
+    /// [`ComplianceOverhead::between`] on the figures alone, for callers
+    /// that keep a design's figures without the design.
+    #[must_use]
+    pub fn between_figures(compliant: &DesignFigures, non_compliant: &DesignFigures) -> Self {
         ComplianceOverhead {
             area_ratio: compliant.die_area_mm2 / non_compliant.die_area_mm2,
             die_cost_ratio: compliant.die_cost_usd / non_compliant.die_cost_usd,
             good_die_cost_ratio: compliant.good_die_cost_usd / non_compliant.good_die_cost_usd,
             ttft_ratio: compliant.ttft_s / non_compliant.ttft_s,
             tbt_ratio: compliant.tbt_s / non_compliant.tbt_s,
+        }
+    }
+}
+
+/// The five figures of a design a compliance comparison reads: silicon
+/// area and cost, and the two latencies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DesignFigures {
+    /// Modelled die area in mm².
+    pub die_area_mm2: f64,
+    /// Raw silicon die cost in USD.
+    pub die_cost_usd: f64,
+    /// Yield-adjusted cost per good die in USD.
+    pub good_die_cost_usd: f64,
+    /// Per-layer prefill latency in seconds (TTFT).
+    pub ttft_s: f64,
+    /// Per-layer, per-token decode latency in seconds (TBT).
+    pub tbt_s: f64,
+}
+
+impl DesignFigures {
+    /// The figures of an evaluated design.
+    #[must_use]
+    pub fn of(design: &EvaluatedDesign) -> Self {
+        DesignFigures {
+            die_area_mm2: design.die_area_mm2,
+            die_cost_usd: design.die_cost_usd,
+            good_die_cost_usd: design.good_die_cost_usd,
+            ttft_s: design.ttft_s,
+            tbt_s: design.tbt_s,
         }
     }
 }

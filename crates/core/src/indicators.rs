@@ -131,8 +131,23 @@ pub fn indicator_report(
     metric: LatencyMetric,
     columns: &[FixedParam],
 ) -> Vec<IndicatorColumn> {
-    let all: Vec<f64> = designs.iter().map(|d| metric.of(d)).collect();
-    let Some(full) = Distribution::from_samples(&all) else {
+    let samples: Vec<f64> = designs.iter().map(|d| metric.of(d)).collect();
+    indicator_report_of(&samples, metric, columns, |i, c| columns[c].matches(&designs[i].params))
+}
+
+/// [`indicator_report`] on one `metric` sample per design, for callers
+/// that keep a design's latency without the design: `member(i, c)` says
+/// whether design `i` belongs to the column of `columns[c]`. Each
+/// column's samples keep design order, so the columns equal
+/// [`indicator_report`]'s bit for bit.
+#[must_use]
+pub fn indicator_report_of(
+    samples: &[f64],
+    metric: LatencyMetric,
+    columns: &[FixedParam],
+    member: impl Fn(usize, usize) -> bool,
+) -> Vec<IndicatorColumn> {
+    let Some(full) = Distribution::from_samples(samples) else {
         return Vec::new();
     };
     let mut out = vec![IndicatorColumn {
@@ -141,11 +156,12 @@ pub fn indicator_report(
         distribution: full,
         narrowing: 1.0,
     }];
-    for &col in columns {
-        let subset: Vec<f64> = designs
+    for (c, col) in columns.iter().enumerate() {
+        let subset: Vec<f64> = samples
             .iter()
-            .filter(|d| col.matches(&d.params))
-            .map(|d| metric.of(d))
+            .enumerate()
+            .filter(|&(i, _)| member(i, c))
+            .map(|(_, &v)| v)
             .collect();
         if let Some(dist) = Distribution::from_samples(&subset) {
             out.push(IndicatorColumn {

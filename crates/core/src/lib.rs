@@ -43,8 +43,11 @@ pub use classification::{
 };
 pub use dossier::compliance_dossier;
 pub use fleet::{monoculture_capacity, plan_fleet, FleetOption, FleetPlan};
-pub use externality::{deadweight_loss, ComplianceOverhead};
-pub use indicators::{indicator_report, suggest_indicator, FixedParam, IndicatorColumn, LatencyMetric};
+pub use externality::{deadweight_loss, ComplianceOverhead, DesignFigures};
+pub use indicators::{
+    indicator_report, indicator_report_of, suggest_indicator, FixedParam, IndicatorColumn,
+    LatencyMetric,
+};
 pub use optimize::{optimize_oct2022, optimize_oct2023, OptimizationReport};
 pub use policy_design::{design_policies, evaluate_policy, PolicyCandidate, PolicyOutcome};
 

@@ -14,7 +14,10 @@
 //! `POST /v1/whatif` streams its answer and is never raw-cached, so it
 //! keeps a response cache of its own, keyed on a *normalised* form of
 //! the request (defaults filled in, members in fixed order): two JSON
-//! bodies that mean the same thing share one entry.
+//! bodies that mean the same thing share one entry. Below that cache, a
+//! byte-budgeted memo keeps each registered (scenario, TPP target)
+//! fleet priced in the engine's compact [`PricedFleet`] form, so a
+//! what-if the response cache misses only screens.
 
 use crate::http::{percent_decode, HttpRequest};
 use acs_cache::{CacheKey, CacheLane, CacheStats, ShardedCache};
@@ -31,10 +34,10 @@ use acs_policy::{
 use acs_scenarios::{Scenario, ScenarioRegistry};
 use acs_sim::{simulate_serving_cached, PlanStore, ServingConfig, Simulator, StepCostCache};
 use acs_telemetry::{Counter, Histogram, Registry};
-use acs_whatif::{WhatIfEngine, WhatIfRequest};
-use std::collections::HashMap;
+use acs_whatif::{PricedFleet, WhatIfEngine, WhatIfRequest};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// The registered scenario that prices grids and what-if fleets whose
@@ -51,16 +54,72 @@ const ENDPOINTS: [&str; 6] = ["screen", "simulate", "devices", "metrics", "whati
 /// point, which bypasses [`handle_lane`]'s routing).
 const WHATIF_ENDPOINT: usize = 4;
 
+/// Byte budget of the priced-fleet memo: about ten 4096-design fleets
+/// of [`PricedFleet::bytes`] each.
+const FLEET_MEMO_BYTES: usize = 2 << 20;
+
+/// Key of one priced fleet: the registered scenario's digest and the
+/// TPP target's bits.
+type FleetKey = (u64, u64);
+
+/// The priced fleets of registered scenarios, oldest first out once
+/// their bytes would pass [`FLEET_MEMO_BYTES`].
+#[derive(Debug, Default)]
+struct FleetMemo {
+    fleets: HashMap<FleetKey, Arc<PricedFleet>>,
+    order: VecDeque<FleetKey>,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl FleetMemo {
+    /// The kept fleet of `key`, counting the lookup.
+    fn get(&mut self, key: FleetKey) -> Option<Arc<PricedFleet>> {
+        let found = self.fleets.get(&key).map(Arc::clone);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    /// Keep `fleet` under `key`, evicting the oldest fleets until it
+    /// fits; returns the fleet kept under `key` (another request's, if
+    /// one priced it first).
+    fn insert(&mut self, key: FleetKey, fleet: PricedFleet) -> Arc<PricedFleet> {
+        if let Some(kept) = self.fleets.get(&key) {
+            return Arc::clone(kept);
+        }
+        let bytes = fleet.bytes();
+        let fleet = Arc::new(fleet);
+        if bytes > FLEET_MEMO_BYTES {
+            return fleet;
+        }
+        while self.bytes + bytes > FLEET_MEMO_BYTES {
+            let Some(oldest) = self.order.pop_front() else { break };
+            if let Some(evicted) = self.fleets.remove(&oldest) {
+                self.bytes -= evicted.bytes();
+            }
+        }
+        self.order.push_back(key);
+        self.bytes += bytes;
+        self.fleets.insert(key, Arc::clone(&fleet));
+        fleet
+    }
+}
+
 /// Shared service state: the device database, the what-if response
-/// cache, the lower-layer memos, and the service's own always-enabled
-/// telemetry [`Registry`] — the single source of truth behind
+/// cache and priced fleets, the lower-layer memos, and the service's own
+/// always-enabled telemetry [`Registry`] — the single source of truth behind
 /// `GET /v1/metrics` (request counters, per-endpoint latency
 /// histograms, shed counts).
 #[derive(Debug)]
 pub struct AppState {
     db: GpuDatabase,
     step_cache: StepCostCache,
-    whatif_cache: ShardedCache<String>,
+    whatif_cache: ShardedCache<Arc<String>>,
     plan_store: PlanStore,
     // The named-scenario registry and one persistent runner per scenario
     // the service has priced under (keyed by scenario digest): the grid
@@ -77,6 +136,9 @@ pub struct AppState {
     // The what-if screener: the curated portfolio, the reference HBM
     // stacks, and the externality economics, shared across requests.
     whatif: WhatIfEngine,
+    // The synthetic fleet priced once per registered scenario and TPP
+    // target, in the screener's compact form.
+    fleets: Mutex<FleetMemo>,
     telemetry: Arc<Registry>,
     screen_requests: Arc<Counter>,
     simulate_requests: Arc<Counter>,
@@ -117,6 +179,7 @@ impl AppState {
             scenarios: ScenarioRegistry::builtin(),
             scenario_runners: RwLock::new(HashMap::new()),
             whatif: WhatIfEngine::paper_default(),
+            fleets: Mutex::new(FleetMemo::default()),
             screen_requests: telemetry.counter("serve.requests.screen"),
             simulate_requests: telemetry.counter("serve.requests.simulate"),
             device_requests: telemetry.counter("serve.requests.devices"),
@@ -162,7 +225,7 @@ impl AppState {
     /// dropped with its request: its digest covers a free-form name and
     /// workload integers, so clients could mint runners without limit.
     fn runner_for(&self, scenario: &Scenario) -> Arc<DseRunner> {
-        if !self.scenarios.iter().any(|r| r == scenario) {
+        if !self.registered(scenario) {
             return Arc::new(scenario.runner());
         }
         let digest = scenario.digest();
@@ -179,10 +242,45 @@ impl AppState {
         Arc::clone(map.entry(digest).or_insert(built))
     }
 
+    /// Whether `scenario` is registered (an inline spec equal to a
+    /// registered scenario counts).
+    fn registered(&self, scenario: &Scenario) -> bool {
+        self.scenarios.iter().any(|r| r == scenario)
+    }
+
     /// The runner of [`DEFAULT_SCENARIO`], for requests naming no
     /// scenario.
     fn default_runner(&self) -> Result<Arc<DseRunner>, AcsError> {
         Ok(self.runner_for(self.scenarios.get(DEFAULT_SCENARIO)?))
+    }
+
+    /// The synthetic fleet priced under `scenario` at `tpp_target`, in
+    /// the what-if engine's screening form. A registered scenario's
+    /// fleet is priced once, through its persistent runner, and kept in
+    /// the byte-budgeted memo; any other scenario's is priced on a fresh
+    /// runner and kept by no one, as its runner is not.
+    fn fleet_for(
+        &self,
+        scenario: &Scenario,
+        tpp_target: f64,
+    ) -> Result<Arc<PricedFleet>, AcsError> {
+        let price = |runner: &DseRunner| {
+            let report = runner.run_lattice(&SweepSpec::synthetic_fleet(), tpp_target);
+            self.whatif.priced_fleet(report.designs.iter().map(|(_, d)| d), report.failures.len())
+        };
+        if !self.registered(scenario) {
+            return price(&scenario.runner()).map(Arc::new);
+        }
+        let key = (scenario.digest(), tpp_target.to_bits());
+        if let Some(fleet) = self.fleet_memo().get(key) {
+            return Ok(fleet);
+        }
+        let fleet = price(&self.runner_for(scenario))?;
+        Ok(self.fleet_memo().insert(key, fleet))
+    }
+
+    fn fleet_memo(&self) -> std::sync::MutexGuard<'_, FleetMemo> {
+        self.fleets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Count one priority shed: an expensive request (unique screen /
@@ -765,18 +863,19 @@ fn screen(state: &AppState, body: &str) -> Result<String, AcsError> {
     .to_json())
 }
 
-/// Compute — or replay from the response cache — the `/v1/whatif` line
+/// Compute — or fetch from the response cache — the `/v1/whatif` line
 /// stream: one canonical-JSON record per rule variant in grid order,
-/// then one summary trailer line. On a cache miss each line reaches
-/// `sink` the moment the engine completes it; on a hit the cached lines
-/// replay through the same sink. An engine error may arrive after some
-/// lines have reached the sink.
-fn whatif_lines<F>(
+/// then one summary trailer line, joined by newlines. On a cache miss
+/// each line is appended once to the text the cache keeps, and reaches
+/// `sink` as a slice of it the moment the engine completes it; on a hit
+/// `sink` sees nothing, and the returned flag is `true`. An engine error
+/// may arrive after some lines have reached the sink.
+fn whatif_text<F>(
     state: &AppState,
     body: &str,
     lane: Option<CacheLane>,
     mut sink: F,
-) -> Result<(), AcsError>
+) -> Result<(Arc<String>, bool), AcsError>
 where
     F: FnMut(&str),
 {
@@ -809,73 +908,64 @@ where
         key_members.push(("scenario", Value::String(s.canonical())));
     }
     let key = CacheKey::from_value(&object(key_members));
-    let (text, hit) = state.whatif_cache.get_or_try_insert_in(&key, lane, || {
-        // The fleet prices through a persistent lattice runner — the
-        // scenario's when one was named, the default scenario's
-        // otherwise — so its cost legs and fused vectors persist across
-        // requests: the first what-if pays for the fleet's legs, and
-        // every later one (any grid, same target and scenario)
-        // re-assembles the designs from them, then re-screens the fleet
-        // at classification cost.
-        let runner = match &scenario {
-            Some(s) => state.runner_for(s),
-            None => state.default_runner()?,
+    state.whatif_cache.get_or_try_insert_in(&key, lane, || {
+        // The fleet is priced once per registered scenario (the default
+        // scenario's when none was named) and TPP target, and kept in
+        // its screening form: every later what-if on it, under any grid,
+        // only screens it at classification cost.
+        let fleet = match &scenario {
+            Some(s) => state.fleet_for(s, request.tpp_target)?,
+            None => state.fleet_for(state.scenarios.get(DEFAULT_SCENARIO)?, request.tpp_target)?,
         };
-        let report = runner.run_lattice(&SweepSpec::synthetic_fleet(), request.tpp_target);
-        let fleet_failures = report.failures.len();
-        let fleet: Vec<_> = report.designs.into_iter().map(|(_, design)| design).collect();
-        let mut lines = Vec::with_capacity(request.grid.cardinality() + 1);
-        let summary = state.whatif.run_streaming(&request.grid, &fleet, |_, record| {
-            let line = record.to_json();
-            sink(&line);
-            lines.push(line);
+        let mut text = String::new();
+        let mut line = |text: &mut String, value: &Value| {
+            if !text.is_empty() {
+                text.push('\n');
+            }
+            let start = text.len();
+            value.write_to(text);
+            sink(&text[start..]);
+        };
+        let summary = state.whatif.screen(&request.grid, &fleet, |_, record| {
+            line(&mut text, record);
             Ok(())
         })?;
         let mut trailer_members = vec![
             ("variants", Value::Number(summary.variants as f64)),
             ("devices", Value::Number(summary.devices as f64)),
             ("fleet_designs", Value::Number(summary.fleet_designs as f64)),
-            ("fleet_failures", Value::Number(fleet_failures as f64)),
+            ("fleet_failures", Value::Number(fleet.failures() as f64)),
             ("tpp_target", Value::Number(request.tpp_target)),
         ];
         if let Some(s) = &scenario {
             trailer_members.push(("scenario", Value::String(s.name().to_owned())));
         }
-        let trailer = object(trailer_members).to_json();
-        sink(&trailer);
-        lines.push(trailer);
-        Ok::<_, AcsError>(lines.join("\n"))
-    })?;
-    if hit {
-        text.lines().for_each(sink);
-    }
-    Ok(())
+        line(&mut text, &object(trailer_members));
+        // Cached for the service's lifetime: no spare capacity.
+        text.shrink_to_fit();
+        Ok::<_, AcsError>(Arc::new(text))
+    })
 }
 
 /// `POST /v1/whatif` — screen a rule regime (or a whole grid of them)
 /// against the curated device DB and the priced synthetic design fleet.
 /// This is the buffered form [`handle_lane`] routes to: the whole
-/// stream collected into one JSON document
+/// stream spliced into one JSON document
 /// (`{"summary":..,"records":[..]}`). The connection layer streams the
 /// same lines as chunks instead ([`handle_whatif_streaming_lane`]).
 fn whatif(state: &AppState, body: &str, lane: Option<CacheLane>) -> Result<String, AcsError> {
-    let mut lines: Vec<String> = Vec::new();
-    whatif_lines(state, body, lane, |line| lines.push(line.to_owned()))?;
-    let summary = lines.pop().ok_or_else(|| AcsError::Protocol {
-        reason: "what-if stream produced no trailer".to_owned(),
-    })?;
-    // Every line is already canonical JSON; splice them textually rather
-    // than re-parsing a potentially large record set.
-    let body_len: usize = lines.iter().map(|l| l.len() + 1).sum();
-    let mut doc = String::with_capacity(body_len + summary.len() + 32);
+    let (text, _) = whatif_text(state, body, lane, |_| {})?;
+    // Every line is already canonical JSON, and the trailer is the last.
+    let (records, summary) = text.rsplit_once('\n').unwrap_or(("", &text));
+    let mut doc = String::with_capacity(text.len() + 32);
     doc.push_str("{\"summary\":");
-    doc.push_str(&summary);
+    doc.push_str(summary);
     doc.push_str(",\"records\":[");
-    for (i, line) in lines.iter().enumerate() {
+    for (i, record) in records.lines().enumerate() {
         if i > 0 {
             doc.push(',');
         }
-        doc.push_str(line);
+        doc.push_str(record);
     }
     doc.push_str("]}");
     Ok(doc)
@@ -902,8 +992,11 @@ pub fn handle_whatif_streaming_lane(
     state.whatif_requests.add(1);
     let start = out.len();
     let mut writer = crate::http::ChunkedWriter::new(out, keep_alive);
-    let result = match whatif_lines(state, &request.body, lane, |line| writer.write_line(line)) {
-        Ok(()) => {
+    let result = match whatif_text(state, &request.body, lane, |line| writer.write_line(line)) {
+        Ok((text, hit)) => {
+            if hit {
+                text.lines().for_each(|line| writer.write_line(line));
+            }
             writer.finish();
             Ok(())
         }
@@ -1155,6 +1248,16 @@ fn stats_value(stats: CacheStats, len: usize) -> Value {
     ])
 }
 
+fn fleet_value(memo: &FleetMemo) -> Value {
+    let u = |x: u64| Value::Number(x as f64);
+    object(vec![
+        ("entries", u(memo.fleets.len() as u64)),
+        ("bytes", u(memo.bytes as u64)),
+        ("hits", u(memo.hits)),
+        ("misses", u(memo.misses)),
+    ])
+}
+
 /// `GET /v1/metrics` — request counters, per-endpoint latency quantiles,
 /// shed counts, and cache statistics, all read from the state's telemetry
 /// registry (the single source of truth) and emitted through the
@@ -1213,6 +1316,8 @@ fn metrics(state: &AppState) -> String {
             object(vec![
                 ("sim_steps", stats_value(state.step_cache.stats(), state.step_cache.len())),
                 ("whatif", stats_value(state.whatif_cache.stats(), state.whatif_cache.len())),
+                // The priced fleets what-ifs screen, budgeted in bytes.
+                ("fleet", fleet_value(&state.fleet_memo())),
                 // The workers' private raw response buffers: the only
                 // memo of /v1/screen and /v1/simulate answers, where
                 // byte-identical repeats short-circuit before any handler.
@@ -1437,6 +1542,46 @@ mod tests {
         assert_eq!(screen(&state, &inline(0)), screen(&AppState::new(64), &inline(0)));
         assert_eq!(screen(&state, "\"dense-gpt3-fp16-tp4\"").0, 200);
         assert_eq!(state.scenario_runners.read().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn fleet_memo_stays_within_its_byte_budget_and_keeps_no_inline_fleet() {
+        let state = AppState::new(64);
+        let fleet_metrics = |state: &AppState| {
+            let (status, m) = get(state, "/v1/metrics");
+            assert_eq!(status, 200);
+            let fleet = m.get("caches").unwrap().get("fleet").unwrap().clone();
+            let field = |key: &str| fleet.get(key).unwrap().as_u64().unwrap();
+            (field("entries"), field("bytes"), field("hits"), field("misses"))
+        };
+        for i in 0..50_u64 {
+            let body = format!("{{\"tpp_target\":{}}}", 1000 + 100 * i);
+            let (status, answer) = post(&state, "/v1/whatif", &body);
+            assert_eq!(status, 200, "{}", answer.to_json());
+            let memo = state.fleet_memo();
+            assert!(memo.bytes <= FLEET_MEMO_BYTES, "{} bytes kept", memo.bytes);
+            assert_eq!(memo.bytes, memo.fleets.values().map(|f| f.bytes()).sum::<usize>());
+            assert_eq!(memo.order.len(), memo.fleets.len());
+        }
+        let (entries, bytes, hits, misses) = fleet_metrics(&state);
+        assert!((10..50).contains(&entries), "about ten fleets fit the budget, kept {entries}");
+        assert!(bytes <= FLEET_MEMO_BYTES as u64);
+        assert_eq!((hits, misses), (0, 50));
+        // The newest fleet is kept: another grid on it only screens it.
+        let (status, _) =
+            post(&state, "/v1/whatif", "{\"tpp_target\":5900,\"rule\":{\"tpp_license\":2400}}");
+        assert_eq!(status, 200);
+        assert_eq!(fleet_metrics(&state), (entries, bytes, 1, 50));
+        // Unregistered inline scenarios price a fleet each and keep none.
+        for i in 0..3 {
+            let body = format!(
+                "{{\"tpp_target\":5900,\"scenario\":{{\"name\":\"inline-{i}\",\
+                 \"model\":\"llama3_8b\"}}}}"
+            );
+            let (status, answer) = post(&state, "/v1/whatif", &body);
+            assert_eq!(status, 200, "{}", answer.to_json());
+        }
+        assert_eq!(fleet_metrics(&state), (entries, bytes, 1, 50));
     }
 
     #[test]
@@ -1673,7 +1818,7 @@ mod tests {
         let caches = m.get("caches").unwrap();
         let Value::Object(members) = caches else { panic!("caches must be an object") };
         let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["sim_steps", "whatif", "raw"]);
+        assert_eq!(names, ["sim_steps", "whatif", "fleet", "raw"]);
         assert_eq!(caches.get("raw").unwrap().get("hits").unwrap().as_u64(), Some(0));
     }
 

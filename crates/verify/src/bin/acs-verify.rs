@@ -15,8 +15,8 @@
 use acs_verify::{
     check_corpus, default_corpus_path, grid_body_vs_reference, random_rule_grid,
     random_sweep_spec, regressions_dir, replay_dir, run_chaos, run_fuzz, standard_suite,
-    whatif_engine_vs_reference, whatif_grid_64, whatif_grid_diff, wire_vs_handler, ChaosConfig,
-    DiffCase, Differential, EvalPath,
+    whatif_engine_vs_reference, whatif_grid_64, whatif_grid_diff, whatif_served_vs_reference,
+    wire_vs_handler, ChaosConfig, DiffCase, Differential, EvalPath,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -174,6 +174,10 @@ fn cmd_diff(_args: &[String]) -> Result<(), String> {
     // The service's grid bodies, written straight to bytes, against the
     // same grids priced by the reference and encoded through the tree.
     reports.push(grid_body_vs_reference());
+    // The service's what-if documents, screened over the fleets it keeps
+    // per scenario and TPP target, against the record oracle over fleets
+    // priced afresh.
+    reports.push(whatif_served_vs_reference());
     // Seeded property cases: random sweeps (odd seeds faulted) through
     // the lattice engine against the reference oracle.
     for seed in 0..4_u64 {

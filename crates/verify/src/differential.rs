@@ -22,7 +22,10 @@
 //! [`whatif_engine_vs_reference`] compares every record the engine
 //! streams against the naive record oracle. [`grid_body_vs_reference`]
 //! holds the service's `/v1/screen` grid bodies, written straight to
-//! bytes, to the same grids priced and encoded naively.
+//! bytes, to the same grids priced and encoded naively, and
+//! [`whatif_served_vs_reference`] holds the service's `/v1/whatif`
+//! documents, screened over its kept priced fleets, to the record oracle
+//! over freshly priced ones.
 
 use crate::tolerance::Tolerance;
 use acs_cache::CacheKey;
@@ -32,10 +35,11 @@ use acs_errors::AcsError;
 use acs_llm::rng::SplitMix64;
 use acs_llm::{ModelConfig, WorkloadConfig};
 use acs_policy::{Acr2022, Acr2023, DeviceMetrics, HbmRule2024, MemBwRule};
-use acs_scenarios::ScenarioRegistry;
+use acs_scenarios::{Scenario, ScenarioRegistry};
 use acs_serve::handlers::{handle_lane, AppState};
 use acs_serve::http::HttpRequest;
 use acs_whatif::{ClassificationLedger, RuleGrid, RuleSpec, WhatIfEngine};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which evaluation pipeline an arm drives.
@@ -841,6 +845,9 @@ fn grid_request(spec: &SweepSpec, tpp_target: f64, scenarios: &[&str]) -> String
     object(vec![("grid", object(grid))]).to_json()
 }
 
+/// The registered scenario the service prices requests naming none on.
+const DEFAULT_SCENARIO: &str = "dense-llama3-fp16-tp4";
+
 /// `handle_lane`'s `/v1/screen` grid bodies against the naive
 /// [`crate::reference::grid_body`], byte for byte, on four grids: Table
 /// 3 at TPP 1600 and at 4800 (no scenario), Table 3's Figure 6 slice
@@ -849,7 +856,6 @@ fn grid_request(spec: &SweepSpec, tpp_target: f64, scenarios: &[&str]) -> String
 /// unless some compared body carries a failure.
 #[must_use]
 pub fn grid_body_vs_reference() -> DiffReport {
-    const DEFAULT_SCENARIO: &str = "dense-llama3-fp16-tp4";
     let zero_hbm = SweepSpec {
         systolic_dims: vec![16],
         lanes_per_core: vec![4],
@@ -923,6 +929,149 @@ pub fn grid_body_vs_reference() -> DiffReport {
         push(&mut mismatches, "coverage", "no compared grid body carried a failure".to_owned());
     }
     DiffReport { label: "grid-body-vs-reference".to_owned(), points, ok, failed, mismatches }
+}
+
+/// One request of [`whatif_served_vs_reference`]: its label, its grid,
+/// its `tpp_target` and `scenario` members, and the scenario pricing it.
+type ServedWhatIf = (&'static str, RuleGrid, Option<f64>, Option<Value>, Scenario);
+
+/// The request sequence of [`whatif_served_vs_reference`].
+fn served_whatif_requests() -> Result<Vec<ServedWhatIf>, AcsError> {
+    let registry = ScenarioRegistry::builtin();
+    let default = registry.get(DEFAULT_SCENARIO)?.clone();
+    let registered = registry.get("dense-gpt3-fp16-tp4")?.clone();
+    let spec = |name: &str, model: &str| {
+        object(vec![
+            ("name", Value::String(name.to_owned())),
+            ("model", Value::String(model.to_owned())),
+        ])
+    };
+    let inline = spec(registered.name(), "gpt3_175b");
+    let unregistered = spec("inline-gpt3-13b", "gpt3_13b");
+    let unregistered_scenario = Scenario::from_json_value(&unregistered)?;
+    let by_name = Some(Value::String(registered.name().to_owned()));
+    let mut tpp_lines = RuleGrid::baseline();
+    tpp_lines.tpp_license = vec![2400.0, 4800.0];
+    tpp_lines.mem_bw_license = vec![0.0, 800.0];
+    let mut high_lines = RuleGrid::baseline();
+    high_lines.tpp_license = vec![4800.0, 6000.0];
+    high_lines.mem_bw_license = vec![0.0, 1000.0];
+    Ok(vec![
+        ("default", tpp_lines.clone(), None, None, default.clone()),
+        ("default-other-grid", random_rule_grid(1), None, None, default.clone()),
+        ("default-1600", tpp_lines.clone(), Some(1600.0), None, default.clone()),
+        ("default-again", high_lines.clone(), None, None, default),
+        ("registered", tpp_lines, None, by_name, registered.clone()),
+        ("inline-registered", high_lines.clone(), None, Some(inline), registered),
+        ("inline-unregistered", high_lines, None, Some(unregistered), unregistered_scenario),
+    ])
+}
+
+/// `handle_lane`'s buffered `/v1/whatif` documents, trailer included,
+/// against [`crate::reference::whatif_records`] over a fleet priced
+/// afresh for each request's (scenario, TPP target), on one service
+/// state driven through a sequence that revisits fleets: the default
+/// fleet under two grids, at 1600 TPP, the default fleet again, a
+/// registered scenario by name, an inline spec equal to it, and an
+/// unregistered inline spec. Each request misses the response cache, so
+/// each answer is screened over whatever fleet the state kept for it: a
+/// memo keyed without the scenario or the TPP target, or a fleet whose
+/// columns are mixed up, answers some request with another fleet's
+/// records. Fleets of one TPP target share their silicon and differ only
+/// in latency, which reaches a record only through designs some variant
+/// leaves unrestricted, so each request is also dirty unless one of its
+/// records has `0 < restricted_share < 1`.
+#[must_use]
+pub fn whatif_served_vs_reference() -> DiffReport {
+    let mut mismatches = Vec::new();
+    let requests = served_whatif_requests().unwrap_or_else(|e| {
+        push(&mut mismatches, "requests", e.to_string());
+        Vec::new()
+    });
+    let state = AppState::new(64);
+    let devices = acs_devices::GpuDatabase::curated_65().len();
+    let mut fresh: HashMap<(u64, u64), (Vec<EvaluatedDesign>, usize)> = HashMap::new();
+    let mut points = 0;
+    for (label, grid, tpp, member, scenario) in &requests {
+        let tpp_target = tpp.unwrap_or(4800.0);
+        let (fleet, failures) =
+            fresh.entry((scenario.digest(), tpp_target.to_bits())).or_insert_with(|| {
+                let report =
+                    scenario.runner().run_lattice(&SweepSpec::synthetic_fleet(), tpp_target);
+                let failures = report.failures.len();
+                (report.designs.into_iter().map(|(_, d)| d).collect(), failures)
+            });
+        let expected = match crate::reference::whatif_records(grid, fleet) {
+            Ok(records) => records,
+            Err(e) => {
+                push(&mut mismatches, *label, format!("reference failed: {e}"));
+                continue;
+            }
+        };
+        points += expected.len();
+        let mixed = expected.iter().any(|record| {
+            let share = record.get("fleet").and_then(|f| f.get("restricted_share"));
+            share.and_then(Value::as_f64).is_some_and(|s| s > 0.0 && s < 1.0)
+        });
+        if !mixed {
+            let detail = "no record had 0 < restricted_share < 1".to_owned();
+            push(&mut mismatches, format!("{label} coverage"), detail);
+        }
+        let n = |x: usize| Value::Number(x as f64);
+        let mut trailer = vec![
+            ("variants", n(grid.cardinality())),
+            ("devices", n(devices)),
+            ("fleet_designs", n(fleet.len())),
+            ("fleet_failures", n(*failures)),
+            ("tpp_target", Value::Number(tpp_target)),
+        ];
+        if member.is_some() {
+            trailer.push(("scenario", Value::String(scenario.name().to_owned())));
+        }
+        let trailer = object(trailer).to_json();
+        let mut body = vec![("grid", grid.to_json_value())];
+        if let Some(tpp) = tpp {
+            body.push(("tpp_target", Value::Number(*tpp)));
+        }
+        if let Some(member) = member {
+            body.push(("scenario", member.clone()));
+        }
+        let http = HttpRequest {
+            method: "POST".to_owned(),
+            path: "/v1/whatif".to_owned(),
+            body: object(body).to_json(),
+        };
+        let (status, got) = handle_lane(&state, &http, None);
+        if status != 200 {
+            push(&mut mismatches, *label, format!("status {status}: {got:.200}"));
+            continue;
+        }
+        let records: Vec<String> = expected.iter().map(Value::to_json).collect();
+        let want = format!("{{\"summary\":{trailer},\"records\":[{}]}}", records.join(","));
+        if got == want {
+            continue;
+        }
+        let document = acs_errors::json::parse(&got).ok();
+        let part = |key: &str| document.as_ref().and_then(|d| d.get(key));
+        let served = part("records").and_then(Value::as_array).unwrap_or(&[]);
+        let detail = if part("summary").map(Value::to_json).as_deref() != Some(&trailer) {
+            format!("trailer {:?} vs reference {trailer}", part("summary").map(Value::to_json))
+        } else if let Some((index, (record, reference))) =
+            served.iter().zip(&expected).enumerate().find(|(_, (r, e))| r != e)
+        {
+            format!("variant {index}: {}", first_difference(record, reference))
+        } else {
+            format!("served {} records, reference {}", served.len(), expected.len())
+        };
+        push(&mut mismatches, *label, detail);
+    }
+    DiffReport {
+        label: "whatif-served-vs-reference".to_owned(),
+        points,
+        ok: points,
+        failed: 0,
+        mismatches,
+    }
 }
 
 /// Whether a what-if record reaches every statistic of its fleet block:
@@ -1093,6 +1242,14 @@ mod tests {
         let report = grid_body_vs_reference();
         assert_eq!(report.points, 1536 * 2 + 512 * 2 + 2);
         assert_eq!(report.failed, 1, "the zero-HBM point");
+        report.assert_clean();
+    }
+
+    #[test]
+    fn served_whatifs_match_the_reference_over_freshly_priced_fleets() {
+        let report = whatif_served_vs_reference();
+        // 4 + 12 + 4 + 4 + 4 + 4 + 4 variants over seven requests.
+        assert_eq!(report.points, 36);
         report.assert_clean();
     }
 

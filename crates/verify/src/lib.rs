@@ -23,7 +23,10 @@
 //!   [`differential::whatif_engine_vs_reference`] diffs every streamed
 //!   what-if record against [`reference::whatif_records`];
 //!   [`differential::grid_body_vs_reference`] diffs `/v1/screen` grid
-//!   bodies against [`reference::grid_body`].
+//!   bodies against [`reference::grid_body`], and
+//!   [`differential::whatif_served_vs_reference`] diffs the service's
+//!   `/v1/whatif` documents, screened over the fleets it keeps, against
+//!   [`reference::whatif_records`] over freshly priced ones.
 //! - [`corpus`] — a blessed snapshot of sweep digests and anchor values
 //!   (`crates/verify/corpus/golden.json`) every PR is diffed against,
 //!   regenerated with `acs-verify corpus --bless`.
@@ -59,8 +62,8 @@ pub use corpus::{
 pub use differential::{
     dense_vs_degenerate_moe_diff, design_digest, diff_reports, grid_body_vs_reference,
     random_rule_grid, random_sweep_spec, standard_suite, whatif_engine_vs_reference,
-    whatif_grid_64, whatif_grid_diff, Arm, DiffCase, DiffReport, Differential, EvalPath,
-    Transform,
+    whatif_grid_64, whatif_grid_diff, whatif_served_vs_reference, Arm, DiffCase, DiffReport,
+    Differential, EvalPath, Transform,
 };
 pub use fuzz::{run_fuzz, FuzzReport, FuzzTarget};
 pub use regressions::replay_dir;

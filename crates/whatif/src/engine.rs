@@ -4,22 +4,27 @@
 //!
 //! A variant costs two name-free ledgers: one class per portfolio
 //! device and one per fleet design ([`ClassificationLedger`]). The fleet
-//! is screened through unnamed [`DeviceMetrics`], because no rule reads
-//! a name and no record prints a fleet design's name; the only names a
-//! record carries are the portfolio devices in its `newly_restricted`
-//! and `newly_freed` lists. The two expensive record blocks are memoised
-//! per run by their ledger's class bytes, so a grid whose variants
-//! collapse to a few distinct ledgers builds each block once.
+//! is screened in its [`PricedFleet`] form, through unnamed
+//! [`DeviceMetrics`], because no rule reads a name and no record prints
+//! a fleet design's name; the only names a record carries are the
+//! portfolio devices in its `newly_restricted` and `newly_freed` lists.
+//! The two expensive record blocks are memoised per run by their
+//! ledger's class bytes, so a grid whose variants collapse to a few
+//! distinct ledgers builds each block once.
 
+use crate::fleet::PricedFleet;
 use crate::grid::RuleGrid;
 use crate::ledger::{ClassificationLedger, LedgerCounts};
 use crate::rules::RuleSpec;
-use acs_core::{deadweight_loss, indicator_report, ComplianceOverhead, FixedParam, LatencyMetric};
+use acs_core::{
+    deadweight_loss, indicator_report_of, ComplianceOverhead, DesignFigures, FixedParam,
+    LatencyMetric,
+};
 use acs_devices::GpuDatabase;
 use acs_dse::{Distribution, EvaluatedDesign};
 use acs_errors::json::{object, Value};
 use acs_errors::AcsError;
-use acs_policy::{DeviceMetrics, HbmPackage, MarketSegment};
+use acs_policy::{DeviceMetrics, HbmPackage};
 use acs_telemetry::{GlobalCounter, GlobalHistogram};
 use std::collections::HashMap;
 
@@ -102,8 +107,8 @@ pub struct WhatIfSummary {
 
 /// The engine: a device portfolio, the reference HBM packages, and the
 /// externality economics, reusable across requests. The priced fleet is
-/// an argument to [`WhatIfEngine::run_streaming`] so callers keep
-/// pricing (and its memo reuse) outside the screening loop.
+/// an argument to [`WhatIfEngine::screen`] so callers keep pricing (and
+/// any memo of priced fleets) outside the screening loop.
 #[derive(Debug, Clone)]
 pub struct WhatIfEngine {
     devices: Vec<DeviceMetrics>,
@@ -145,22 +150,38 @@ impl WhatIfEngine {
         &self.devices
     }
 
-    /// Datasheet metrics of a priced design, as the rules read them: its
-    /// swept device bandwidth, its HBM bandwidth as memory bandwidth
-    /// (nominal 80 GiB capacity), marketed as a data-center part. The
-    /// metrics are unnamed: no rule reads a name, and no record prints a
-    /// fleet design's name, so the screen copies none.
-    #[must_use]
-    pub fn fleet_metrics(design: &EvaluatedDesign) -> DeviceMetrics {
-        DeviceMetrics::new(
-            String::new(),
-            design.tpp,
-            design.params.device_bw_gb_s,
-            design.die_area_mm2,
-            true,
-            MarketSegment::DataCenter,
-        )
-        .with_memory(80.0, design.params.hbm_tb_s * 1000.0)
+    /// The screening form of `designs` for this engine's indicator
+    /// columns, with `failures` points that failed to price.
+    ///
+    /// # Errors
+    ///
+    /// [`AcsError::InvalidConfig`] if the engine has more than eight
+    /// indicator columns (a fleet keeps one membership byte per design)
+    /// or `designs` more than `u32::MAX` distinct datasheet rows.
+    pub fn priced_fleet<'a>(
+        &self,
+        designs: impl IntoIterator<Item = &'a EvaluatedDesign>,
+        failures: usize,
+    ) -> Result<PricedFleet, AcsError> {
+        PricedFleet::new(designs, failures, &self.config.indicator_columns)
+    }
+
+    /// [`WhatIfEngine::screen`] over `fleet`, priced into its screening
+    /// form first.
+    ///
+    /// # Errors
+    ///
+    /// As [`WhatIfEngine::priced_fleet`] and [`WhatIfEngine::screen`].
+    pub fn run_streaming<F>(
+        &self,
+        grid: &RuleGrid,
+        fleet: &[EvaluatedDesign],
+        sink: F,
+    ) -> Result<WhatIfSummary, AcsError>
+    where
+        F: FnMut(usize, &Value) -> Result<(), AcsError>,
+    {
+        self.screen(grid, &self.priced_fleet(fleet, 0)?, sink)
     }
 
     /// Screen every variant of `grid` against the portfolio and `fleet`,
@@ -181,18 +202,26 @@ impl WhatIfEngine {
     ///
     /// # Errors
     ///
-    /// Sink errors, or [`AcsError::Json`] if a record fails to emit.
-    pub fn run_streaming<F>(
+    /// Sink errors, [`AcsError::Json`] if a record fails to emit, or
+    /// [`AcsError::InvalidConfig`] if `fleet` was priced for other
+    /// indicator columns than this engine's.
+    pub fn screen<F>(
         &self,
         grid: &RuleGrid,
-        fleet: &[EvaluatedDesign],
+        fleet: &PricedFleet,
         mut sink: F,
     ) -> Result<WhatIfSummary, AcsError>
     where
         F: FnMut(usize, &Value) -> Result<(), AcsError>,
     {
+        if fleet.indicator_columns != self.config.indicator_columns {
+            return Err(AcsError::InvalidConfig {
+                field: "fleet".to_owned(),
+                reason: "priced for other indicator columns than the engine's".to_owned(),
+            });
+        }
         let baseline = ClassificationLedger::screen(&RuleSpec::baseline(), &self.devices);
-        let fleet_metrics: Vec<DeviceMetrics> = fleet.iter().map(Self::fleet_metrics).collect();
+        let fleet_metrics = fleet.metrics();
         let (strict, loose) = grid.corner_specs();
         let device_pins = ClassificationLedger::corner_pins(&strict, &loose, &self.devices);
         let fleet_pins = ClassificationLedger::corner_pins(&strict, &loose, &fleet_metrics);
@@ -248,7 +277,7 @@ impl WhatIfEngine {
         index: usize,
         spec: &RuleSpec,
         baseline: &ClassificationLedger,
-        fleet: &[EvaluatedDesign],
+        fleet: &PricedFleet,
         fleet_metrics: &[DeviceMetrics],
         device_pins: &[Option<acs_policy::Classification>],
         fleet_pins: &[Option<acs_policy::Classification>],
@@ -317,39 +346,50 @@ impl WhatIfEngine {
     /// restricts, which is what makes the blocks memoizable.
     fn fleet_blocks(
         &self,
-        fleet: &[EvaluatedDesign],
+        fleet: &PricedFleet,
         fleet_ledger: &ClassificationLedger,
     ) -> (Value, Value) {
         let fleet_counts = fleet_ledger.counts();
 
-        let mut restricted: Vec<&EvaluatedDesign> = Vec::new();
-        let mut unrestricted: Vec<&EvaluatedDesign> = Vec::new();
-        for (design, class) in fleet.iter().zip(&fleet_ledger.classes) {
-            if class.is_restricted() {
-                restricted.push(design);
+        // One pass in fleet order: the unrestricted designs' samples and
+        // column bits, and the fastest design on each side (the first
+        // of equals, as `Iterator::min_by` picks).
+        let free = fleet_counts.not_applicable;
+        let (mut tbt, mut cost, mut bits) =
+            (Vec::with_capacity(free), Vec::with_capacity(free), Vec::with_capacity(free));
+        let mut fastest_free: Option<&DesignFigures> = None;
+        let mut fastest_restricted: Option<&DesignFigures> = None;
+        for ((figures, &member), class) in
+            fleet.figures.iter().zip(&fleet.membership).zip(&fleet_ledger.classes)
+        {
+            let fastest = if class.is_restricted() {
+                &mut fastest_restricted
             } else {
-                unrestricted.push(design);
+                tbt.push(figures.tbt_s);
+                cost.push(figures.good_die_cost_usd);
+                bits.push(member);
+                &mut fastest_free
+            };
+            if !fastest.is_some_and(|f| figures.tbt_s.total_cmp(&f.tbt_s).is_ge()) {
+                *fastest = Some(figures);
             }
         }
         let restricted_share = if fleet.is_empty() {
             0.0
         } else {
-            restricted.len() as f64 / fleet.len() as f64
+            (fleet.len() - tbt.len()) as f64 / fleet.len() as f64
         };
 
-        let unrestricted_owned: Vec<EvaluatedDesign> =
-            unrestricted.iter().map(|d| (*d).clone()).collect();
-        let indicators = indicator_report(
-            &unrestricted_owned,
+        let indicators = indicator_report_of(
+            &tbt,
             LatencyMetric::Tbt,
             &self.config.indicator_columns,
+            |i, c| bits[i] >> c & 1 == 1,
         );
-        let tbt_dist = Distribution::from_samples(
-            &unrestricted.iter().map(|d| d.tbt_s).collect::<Vec<_>>(),
-        );
-        let cost_dist = Distribution::from_samples(
-            &unrestricted.iter().map(|d| d.good_die_cost_usd).collect::<Vec<_>>(),
-        );
+        // The "TPP Only" column is the distribution of every unrestricted
+        // TBT, present exactly when that distribution is.
+        let tbt_dist = indicators.first().map(|column| &column.distribution);
+        let cost_dist = Distribution::from_samples(&cost);
 
         let dwl = deadweight_loss(
             self.config.market_quantity,
@@ -358,15 +398,9 @@ impl WhatIfEngine {
             self.config.demand_elasticity,
             self.config.supply_elasticity,
         );
-        let best = |designs: &[&EvaluatedDesign]| -> Option<EvaluatedDesign> {
-            designs
-                .iter()
-                .min_by(|a, b| a.tbt_s.total_cmp(&b.tbt_s))
-                .map(|d| (*d).clone())
-        };
-        let overhead = match (best(&unrestricted), best(&restricted)) {
+        let overhead = match (fastest_free, fastest_restricted) {
             (Some(compliant), Some(frontier)) => {
-                overhead_value(&ComplianceOverhead::between(&compliant, &frontier))
+                overhead_value(&ComplianceOverhead::between_figures(compliant, frontier))
             }
             _ => Value::Null,
         };
@@ -387,7 +421,7 @@ impl WhatIfEngine {
             ("total", num(to_f64(fleet.len()))),
             ("counts", counts_value(&fleet_counts)),
             ("restricted_share", num(restricted_share)),
-            ("tbt_unrestricted_s", dist_value(tbt_dist.as_ref())),
+            ("tbt_unrestricted_s", dist_value(tbt_dist)),
             ("good_die_cost_unrestricted_usd", dist_value(cost_dist.as_ref())),
             ("indicators", Value::Array(indicator_rows)),
         ]);

@@ -14,9 +14,11 @@
 //! transfer-encoding.
 //!
 //! The fleet is priced by the caller (through the lattice `DseRunner`
-//! engine, whose memo persists across requests), so a whole rule
-//! grid re-screens the fleet at classification cost, not simulation
-//! cost.
+//! engine, whose memo persists across requests) and handed to the
+//! engine in its compact, name-free [`PricedFleet`] form, so a whole
+//! rule grid re-screens the fleet at classification cost, not
+//! simulation cost, and a service can keep a priced fleet for every
+//! request that names it.
 //!
 //! # Example
 //!
@@ -33,11 +35,13 @@
 //! ```
 
 pub mod engine;
+pub mod fleet;
 pub mod grid;
 pub mod ledger;
 pub mod rules;
 
 pub use engine::{WhatIfConfig, WhatIfEngine, WhatIfSummary};
+pub use fleet::PricedFleet;
 pub use grid::{RuleGrid, WhatIfRequest, AXES, MAX_RULE_VARIANTS};
 pub use ledger::{ClassificationLedger, LedgerCounts, LedgerDelta};
 pub use rules::RuleSpec;

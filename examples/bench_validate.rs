@@ -31,6 +31,9 @@
 //! - `--min-grid-points-per-sec <rate>` floors the `serve` suite's
 //!   `grid_points_per_sec`: a warm 1536-point Table 3 grid answered by
 //!   the request handler in process, response body included.
+//! - `--min-served-whatif-per-sec <rate>` floors the `serve` suite's
+//!   `whatif_per_sec`: uncached 16-variant what-ifs answered by the
+//!   request handler in process over the fleet the service keeps.
 
 use acs_errors::json::{parse, Value};
 use std::process::ExitCode;
@@ -92,6 +95,9 @@ fn validate(path: &str, floors: &Floors) -> Result<usize, String> {
         if let Some(floor) = floors.grid_points_per_sec {
             check_floor(metrics, "grid_points_per_sec", floor)?;
         }
+        if let Some(floor) = floors.served_whatif_per_sec {
+            check_floor(metrics, "whatif_per_sec", floor)?;
+        }
     }
     Ok(metrics.len())
 }
@@ -104,6 +110,7 @@ struct Floors {
     serve_cached_qps: Option<f64>,
     serve_unique_qps: Option<f64>,
     grid_points_per_sec: Option<f64>,
+    served_whatif_per_sec: Option<f64>,
 }
 
 fn main() -> ExitCode {
@@ -119,6 +126,7 @@ fn main() -> ExitCode {
             "--min-serve-cached-qps" => &mut floors.serve_cached_qps,
             "--min-serve-unique-qps" => &mut floors.serve_unique_qps,
             "--min-grid-points-per-sec" => &mut floors.grid_points_per_sec,
+            "--min-served-whatif-per-sec" => &mut floors.served_whatif_per_sec,
             _ => {
                 paths.push(arg);
                 continue;
@@ -138,7 +146,8 @@ fn main() -> ExitCode {
              [--min-lattice-points-per-sec <rate>] \
              [--min-whatif-variants-per-sec <rate>] \
              [--min-serve-cached-qps <qps>] [--min-serve-unique-qps <qps>] \
-             [--min-grid-points-per-sec <rate>] <BENCH_*.json>..."
+             [--min-grid-points-per-sec <rate>] \
+             [--min-served-whatif-per-sec <rate>] <BENCH_*.json>..."
         );
         return ExitCode::FAILURE;
     }

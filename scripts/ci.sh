@@ -90,7 +90,7 @@ cargo run -q --release --locked --offline -p acs-serve --bin acs-serve -- \
 echo "==> profiled smoke bench (includes the <5% telemetry-overhead assertion)"
 ACS_BENCH_DIR="$smokedir" scripts/bench-smoke.sh
 
-echo "==> bench artefact schema validation (acs-bench-v1, fresh run_report >= 250k points/s, warm >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps, warm grid answer >= 200k points/s)"
+echo "==> bench artefact schema validation (acs-bench-v1, fresh run_report >= 250k points/s, warm >= 1.5M points/s, what-if >= 3500 variants/s, serve >= 50k/2k qps, warm grid answer >= 200k points/s, uncached served what-if >= 550/s)"
 cargo run -q --release --locked --offline --example bench_validate -- \
     --min-dse-points-per-sec 250000 \
     --min-lattice-points-per-sec 1500000 \
@@ -98,6 +98,7 @@ cargo run -q --release --locked --offline --example bench_validate -- \
     --min-serve-cached-qps 50000 \
     --min-serve-unique-qps 2000 \
     --min-grid-points-per-sec 200000 \
+    --min-served-whatif-per-sec 550 \
     "$smokedir/BENCH_dse.json" "$smokedir/BENCH_serve.json" "$smokedir/BENCH_whatif.json" \
     "$smokedir/BENCH_scenarios.json" "$smokedir/BENCH_lattice.json"
 

@@ -16,8 +16,9 @@
 //! every metric a finite number. `ACS_BENCH_DIR` overrides the output
 //! directory (default: the repo root). `scripts/ci.sh` floors sweep
 //! throughput on a fresh runner and on a warm one (`points_per_sec`,
-//! `points_per_sec_lattice`), the serve QPS, and a warm grid answered in
-//! process (`grid_points_per_sec`) with absolute budgets.
+//! `points_per_sec_lattice`), the serve QPS, and a warm grid and
+//! uncached what-ifs answered in process (`grid_points_per_sec`,
+//! `whatif_per_sec`) with absolute budgets.
 //!
 //! [`bench_smoke`] also enforces the telemetry contract that profiling is
 //! cheap: the same sweep with the global registry enabled may cost at
@@ -537,6 +538,37 @@ fn bench_serve() {
         body.len()
     );
 
+    // Uncached what-ifs answered in process over the warm default fleet:
+    // every 16-variant grid is distinct, so each misses the response
+    // cache and only screens the fleet the first request priced and the
+    // state kept (`bench_validate --min-served-whatif-per-sec`).
+    let whatifs: Vec<HttpRequest> = (0..61)
+        .map(|i| HttpRequest {
+            method: "POST".to_owned(),
+            path: "/v1/whatif".to_owned(),
+            body: format!(
+                "{{\"grid\":{{\"tpp_threshold_2022\":[2400,4800],\"tpp_license\":[{},4800],\
+                 \"pd_license\":[3.0,5.92],\"mem_bw_license\":[0,800]}}}}",
+                1600 + i
+            ),
+        })
+        .collect();
+    let (status, body) = handle_lane(&state, &whatifs[0], None);
+    assert_eq!(status, 200, "{body:.200}");
+    assert!(body.contains("\"variants\":16,"), "{body:.200}");
+    let mut next = whatifs[1..].iter();
+    let whatif_ms = floor_ms(&mut || {
+        let request = next.next().expect("one distinct grid per round (at most 60 rounds)");
+        let (status, body) = handle_lane(&state, request, None);
+        assert_eq!(status, 200, "{body:.200}");
+        body
+    });
+    let whatif_per_sec = 1e3 / whatif_ms;
+    println!(
+        "{:<44} {:>10.1} what-ifs/s  ({:.3} ms, 16 variants, 4096-design fleet)",
+        "handle_lane (uncached what-if, warm fleet)", whatif_per_sec, whatif_ms
+    );
+
     write_bench(
         "serve",
         vec![
@@ -550,6 +582,8 @@ fn bench_serve() {
             ("repeated_p99_ms", repeated.p99_ms),
             ("grid_points_per_sec", grid_points_per_sec),
             ("grid_ms", grid_ms),
+            ("whatif_per_sec", whatif_per_sec),
+            ("whatif_ms", whatif_ms),
         ],
     );
 }

@@ -46,7 +46,7 @@ fn corner_pinning_skips_most_classifications_and_changes_nothing() {
     let report = runner.run_lattice(&spec, 2400.0);
     assert!(report.failures.is_empty());
     let fleet: Vec<_> = report.designs.into_iter().map(|(_, d)| d).collect();
-    let fleet_metrics: Vec<_> = fleet.iter().map(WhatIfEngine::fleet_metrics).collect();
+    let fleet_metrics = engine.priced_fleet(&fleet, 0).unwrap().metrics();
 
     // --- the corner sandwich is sound: pinned ledgers == full ledgers ---
     let (strict, loose) = grid.corner_specs();
